@@ -1,7 +1,8 @@
 """The off-line labeling pass, step by step.
 
-Pairwise distances on the encoder features are sparsified through the
-k-reciprocal neighborhood, turned into Jaccard distances, and clustered with
+Each encoder feature's nearest neighbors are sparsified through the
+k-reciprocal neighborhood, turned into Jaccard distances for the pairs that
+share a reciprocal neighbor (every other pair is at 1.0), and clustered with
 DBSCAN; every coarse cluster is then split by k-means into prototypes and
 each sample is reassigned to the cluster whose prototypes it matches best on
 average. With a deliberately loose eps, DBSCAN chains identities together
@@ -13,7 +14,7 @@ import numpy as np
 from reidapt.cluster import dbscan
 from reidapt.data import SynthSpec, generate_synthetic
 from reidapt.evaluate import pairwise_fscore
-from reidapt.graph import build_distance_graph
+from reidapt.graph import build_distance_graph, offdiag_percentile
 from reidapt.refine import refine_labels
 from reidapt.trainer import TrainConfig, extract_features, pretrain_source
 
@@ -26,13 +27,15 @@ cfg = TrainConfig(pretrain_epochs=30, seed=13)
 encoder = pretrain_source(source.raw, source.identity, cfg)
 feats = extract_features(encoder, train.raw)
 
-graph = build_distance_graph(feats, k_rr=20)
-off_diag = graph.d_j[~np.eye(len(feats), dtype=bool)]
-print(f"Jaccard distances: median {np.median(off_diag):.3f}, "
-      f"1.1th percentile {np.percentile(off_diag, 1.1):.3f}")
+d_j = build_distance_graph(feats, k_rr=20).jaccard()
+pairs = len(feats) * (len(feats) - 1) // 2
+print(f"Jaccard graph: {len(d_j.values)} of {pairs} pairs share a reciprocal "
+      f"neighbor; every other pair is at distance 1.0")
+print(f"Jaccard distances: median {offdiag_percentile(d_j, 50):.3f}, "
+      f"1.1th percentile {offdiag_percentile(d_j, 1.1):.3f}")
 
-eps = float(np.percentile(off_diag, 1.1))
-coarse = dbscan(graph.d_j, eps, min_pts=12)
+eps = offdiag_percentile(d_j, 1.1)
+coarse = dbscan(d_j, eps, min_pts=12)
 print(f"DBSCAN: {coarse.num_clusters} clusters, "
       f"{int(np.sum(coarse.assignment == -1))} outliers "
       f"(64 identities generated)")

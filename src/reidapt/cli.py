@@ -14,6 +14,8 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .data import (
     FeatureFileError,
@@ -274,7 +276,8 @@ def cmd_cluster(args):
         _write_label_snapshot(path, labels)
         doc["labels_csv"] = str(path)
     if args.dump_jaccard:
-        write_features(args.dump_jaccard, es.d_j)
+        d_j = es.d_j
+        write_features(args.dump_jaccard, np.column_stack([d_j.pairs, d_j.values]))
         doc["jaccard"] = str(args.dump_jaccard)
     _emit(doc, [f"L={doc['L']} outliers={doc['N_outlier']} fscore={fscore:.4f}"])
 
@@ -311,8 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, out_required=True):
         p.add_argument("--config", help="JSON config; keys mirror TrainConfig")
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--threads", type=int,
-                       help="cap BLAS thread parallelism")
         if out_required:
             p.add_argument("--out", required=True, help="run directory")
 
@@ -327,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--domain-shift", type=float, default=12.0, dest="domain_shift")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
-    gen.add_argument("--threads", type=int)
     gen.set_defaults(func=cmd_gen_data)
 
     pre = sub.add_parser("pretrain", help="train the encoder on the source split")
@@ -349,7 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
     clu.add_argument("--ckpt", required=True)
     clu.add_argument("--data", required=True)
     clu.add_argument("--dump-labels", dest="dump_labels")
-    clu.add_argument("--dump-jaccard", dest="dump_jaccard")
+    clu.add_argument("--dump-jaccard", dest="dump_jaccard",
+                     help="write the stored Jaccard pairs as (i, j, d_J) rows, i < j; "
+                          "every absent pair is at 1.0")
     common(clu, out_required=False)
     clu.set_defaults(func=cmd_cluster)
 
@@ -367,19 +369,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        threads = getattr(args, "threads", None)
-        if threads:
-            try:
-                from threadpoolctl import threadpool_limits
-            except ImportError:
-                print("warning: threadpoolctl not installed, --threads ignored",
-                      file=sys.stderr)
-                args.func(args)
-            else:
-                with threadpool_limits(limits=threads):
-                    args.func(args)
-        else:
-            args.func(args)
+        args.func(args)
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.code

@@ -1,5 +1,5 @@
-"""Coarse density clustering (DBSCAN on a precomputed distance matrix) and
-fine centroid clustering (k-means with k-means++ seeding)."""
+"""Coarse density clustering (DBSCAN on a sparse precomputed distance matrix)
+and fine centroid clustering (k-means with k-means++ seeding)."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import OUTLIER
+from .graph import SparseDistances
 
 
 @dataclass
@@ -27,54 +28,68 @@ class KMeansResult:
     inertia_history: list[float]
 
 
-def dbscan(d_j: np.ndarray, eps: float, min_pts: int) -> CoarseClusters:
-    """Density clustering over a symmetric distance matrix.
+def dbscan(dist: SparseDistances, eps: float, min_pts: int) -> CoarseClusters:
+    """Density clustering over a sparse symmetric distance matrix.
 
     Core points have at least ``min_pts`` neighbors within ``eps`` (self
     included). Clusters are the connected components of the core-core
-    eps-graph; border points join the lowest-indexed core that reaches them,
-    which makes the labeling independent of input permutation up to that tie
-    rule. Everything else is an outlier.
+    eps-graph, numbered by their lowest core index; border points join the
+    lowest-indexed core that reaches them, which makes the labeling
+    independent of input permutation up to that tie rule. Everything else is
+    an outlier.
+
+    Absent pairs are at ``dist.fill``, the largest distance: below it only
+    stored pairs can lie within eps, and at or above it every pair does.
     """
-    d_j = np.asarray(d_j, dtype=np.float64)
-    n = len(d_j)
-    if d_j.shape != (n, n) or not np.allclose(d_j, d_j.T, atol=1e-8):
-        raise ValueError("distance matrix must be square and symmetric")
-    if np.any(d_j < 0):
-        raise ValueError("distance matrix must be nonnegative")
+    n = dist.n
+    i, j = np.asarray(dist.pairs, dtype=np.int64).reshape(-1, 2).T
+    values = np.asarray(dist.values, dtype=np.float64)
+    key = i * n + j
+    if (len(values) != len(i) or np.any(i < 0) or np.any(i >= j) or np.any(j >= n)
+            or np.any(np.diff(key) <= 0)):
+        raise ValueError("pairs must list each (i, j) with 0 <= i < j < n once, "
+                         "in row-major order, with one value each")
+    if np.any(values < 0) or np.any(values > dist.fill):
+        raise ValueError("distances must lie in [0, fill]")
     if eps <= 0:
         raise ValueError("eps must be positive")
     if min_pts < 1:
         raise ValueError("min_pts must be >= 1")
 
-    within = d_j <= eps
-    degree = within.sum(axis=1)
-    core = degree >= min_pts
-
     assignment = np.full(n, OUTLIER, dtype=np.int64)
-    next_label = 0
-    for start in range(n):
-        if not core[start] or assignment[start] != OUTLIER:
-            continue
-        # flood the core-core component
-        stack = [start]
-        assignment[start] = next_label
-        while stack:
-            u = stack.pop()
-            for v in np.flatnonzero(within[u] & core):
-                if assignment[v] == OUTLIER:
-                    assignment[v] = next_label
-                    stack.append(v)
-        next_label += 1
+    if eps >= dist.fill:  # every pair lies within eps
+        if n >= min_pts:
+            assignment[:] = 0
+        return CoarseClusters(assignment=assignment, num_clusters=int(n >= min_pts))
 
-    core_indices = np.flatnonzero(core)
-    for i in range(n):
-        if core[i] or assignment[i] != OUTLIER:
-            continue
-        reachable = core_indices[within[i, core_indices]]
-        if len(reachable):
-            assignment[i] = assignment[reachable[0]]  # lowest-indexed claiming core
-    return CoarseClusters(assignment=assignment, num_clusters=next_label)
+    within = values <= eps
+    i, j = i[within], j[within]
+    src, dst = np.concatenate([i, j]), np.concatenate([j, i])  # both directions
+    core = 1 + np.bincount(src, minlength=n) >= min_pts
+
+    # components of the core-core edges: hook each root to the smallest
+    # neighboring root, then compress paths, until every edge is inside one
+    link = core[i] & core[j]
+    a, b = i[link], j[link]
+    root = np.arange(n)
+    while True:
+        ra, rb = root[a], root[b]
+        if np.array_equal(ra, rb):
+            break
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while not np.array_equal(root, root[root]):
+            root = root[root]
+    cores = np.flatnonzero(core)
+    heads, label = np.unique(root[cores], return_inverse=True)
+    assignment[cores] = label
+
+    # a border point joins its lowest-indexed core within eps
+    reach = ~core[src] & core[dst]
+    claim = np.full(n, n)
+    np.minimum.at(claim, src[reach], dst[reach])
+    claimed = np.flatnonzero(claim < n)
+    assignment[claimed] = assignment[claim[claimed]]
+    return CoarseClusters(assignment=assignment, num_clusters=len(heads))
 
 
 def _kmeans_pp_init(points, r, rng):

@@ -38,6 +38,11 @@ class RetrievalResult:
         return self.rank(10)
 
 
+def _same_group_pairs(groups: np.ndarray) -> int:
+    sizes = np.unique(groups, return_counts=True)[1]
+    return int(np.sum(sizes * (sizes - 1) // 2))
+
+
 def pairwise_fscore(pseudo: np.ndarray, truth: np.ndarray):
     """Pair-level precision/recall/F against ground-truth identities.
 
@@ -50,14 +55,14 @@ def pairwise_fscore(pseudo: np.ndarray, truth: np.ndarray):
     if pseudo.shape != truth.shape:
         raise ValueError("pseudo and truth label arrays must align")
     keep = pseudo != OUTLIER
-    p = pseudo[keep]
-    t = truth[keep]
-    same_pseudo = (p[:, None] == p[None, :])
-    same_truth = (t[:, None] == t[None, :])
-    upper = np.triu(np.ones((len(p), len(p)), dtype=bool), k=1)
-    tp = int(np.sum(same_pseudo & same_truth & upper))
-    fp = int(np.sum(same_pseudo & ~same_truth & upper))
-    fn = int(np.sum(~same_pseudo & same_truth & upper))
+    # pairs within a group number C(size, 2); group the kept samples by
+    # pseudo label, by true identity, and by both
+    p = np.unique(pseudo[keep], return_inverse=True)[1]
+    t = np.unique(truth[keep], return_inverse=True)[1]
+    both = p * (t.max(initial=0) + 1) + t
+    same_pseudo, same_truth, tp = (_same_group_pairs(g) for g in (p, t, both))
+    fp = same_pseudo - tp
+    fn = same_truth - tp
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     fscore = 2 * precision * recall / (precision + recall) if precision + recall else 0.0

@@ -1,8 +1,15 @@
-"""Pairwise distances, k-reciprocal neighbor sets, and Jaccard distances.
+"""k-nearest neighbors, k-reciprocal neighbor sets, and Jaccard distances.
 
 The similarity between two samples is exp(-euclidean distance) restricted to
 the k-reciprocal neighborhood, and the Jaccard distance compares the sparse
 similarity rows of two samples by their elementwise min/max sums.
+
+Nothing here is N x N. Distances are computed a block of rows at a time and
+only each row's k nearest neighbors are kept; the similarity d_S is stored as
+CSR rows; and d_J is stored only for the pairs that share a reciprocal
+member. Every other off-diagonal pair has a min-sum of zero and therefore a
+Jaccard distance of exactly 1.0 (Zhong et al. 2017, arXiv:1701.08398; Ge et
+al. 2020, arXiv:2006.02713).
 """
 
 from __future__ import annotations
@@ -11,96 +18,262 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Rows per distance block are chosen so that one block holds about this many
+# float64 entries (16 MB).
+_BLOCK_ENTRIES = 1 << 21
+
+# numpy's pairwise summation adds blocks of at most 128 entries directly,
+# in 8 interleaved lanes, and splits longer runs in two (loops_utils.h.src).
+_PW_BLOCK = 128
+_PW_LANES = 8
+
+
+@dataclass
+class SparseDistances:
+    """A symmetric N x N distance matrix with a zero diagonal, stored as the
+    pairs i < j that are listed in ``pairs``; every other off-diagonal pair is
+    at distance ``fill``, which is at least every stored value."""
+
+    n: int
+    pairs: np.ndarray   # (E, 2) int64, i < j, each unordered pair once
+    values: np.ndarray  # (E,) float64
+    fill: float = 1.0
+
 
 @dataclass
 class ReciprocalSets:
-    """Per-sample k-reciprocal neighbor index sets; i is a member of sets[i]."""
+    """Per-sample k-reciprocal neighbor sets in CSR form; i is a member of
+    its own set, and j is in i's set iff i is in j's."""
 
-    k_rr: int
-    sets: list[np.ndarray]
+    indptr: np.ndarray   # (N+1,) set i is indices[indptr[i]:indptr[i+1]]
+    indices: np.ndarray  # members, ascending within each set
+    dist: np.ndarray     # Euclidean distance from the set's owner to each member
 
 
 @dataclass
 class DistanceGraph:
-    d_s: np.ndarray  # sparse-by-construction similarity, zero outside reciprocal sets
-    d_j: np.ndarray  # Jaccard distance in [0, 1]
+    indptr: np.ndarray   # CSR row pointers of d_S, shared with the reciprocal sets
+    indices: np.ndarray  # CSR columns of d_S
+    d_s: np.ndarray      # exp(-dist) over each reciprocal set, 1.0 on the diagonal
+    pairs: np.ndarray    # (E, 2) pairs i < j that share a reciprocal member
+    d_j: np.ndarray      # (E,) their Jaccard distances; every other pair is 1.0
+
+    def jaccard(self) -> SparseDistances:
+        return SparseDistances(n=len(self.indptr) - 1, pairs=self.pairs,
+                               values=self.d_j, fill=1.0)
 
 
-def pairwise_euclidean(features: np.ndarray) -> np.ndarray:
-    """Full N x N Euclidean distance matrix with an exactly zero diagonal."""
-    f = np.asarray(features, dtype=np.float64)
-    sq = np.sum(f * f, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (f @ f.T)
-    np.maximum(d2, 0.0, out=d2)
-    dist = np.sqrt(d2)
-    dist = 0.5 * (dist + dist.T)
-    np.fill_diagonal(dist, 0.0)
-    return dist
+def nearest_neighbors(features: np.ndarray, k: int):
+    """Each row's k nearest other rows under Euclidean distance.
 
-
-def reciprocal_sets(dist: np.ndarray, k_rr: int) -> ReciprocalSets:
-    """Mutual k-nearest-neighbor sets under ``dist``.
-
-    kNN(i) is i itself plus its k_rr nearest other samples (distance ties
-    break to the lower index); j belongs to sets[i] iff each is in the
-    other's kNN list. No expansion step is applied.
+    Returns (neighbors, dist), both (N, k), neighbors ascending within a row.
+    Distance ties break to the lower index. Distances come from the GEMM
+    identity |a|^2 + |b|^2 - 2 a.b, a block of rows at a time; up to about
+    1400 rows that is one block, the same Gram product a dense N x N
+    computation makes.
     """
-    n = len(dist)
-    if not 1 <= k_rr < n:
-        raise ValueError(f"k_rr must be in [1, {n - 1}], got {k_rr}")
-    knn = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        row = dist[i].copy()
-        row[i] = np.inf
-        order = np.argsort(row, kind="stable")[:k_rr]
-        knn[i, order] = True
-        knn[i, i] = True
-    mutual = knn & knn.T
-    return ReciprocalSets(k_rr=k_rr, sets=[np.flatnonzero(mutual[i]) for i in range(n)])
+    f = np.asarray(features, dtype=np.float64)
+    n = len(f)
+    if not 1 <= k < n:
+        raise ValueError(f"k must be in [1, {n - 1}], got {k}")
+    sq = np.sum(f * f, axis=1)
+    neighbors = np.empty((n, k), dtype=np.int64)
+    dist = np.empty((n, k))
+    # blocks of near-equal size: a block of one row would go through a
+    # matrix-vector product, whose dot products can differ in the last bit
+    blocks = -(-n // max(1, _BLOCK_ENTRIES // n))
+    bounds = np.arange(blocks + 1) * n // blocks
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        local = np.arange(stop - start)
+        gram = f[start:stop] @ f.T
+        gram *= 2.0
+        d = np.add.outer(sq[start:stop], sq)
+        d -= gram
+        np.maximum(d, 0.0, out=d)
+        np.sqrt(d, out=d)
+        d[local, start + local] = np.inf
+        kth = np.partition(d, k - 1, axis=1)[:, k - 1:k]
+        keep = d <= kth
+        over = np.flatnonzero(np.count_nonzero(keep, axis=1) > k)
+        if len(over):  # ties at the k-th distance: keep the lowest indices
+            sub, at = d[over], kth[over]
+            tied = sub == at
+            need = k - np.count_nonzero(sub < at, axis=1)
+            keep[over] = (sub < at) | (tied & (np.cumsum(tied, axis=1) <= need[:, None]))
+        rows, cols = np.nonzero(keep)
+        neighbors[start:stop] = cols.reshape(-1, k)
+        dist[start:stop] = d[rows, cols].reshape(-1, k)
+    return neighbors, dist
 
 
-def similarity_encoding(dist: np.ndarray, sets: ReciprocalSets) -> np.ndarray:
-    """exp(-dist) over each sample's reciprocal set, zero elsewhere."""
-    n = len(dist)
-    d_s = np.zeros((n, n))
-    for i, members in enumerate(sets.sets):
-        d_s[i, members] = np.exp(-dist[i, members])
-    return d_s
+def reciprocal_sets(features: np.ndarray, k_rr: int) -> ReciprocalSets:
+    """Mutual k-nearest-neighbor sets of the feature rows.
+
+    kNN(i) is i itself plus its k_rr nearest other samples; j belongs to
+    set i iff each is in the other's kNN list. No expansion step is applied.
+    A pair's distance is the mean of the two rows' values, which keeps the
+    sets exactly symmetric.
+    """
+    neighbors, dist = nearest_neighbors(features, k_rr)
+    n = len(neighbors)
+    rows = np.repeat(np.arange(n), k_rr)
+    cols = neighbors.ravel()
+    forward = rows * n + cols  # ascending: rows ascend, columns ascend per row
+    backward = cols * n + rows
+    where = np.searchsorted(forward, backward)
+    mutual = forward[np.minimum(where, len(forward) - 1)] == backward
+    back_dist = dist.ravel()[where[mutual]]
+    rows, cols = rows[mutual], cols[mutual]
+    pair_dist = 0.5 * (dist.ravel()[mutual] + back_dist)
+
+    # add each sample to its own set, at distance 0
+    rows = np.concatenate([rows, np.arange(n)])
+    cols = np.concatenate([cols, np.arange(n)])
+    pair_dist = np.concatenate([pair_dist, np.zeros(n)])
+    order = np.argsort(rows * n + cols)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return ReciprocalSets(indptr=indptr, indices=cols[order], dist=pair_dist[order])
 
 
-def jaccard_distance(d_s: np.ndarray) -> np.ndarray:
-    """1 - min-sum / max-sum of similarity row pairs.
+def _pairwise_leaves(n: int, offset: int = 0) -> list[tuple[int, int]]:
+    """(offset, length) of the runs numpy's pairwise summation of n entries
+    adds directly, in order."""
+    if n <= _PW_BLOCK:
+        return [(offset, n)]
+    half = n // 2
+    half -= half % _PW_LANES
+    return _pairwise_leaves(half, offset) + _pairwise_leaves(n - half, offset + half)
 
-    Uses an inverted column index so cost scales with the nonzero pattern
-    rather than N^3. max-sum is recovered as rowsum_i + rowsum_j - min-sum.
-    Rows whose max-sum is zero are defined as maximally distant.
+
+def _dense_row_sums(indptr: np.ndarray, indices: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Row sums of a nonnegative CSR matrix, bitwise equal to ``np.sum`` over
+    its dense rows.
+
+    numpy sums a contiguous row pairwise: runs of at most 128 entries are
+    summed in 8 interleaved lanes that are then added as a balanced tree,
+    with a tail of fewer than 8 entries added last, and longer rows are split
+    in two halves whose sums are added. Adding an exact zero changes nothing,
+    so the same additions over the stored entries alone give the same bits.
+    """
+    n = len(indptr) - 1
+    leaves = _pairwise_leaves(n)
+    starts = np.array([start for start, _ in leaves])
+    lengths = np.array([length for _, length in leaves])
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    leaf = np.searchsorted(starts, indices, side="right") - 1
+    pos = indices - starts[leaf]
+    laned = lengths[leaf] - lengths[leaf] % _PW_LANES
+    cell = rows * len(leaves) + leaf
+    cells, cell_of = np.unique(cell, return_inverse=True)
+
+    # each lane adds its entries in index order
+    in_lane = pos < laned
+    lanes = np.bincount(cell_of[in_lane] * _PW_LANES + pos[in_lane] % _PW_LANES,
+                        weights=values[in_lane], minlength=len(cells) * _PW_LANES)
+    lanes = lanes.astype(np.float64).reshape(-1, _PW_LANES)
+    acc = ((lanes[:, 0] + lanes[:, 1]) + (lanes[:, 2] + lanes[:, 3])) + \
+          ((lanes[:, 4] + lanes[:, 5]) + (lanes[:, 6] + lanes[:, 7]))
+    tail = pos - laned
+    for t in range(_PW_LANES):
+        at = tail == t
+        acc[cell_of[at]] += values[at]
+
+    cell_rows, cell_leaf = np.divmod(cells, len(leaves))
+    by_leaf = np.argsort(cell_leaf, kind="stable")
+    bounds = np.searchsorted(cell_leaf[by_leaf], np.arange(1, len(leaves)))
+    leaf_cells = iter(np.split(by_leaf, bounds))
+
+    def subtree(length):
+        if length <= _PW_BLOCK:
+            picked = next(leaf_cells)
+            out = np.zeros(n)
+            out[cell_rows[picked]] = acc[picked]
+            return out
+        half = length // 2
+        half -= half % _PW_LANES
+        left = subtree(half)
+        return left + subtree(length - half)
+
+    return subtree(n)
+
+
+def jaccard_distance(indptr: np.ndarray, indices: np.ndarray, d_s: np.ndarray):
+    """1 - min-sum / max-sum of similarity row pairs, for the pairs that share
+    a nonzero column.
+
+    ``d_s`` is a symmetric nonnegative CSR matrix, so column k's nonzero rows
+    are row k's members. Each k contributes min(d_s[i, k], d_s[j, k]) to every
+    pair (i, j) of its members, and each pair's min-sum adds its
+    contributions in ascending k; max-sum is rowsum_i + rowsum_j - min-sum.
+    Returns (pairs, d_j) with pairs (E, 2), i < j, in row-major order. Every
+    other off-diagonal pair has a min-sum of zero and a distance of 1.0.
     """
     d_s = np.asarray(d_s, dtype=np.float64)
     if np.any(d_s < 0):
         raise ValueError("similarity matrix must be nonnegative")
-    n = len(d_s)
-    rowsum = d_s.sum(axis=1)
-    nonzero_cols = [np.flatnonzero(d_s[:, k]) for k in range(n)]
+    n = len(indptr) - 1
+    sizes = np.diff(indptr)
+    first, second, via, contrib = [], [], [], []
+    for size in np.unique(sizes[sizes >= 2]):
+        owners = np.flatnonzero(sizes == size)
+        at = indptr[owners, None] + np.arange(size)
+        members, sims = indices[at], d_s[at]
+        a, b = np.triu_indices(size, k=1)
+        first.append(members[:, a].ravel())
+        second.append(members[:, b].ravel())
+        via.append(np.repeat(owners, len(a)))
+        contrib.append(np.minimum(sims[:, a], sims[:, b]).ravel())
+    if not first:
+        return np.empty((0, 2), dtype=np.int64), np.empty(0)
+    key = np.concatenate(first) * n + np.concatenate(second)
+    order = np.lexsort((np.concatenate(via), key))
+    key = key[order]
+    first_of_pair = np.concatenate([[True], key[1:] != key[:-1]])
+    # bincount adds in input order, so each min-sum accumulates in ascending k
+    min_sum = np.bincount(np.cumsum(first_of_pair) - 1,
+                          weights=np.concatenate(contrib)[order])
+    i, j = np.divmod(key[first_of_pair], n)
 
-    min_sum = np.zeros((n, n))
-    for i in range(n):
-        acc = min_sum[i]
-        for k in np.flatnonzero(d_s[i]):
-            rows = nonzero_cols[k]
-            acc[rows] += np.minimum(d_s[i, k], d_s[rows, k])
-    max_sum = rowsum[:, None] + rowsum[None, :] - min_sum
+    rowsum = _dense_row_sums(indptr, indices, d_s)
+    max_sum = rowsum[i] + rowsum[j] - min_sum
+    d_j = np.clip(1.0 - min_sum / max_sum, 0.0, 1.0)
+    return np.stack([i, j], axis=1), d_j
 
-    d_j = np.ones((n, n))
-    ok = max_sum > 0
-    d_j[ok] = 1.0 - min_sum[ok] / max_sum[ok]
-    np.clip(d_j, 0.0, 1.0, out=d_j)
-    np.fill_diagonal(d_j, 0.0)
-    return d_j
+
+def offdiag_percentile(dist: SparseDistances, q: float) -> float:
+    """The q-th percentile of the N(N-1) off-diagonal entries of ``dist``,
+    bitwise equal to ``np.percentile`` (linear method) over the dense matrix.
+
+    Each stored value occurs twice off the diagonal and ``fill``, the largest
+    value, makes up the rest, so the sorted entries are known without
+    materializing them.
+    """
+    count = dist.n * (dist.n - 1)
+    if count == 0:
+        raise ValueError("a percentile needs at least two samples")
+    if not 0.0 <= q <= 100.0:
+        raise ValueError(f"percentile must be in [0, 100], got {q}")
+    stored = np.sort(dist.values)
+
+    def entry(index):
+        return stored[index // 2] if index < 2 * len(stored) else np.float64(dist.fill)
+
+    virtual = (count - 1) * np.true_divide(q, 100)
+    below = np.floor(virtual)
+    if virtual >= count - 1:
+        return float(entry(count - 1))
+    a, b = entry(int(below)), entry(int(below) + 1)
+    # numpy's _lerp, including its branch for weights of one half or more
+    t = virtual - below
+    diff = b - a
+    return float(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
 
 
 def build_distance_graph(features: np.ndarray, k_rr: int) -> DistanceGraph:
-    """Convenience pipeline: euclidean -> reciprocal sets -> d_S -> d_J."""
-    dist = pairwise_euclidean(features)
-    sets = reciprocal_sets(dist, k_rr)
-    d_s = similarity_encoding(dist, sets)
-    return DistanceGraph(d_s=d_s, d_j=jaccard_distance(d_s))
+    """Pipeline: k-NN -> reciprocal sets -> d_S -> d_J."""
+    sets = reciprocal_sets(features, k_rr)
+    d_s = np.exp(-sets.dist)
+    pairs, d_j = jaccard_distance(sets.indptr, sets.indices, d_s)
+    return DistanceGraph(indptr=sets.indptr, indices=sets.indices, d_s=d_s,
+                         pairs=pairs, d_j=d_j)

@@ -29,7 +29,7 @@ from .encoder import (
     lr_at,
 )
 from .evaluate import pairwise_fscore
-from .graph import build_distance_graph
+from .graph import SparseDistances, build_distance_graph, offdiag_percentile
 from .losses import LossReport, batch_hard_triplet, blend_metric_losses, cross_entropy, total_loss
 from .membank import MemoryBank, init_bank, instant_update, momentum_update, positive_sets, spread_loss
 from .refine import PseudoLabelSet, refine_labels
@@ -144,7 +144,7 @@ class EpochState:
     num_clusters: int
     outliers: int
     eps: float
-    d_j: np.ndarray | None = None
+    d_j: SparseDistances | None = None  # the Jaccard graph, when kept
     fscore_coarse: float | None = None
     fscore_refined: float | None = None
 
@@ -198,10 +198,9 @@ def offline_epoch(state: EncoderState, raw: np.ndarray, cfg: TrainConfig,
     pair F-scores are recorded. It never influences the labels.
     """
     feats = extract_features(state, raw)
-    graph = build_distance_graph(feats, k_rr=min(cfg.k_rr, len(feats) - 1))
-    off_diag = graph.d_j[~np.eye(len(feats), dtype=bool)]
-    eps = max(float(np.percentile(off_diag, cfg.eps_percentile)), 1e-12)
-    coarse = dbscan(graph.d_j, eps, cfg.min_pts)
+    d_j = build_distance_graph(feats, k_rr=min(cfg.k_rr, len(feats) - 1)).jaccard()
+    eps = max(offdiag_percentile(d_j, cfg.eps_percentile), 1e-12)
+    coarse = dbscan(d_j, eps, cfg.min_pts)
     if coarse.num_clusters == 0:
         raise ZeroClustersError(
             f"epoch {epoch}: every sample is an outlier (eps={eps:.4g})")
@@ -211,7 +210,7 @@ def offline_epoch(state: EncoderState, raw: np.ndarray, cfg: TrainConfig,
         epoch=epoch, labels=labels, prototypes=protos,
         num_clusters=coarse.num_clusters,
         outliers=int(np.sum(coarse.assignment == OUTLIER)),
-        eps=eps, d_j=graph.d_j if keep_graph else None,
+        eps=eps, d_j=d_j if keep_graph else None,
     )
     if truth is not None:
         es.fscore_coarse = pairwise_fscore(labels.coarse, truth)[2]

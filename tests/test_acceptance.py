@@ -13,6 +13,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 from helpers import central_diff, rel_error
+from oracles import pairwise_euclidean, reciprocal_sets, similarity_encoding, to_dense, to_sparse
 
 from conftest import (
     PANEL_SEEDS,
@@ -32,7 +33,7 @@ from reidapt.encoder import (
     init_encoder,
 )
 from reidapt.evaluate import pairwise_fscore, retrieval_eval
-from reidapt.graph import jaccard_distance, pairwise_euclidean, reciprocal_sets, similarity_encoding
+from reidapt.graph import build_distance_graph
 from reidapt.losses import batch_hard_triplet, cross_entropy
 from reidapt.membank import MemoryBank, init_bank, positive_sets, spread_loss
 from reidapt.refine import PseudoLabelSet
@@ -264,11 +265,12 @@ def test_criterion_oracle_suite():
                              "positive_sets", "fscore", "ap")}
 
     for trial in range(100):
-        # jaccard over a sparse similarity built by the real pipeline
+        # the sparse Jaccard graph against the all-pairs min/max sums
         f = rng.standard_normal((int(rng.integers(5, 9)), 3))
         dist = pairwise_euclidean(f)
         d_s = similarity_encoding(dist, reciprocal_sets(dist, 2))
-        assert np.all(np.abs(jaccard_distance(d_s) - _naive_jaccard(d_s)) <= 1e-9)
+        d_j = to_dense(build_distance_graph(f, 2).jaccard())
+        assert np.all(np.abs(d_j - _naive_jaccard(d_s)) <= 1e-9)
         checks["jaccard"] += 1
 
         # dbscan against the BFS reference
@@ -276,7 +278,7 @@ def test_criterion_oracle_suite():
         dist = pairwise_euclidean(pts)
         eps = float(rng.uniform(0.3, 2.0))
         min_pts = int(rng.integers(1, 5))
-        res = dbscan(dist, eps, min_pts)
+        res = dbscan(to_sparse(dist), eps, min_pts)
         want, want_l = _reference_dbscan(dist, eps, min_pts)
         assert np.array_equal(res.assignment, want) and res.num_clusters == want_l
         checks["dbscan"] += 1

@@ -1,10 +1,13 @@
 import json
 
 import numpy as np
+import oracles
 import pytest
 
 from reidapt.cli import main
 from reidapt.data import read_features
+from reidapt.encoder import load_checkpoint
+from reidapt.trainer import extract_features
 
 
 def run_cli(capsys, *argv):
@@ -133,8 +136,18 @@ class TestPipeline:
         assert {"L", "N", "N_outlier", "fscore", "precision", "recall"} <= set(doc)
         labels = (tmp_path / "labels" / "labels_epoch_000.csv").read_text()
         assert labels.startswith("index,coarse,refined")
-        d_j = read_features(tmp_path / "dj.drft")
-        assert d_j.shape == (80, 80)
+        # the dump lists the stored pairs as (i, j, d_J) rows, i < j; every
+        # absent pair is at 1.0, and densified it is the dense oracle's d_J
+        rows = read_features(tmp_path / "dj.drft")
+        assert rows.ndim == 2 and rows.shape[1] == 3 and 0 < len(rows) < 80 * 79 // 2
+        i, j = rows[:, 0].astype(int), rows[:, 1].astype(int)
+        assert np.all(i < j)
+        dumped = np.ones((80, 80))
+        dumped[i, j] = dumped[j, i] = rows[:, 2]
+        np.fill_diagonal(dumped, 0.0)
+        feats = extract_features(load_checkpoint(ckpt), read_features(data_dir / "target_train.drft"))
+        want = oracles.dense_chain(feats, k_rr=8)[3]
+        assert np.array_equal(dumped, want.astype(np.float32).astype(np.float64))
 
     def test_eval_cluster_stats_schema(self, data_dir, tmp_path, capsys):
         cfg = fast_config(tmp_path)

@@ -3,9 +3,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import oracles
+from oracles import pairwise_euclidean, to_sparse
 from reidapt.cluster import dbscan, kmeans
-from reidapt.data import OUTLIER
-from reidapt.graph import pairwise_euclidean
+from reidapt.data import OUTLIER, l2_normalize
+from reidapt.graph import SparseDistances, build_distance_graph
 
 
 def reference_dbscan(dist, eps, min_pts):
@@ -54,14 +56,14 @@ class TestDbscan:
         rng = np.random.default_rng(0)
         pts, truth = blob_instance(rng, n_blobs=2, per_blob=8)
         dist = pairwise_euclidean(pts)
-        res = dbscan(dist, eps=2.0, min_pts=4)
+        res = dbscan(to_sparse(dist), eps=2.0, min_pts=4)
         assert res.num_clusters == 2
         assert not np.any(res.assignment == OUTLIER)
         assert partition_of(res.assignment) == partition_of(truth)
 
     def test_all_isolated_all_outliers(self):
         pts = np.arange(6, dtype=float).reshape(-1, 1) * 10.0
-        res = dbscan(pairwise_euclidean(pts), eps=1.0, min_pts=2)
+        res = dbscan(to_sparse(pairwise_euclidean(pts)), eps=1.0, min_pts=2)
         assert res.num_clusters == 0
         assert np.all(res.assignment == OUTLIER)
 
@@ -69,7 +71,7 @@ class TestDbscan:
         pts = np.array([[0.0], [0.4], [0.8], [1.2], [5.0], [5.3], [5.6],
                         [2.9], [9.0], [20.0]])
         dist = pairwise_euclidean(pts)
-        res = dbscan(dist, eps=0.5, min_pts=3)
+        res = dbscan(to_sparse(dist), eps=0.5, min_pts=3)
         want, want_l = reference_dbscan(dist, 0.5, 3)
         assert np.array_equal(res.assignment, want)
         assert res.num_clusters == want_l
@@ -82,7 +84,7 @@ class TestDbscan:
             dist = pairwise_euclidean(pts)
             eps = float(rng.uniform(0.3, 2.0))
             min_pts = int(rng.integers(1, 5))
-            res = dbscan(dist, eps, min_pts)
+            res = dbscan(to_sparse(dist), eps, min_pts)
             want, want_l = reference_dbscan(dist, eps, min_pts)
             assert np.array_equal(res.assignment, want)
             assert res.num_clusters == want_l
@@ -91,9 +93,9 @@ class TestDbscan:
         rng = np.random.default_rng(2)
         pts, _ = blob_instance(rng)
         dist = pairwise_euclidean(pts)
-        res = dbscan(dist, eps=2.0, min_pts=3)
+        res = dbscan(to_sparse(dist), eps=2.0, min_pts=3)
         perm = rng.permutation(len(pts))
-        permuted = dbscan(dist[np.ix_(perm, perm)], eps=2.0, min_pts=3)
+        permuted = dbscan(to_sparse(dist[np.ix_(perm, perm)]), eps=2.0, min_pts=3)
         unpermuted = np.full(len(pts), OUTLIER, dtype=np.int64)
         unpermuted[perm] = permuted.assignment
         assert partition_of(res.assignment) == partition_of(unpermuted)
@@ -103,8 +105,8 @@ class TestDbscan:
         rng = np.random.default_rng(3)
         pts, _ = blob_instance(rng)
         dist = pairwise_euclidean(pts)
-        big = dbscan(dist, eps=2.0, min_pts=3).assignment
-        small = dbscan(dist, eps=0.8, min_pts=3).assignment
+        big = dbscan(to_sparse(dist), eps=2.0, min_pts=3).assignment
+        small = dbscan(to_sparse(dist), eps=0.8, min_pts=3).assignment
         for i, j in combinations(range(len(pts)), 2):
             separate_at_big = big[i] != big[j] or big[i] == OUTLIER
             if separate_at_big and small[i] != OUTLIER and small[j] != OUTLIER:
@@ -113,18 +115,98 @@ class TestDbscan:
     def test_cluster_ids_contiguous(self):
         rng = np.random.default_rng(4)
         pts, _ = blob_instance(rng, n_blobs=4)
-        res = dbscan(pairwise_euclidean(pts), eps=2.0, min_pts=3)
+        res = dbscan(to_sparse(pairwise_euclidean(pts)), eps=2.0, min_pts=3)
         found = np.unique(res.assignment[res.assignment != OUTLIER])
         assert found.tolist() == list(range(res.num_clusters))
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            dbscan(np.array([[0.0, 1.0], [2.0, 0.0]]), 0.5, 2)
-        sym = np.array([[0.0, 1.0], [1.0, 0.0]])
+            dbscan(to_sparse(np.array([[0.0, 1.0], [2.0, 0.0]])), 0.5, 2)
+        sym = to_sparse(np.array([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(ValueError):
             dbscan(sym, -1.0, 2)
         with pytest.raises(ValueError):
             dbscan(sym, 0.5, 0)
+
+    def test_rejects_malformed_sparse_input(self):
+        def sparse(pairs, values, n=3, fill=1.0):
+            return SparseDistances(n=n, pairs=np.array(pairs).reshape(-1, 2),
+                                   values=np.array(values, dtype=float), fill=fill)
+        for bad in (sparse([[0, 1], [0, 1]], [0.1, 0.1]),   # a pair twice
+                    sparse([[1, 2], [0, 1]], [0.1, 0.1]),   # not row-major
+                    sparse([[0, 3]], [0.1]),                # index out of range
+                    sparse([[0, 1]], [0.1, 0.2]),           # one value too many
+                    sparse([[0, 1]], [-0.1]),               # negative distance
+                    sparse([[0, 1]], [1.5])):               # beyond the fill
+            with pytest.raises(ValueError):
+                dbscan(bad, 0.5, 1)
+
+
+def jaccard_instance(rng, duplicates=False):
+    n = int(rng.integers(6, 50))
+    f = rng.standard_normal((n, int(rng.integers(1, 5))))
+    if duplicates:  # repeated rows: tied k-NN distances and zero Jaccard pairs
+        f = np.repeat(f[: max(2, n // 2)], 2, axis=0)[:n]
+    f = l2_normalize(f)
+    return build_distance_graph(f, int(rng.integers(1, min(10, n)))).jaccard()
+
+
+class TestSparseDbscanAgainstDense:
+    """DBSCAN over the sparse Jaccard graph against the dense flood fill and
+    the textbook BFS, both run on the densified matrix."""
+
+    def check(self, sparse, eps, min_pts):
+        res = dbscan(sparse, eps, min_pts)
+        dense = oracles.to_dense(sparse)
+        want, want_l = oracles.dbscan(dense, eps, min_pts)
+        assert np.array_equal(res.assignment, want)
+        assert res.num_clusters == want_l
+        ref, ref_l = reference_dbscan(dense, eps, min_pts)
+        assert np.array_equal(res.assignment, ref) and res.num_clusters == ref_l
+        return res
+
+    def test_random_jaccard_graphs(self):
+        rng = np.random.default_rng(20)
+        for trial in range(60):
+            sparse = jaccard_instance(rng, duplicates=trial % 3 == 0)
+            self.check(sparse, float(rng.uniform(0.05, 0.99)), int(rng.integers(1, 8)))
+
+    def test_eps_equal_to_a_stored_distance(self):
+        rng = np.random.default_rng(21)
+        checked = 0
+        for trial in range(40):
+            sparse = jaccard_instance(rng, duplicates=trial % 2 == 0)
+            positive = sparse.values[sparse.values > 0]
+            if len(positive) == 0:  # eps must be positive
+                continue
+            self.check(sparse, float(rng.choice(positive)), int(rng.integers(1, 5)))
+            checked += 1
+        assert checked >= 20
+
+    def test_eps_at_or_above_one_gives_one_cluster(self):
+        rng = np.random.default_rng(22)
+        for eps in (1.0, 1.5):
+            sparse = jaccard_instance(rng)
+            res = self.check(sparse, eps, min_pts=sparse.n)
+            assert res.num_clusters == 1
+            assert np.all(res.assignment == 0)
+            res = self.check(sparse, eps, min_pts=sparse.n + 1)
+            assert res.num_clusters == 0
+
+    def test_min_pts_one_makes_every_point_core(self):
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            sparse = jaccard_instance(rng)
+            res = self.check(sparse, float(rng.uniform(0.05, 0.9)), 1)
+            assert not np.any(res.assignment == OUTLIER)
+
+    def test_eps_from_the_percentile_rule(self):
+        rng = np.random.default_rng(24)
+        for trial in range(20):
+            sparse = jaccard_instance(rng, duplicates=trial % 2 == 0)
+            dense = oracles.to_dense(sparse)
+            for q in (0.7, 1.6, 10.0, 50.0):
+                self.check(sparse, max(oracles.dense_eps(dense, q), 1e-12), 3)
 
 
 def exhaustive_two_partition_inertia(points):

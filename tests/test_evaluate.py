@@ -1,6 +1,7 @@
 from itertools import combinations
 
 import numpy as np
+import oracles
 import pytest
 
 from reidapt.data import OUTLIER, l2_normalize
@@ -93,6 +94,25 @@ class TestPairwiseFscore:
         pseudo = np.array([0, OUTLIER, 0])
         _, _, _, counts = pairwise_fscore(pseudo, truth)
         assert (counts.tp, counts.fp, counts.fn) == (0, 1, 0)
+
+    def test_pair_counts_equal_dense_mask_oracle(self):
+        # contingency counts against the N x N masks they replace, on the
+        # label shapes an off-line epoch produces
+        rng = np.random.default_rng(17)
+        for trial in range(30):
+            n = int(rng.integers(1, 400))
+            truth = rng.integers(0, max(1, n // 20), size=n) * 7 - 3
+            pseudo = rng.integers(0, int(rng.integers(1, 30)), size=n)
+            pseudo[rng.random(n) < 0.1] = OUTLIER
+            p, r, f, counts = pairwise_fscore(pseudo, truth)
+            tp, fp, fn = oracles.pair_counts(pseudo, truth)
+            assert (counts.tp, counts.fp, counts.fn) == (tp, fp, fn)
+            assert p == (tp / (tp + fp) if tp + fp else 0.0)
+            assert r == (tp / (tp + fn) if tp + fn else 0.0)
+
+    def test_every_sample_an_outlier(self):
+        pseudo = np.full(5, OUTLIER)
+        assert pairwise_fscore(pseudo, np.arange(5))[:3] == (0.0, 0.0, 0.0)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

@@ -1,15 +1,18 @@
 import copy
 
 import numpy as np
+import oracles
 import pytest
 
-from reidapt.cluster import dbscan
+from conftest import adapt_config, standard_fixture
+from reidapt.cluster import CoarseClusters
 from reidapt.data import OUTLIER, SynthSpec, generate_synthetic
 from reidapt.encoder import forward
 from reidapt.losses import batch_hard_triplet, cross_entropy
 from reidapt.membank import init_bank
-from reidapt.refine import PseudoLabelSet
+from reidapt.refine import PseudoLabelSet, refine_labels
 from reidapt.trainer import (
+    _ADAPT_STREAM,
     ConfigError,
     TrainConfig,
     ZeroClustersError,
@@ -130,6 +133,24 @@ class TestOfflineEpoch:
         state = pretrain_source(source.raw, source.identity, cfg)
         es = offline_epoch(state, train.raw, cfg, 0, truth=train.identity)
         assert es.fscore_refined >= es.fscore_coarse
+
+    def test_panel_labels_match_the_dense_chain(self):
+        # first off-line epoch of the panel fixture at seed 11: the sparse
+        # chain gives the dense chain's eps bit for bit and the same labels
+        source, train, _, _ = standard_fixture(11)
+        cfg = adapt_config(11)
+        state = pretrain_source(source.raw, source.identity, cfg)
+        es = offline_epoch(state, train.raw, cfg, 0, truth=train.identity)
+        feats = extract_features(state, train.raw)
+        d_j = oracles.dense_chain(feats, cfg.k_rr)[3]
+        eps = max(oracles.dense_eps(d_j, cfg.eps_percentile), 1e-12)
+        coarse, num_clusters = oracles.dbscan(d_j, eps, cfg.min_pts)
+        assert es.eps == eps
+        assert es.num_clusters == num_clusters > 1
+        assert np.array_equal(es.labels.coarse, coarse)
+        labels, _ = refine_labels(feats, CoarseClusters(coarse, num_clusters),
+                                  cfg.fine_clusters, seed=(cfg.seed, _ADAPT_STREAM, 0))
+        assert np.array_equal(es.labels.refined, labels.refined)
 
     def test_truth_channel_is_optional(self):
         source, train, _, _ = small_fixture()

@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .data import (
     OUTLIER,
     Dataset,
-    Sample,
     SynthSpec,
     generate_synthetic,
     l2_normalize,
@@ -25,7 +24,6 @@ from .data import (
 __all__ = [
     "OUTLIER",
     "Dataset",
-    "Sample",
     "SynthSpec",
     "generate_synthetic",
     "l2_normalize",

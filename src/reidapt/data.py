@@ -56,14 +56,6 @@ class DuplicateIndexError(LabelFileError):
     pass
 
 
-@dataclass(frozen=True)
-class Sample:
-    index: int
-    identity: int
-    camera: int
-    raw: np.ndarray
-
-
 @dataclass
 class Dataset:
     """Column-oriented sample store; ``raw`` holds one d_in vector per row."""
@@ -81,9 +73,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.raw)
-
-    def __getitem__(self, i: int) -> Sample:
-        return Sample(i, int(self.identity[i]), int(self.camera[i]), self.raw[i])
 
     @property
     def d_in(self) -> int:

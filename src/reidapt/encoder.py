@@ -18,7 +18,6 @@ from .data import read_features, write_features
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-WEIGHT_DECAY = 5e-4
 
 ENCODER_PARAMS = ("w1", "b1", "w2", "b2")
 CLASSIFIER_PARAMS = ("wc", "bc")
@@ -137,8 +136,7 @@ def classifier_backward(state: EncoderState, feats: np.ndarray,
     return grads, grad_logits @ state.wc
 
 
-def adam_step(state: EncoderState, grads: dict, lr: float,
-              weight_decay: float = WEIGHT_DECAY):
+def adam_step(state: EncoderState, grads: dict, lr: float, weight_decay: float):
     """One Adam update with decoupled weight decay on every listed parameter."""
     for name, g in grads.items():
         param = getattr(state, name)
@@ -182,16 +180,6 @@ def lr_at(schedule: LrSchedule, epoch: int) -> float:
         return schedule.base_lr * (0.1 + 0.9 * frac)
     drops = sum(1 for e in schedule.decay_epochs if epoch >= e)
     return schedule.base_lr / schedule.decay_factor ** drops
-
-
-def pretrain_schedule(base_lr: float = 3.5e-4) -> LrSchedule:
-    """Source pretraining profile: 10-epoch linear warmup, /10 at 40 and 70."""
-    return LrSchedule(base_lr, warmup_epochs=10, decay_epochs=(40, 70))
-
-
-def adapt_schedule(base_lr: float = 3.5e-4, decay_epoch: int = 20) -> LrSchedule:
-    """Adaptation profile: constant then /10 at the decay epoch."""
-    return LrSchedule(base_lr, warmup_epochs=0, decay_epochs=(decay_epoch,))
 
 
 def save_checkpoint(prefix, state: EncoderState):

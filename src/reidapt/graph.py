@@ -63,6 +63,23 @@ class DistanceGraph:
                                values=self.d_j, fill=1.0)
 
 
+def smallest_k(values: np.ndarray, k: int) -> np.ndarray:
+    """Boolean mask of the k smallest entries of each row, 1 <= k <= width.
+
+    A partial sort finds each row's k-th value; among entries tied at it the
+    lowest indices win, as in a stable full sort.
+    """
+    kth = np.partition(values, k - 1, axis=1)[:, k - 1:k]
+    keep = values <= kth
+    over = np.flatnonzero(np.count_nonzero(keep, axis=1) > k)
+    if len(over):  # ties at the k-th value: keep the lowest indices
+        sub, at = values[over], kth[over]
+        tied = sub == at
+        need = k - np.count_nonzero(sub < at, axis=1)
+        keep[over] = (sub < at) | (tied & (np.cumsum(tied, axis=1) <= need[:, None]))
+    return keep
+
+
 def nearest_neighbors(features: np.ndarray, k: int):
     """Each row's k nearest other rows under Euclidean distance.
 
@@ -92,15 +109,7 @@ def nearest_neighbors(features: np.ndarray, k: int):
         np.maximum(d, 0.0, out=d)
         np.sqrt(d, out=d)
         d[local, start + local] = np.inf
-        kth = np.partition(d, k - 1, axis=1)[:, k - 1:k]
-        keep = d <= kth
-        over = np.flatnonzero(np.count_nonzero(keep, axis=1) > k)
-        if len(over):  # ties at the k-th distance: keep the lowest indices
-            sub, at = d[over], kth[over]
-            tied = sub == at
-            need = k - np.count_nonzero(sub < at, axis=1)
-            keep[over] = (sub < at) | (tied & (np.cumsum(tied, axis=1) <= need[:, None]))
-        rows, cols = np.nonzero(keep)
+        rows, cols = np.nonzero(smallest_k(d, k))
         neighbors[start:stop] = cols.reshape(-1, k)
         dist[start:stop] = d[rows, cols].reshape(-1, k)
     return neighbors, dist

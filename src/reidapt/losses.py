@@ -14,13 +14,18 @@ import numpy as np
 
 @dataclass
 class LossReport:
-    """Per-iteration loss breakdown; ``total`` honors the alpha/mu weighting."""
+    """Per-iteration loss breakdown; ``total`` honors the alpha/mu weighting.
 
-    cls_noisy: float
-    cls_refined: float
-    tri_noisy: float
-    tri_refined: float
-    spread: float
+    A term whose weight is exactly 0 is not computed and reads None: the
+    coarse-label pair at alpha=1, the refined-label pair at alpha=0, and
+    ``spread`` at mu=0.
+    """
+
+    cls_noisy: float | None
+    cls_refined: float | None
+    tri_noisy: float | None
+    tri_refined: float | None
+    spread: float | None
     total: float
     alpha: float
     mu: float
@@ -28,11 +33,15 @@ class LossReport:
 
     @property
     def cls(self) -> float:
-        return (1.0 - self.alpha) * self.cls_noisy + self.alpha * self.cls_refined
+        return self._blend()[0]
 
     @property
     def tri(self) -> float:
-        return (1.0 - self.alpha) * self.tri_noisy + self.alpha * self.tri_refined
+        return self._blend()[1]
+
+    def _blend(self):
+        return blend_metric_losses((self.cls_noisy, self.tri_noisy),
+                                   (self.cls_refined, self.tri_refined), self.alpha)
 
 
 def cross_entropy(probs: np.ndarray, labels: np.ndarray):
@@ -56,6 +65,10 @@ def batch_hard_triplet(features: np.ndarray, labels: np.ndarray, margin: float):
     where no anchor qualifies violates the PK-sampling precondition. The
     hinge subgradient at zero activation is zero, as is the distance
     gradient for coincident pairs; hardest-pair ties go to the lowest index.
+
+    The violations are summed one anchor after another, and each gradient
+    row receives its terms in anchor order, so the loss and the gradient
+    equal those of a per-anchor loop bit for bit.
     """
     f = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
@@ -65,46 +78,44 @@ def batch_hard_triplet(features: np.ndarray, labels: np.ndarray, margin: float):
     diff = f[:, None, :] - f[None, :, :]
     dist = np.sqrt(np.maximum(np.sum(diff * diff, axis=2), 0.0))
     same = labels[:, None] == labels[None, :]
-    eye = np.eye(b, dtype=bool)
-
-    grad = np.zeros_like(f)
-    total = 0.0
-    active_anchors = 0
-    contributions = []
-    for i in range(b):
-        pos_mask = same[i] & ~eye[i]
-        neg_mask = ~same[i]
-        if not pos_mask.any() or not neg_mask.any():
-            continue
-        active_anchors += 1
-        pos_dist = np.where(pos_mask, dist[i], -np.inf)
-        neg_dist = np.where(neg_mask, dist[i], np.inf)
-        p = int(np.argmax(pos_dist))
-        n = int(np.argmin(neg_dist))
-        violation = margin + dist[i, p] - dist[i, n]
-        if violation > 0:
-            total += violation
-            contributions.append((i, p, n))
+    pos_mask = same & ~np.eye(b, dtype=bool)
+    neg_mask = ~same
+    active = pos_mask.any(axis=1) & neg_mask.any(axis=1)
+    active_anchors = int(np.count_nonzero(active))
     if active_anchors == 0:
         raise ValueError("batch has no anchor with both a positive and a negative")
 
+    # argmax/argmin return the first extreme entry: ties go to the lowest index
+    hardest_pos = np.argmax(np.where(pos_mask, dist, -np.inf), axis=1)
+    hardest_neg = np.argmin(np.where(neg_mask, dist, np.inf), axis=1)
+    anchors = np.arange(b)
+    d_pos = dist[anchors, hardest_pos]
+    d_neg = dist[anchors, hardest_neg]
+    violation = margin + d_pos - d_neg
+    hit = active & (violation > 0)
+    i, p, n = anchors[hit], hardest_pos[hit], hardest_neg[hit]
+    # sequential (not pairwise) summation, in anchor order
+    total = float(np.cumsum(violation[hit])[-1]) if len(i) else 0.0
     loss = total / active_anchors
-    for i, p, n in contributions:
-        if dist[i, p] > 0:
-            u = (f[i] - f[p]) / dist[i, p]
-            grad[i] += u
-            grad[p] -= u
-        if dist[i, n] > 0:
-            w = (f[i] - f[n]) / dist[i, n]
-            grad[i] -= w
-            grad[n] += w
+
+    # unit directions; a coincident pair contributes nothing
+    d_p, d_n = d_pos[hit, None], d_neg[hit, None]
+    u = np.divide(f[i] - f[p], d_p, out=np.zeros((len(i), f.shape[1])), where=d_p > 0)
+    w = np.divide(f[i] - f[n], d_n, out=np.zeros((len(i), f.shape[1])), where=d_n > 0)
+    # rows (i, p, i, n) per contribution, applied in anchor order
+    targets = np.stack([i, p, i, n], axis=1).ravel()
+    terms = np.stack([u, -u, -w, w], axis=1).reshape(-1, f.shape[1])
+    grad = np.zeros_like(f)
+    np.add.at(grad, targets, terms)
     return loss, grad / active_anchors
 
 
 def blend_metric_losses(noisy: tuple, refined: tuple, alpha: float):
-    """Convex blend (1-alpha)*noisy + alpha*refined of (cls, tri) pairs."""
+    """Convex blend (1-alpha)*noisy + alpha*refined of (cls, tri) pairs; a
+    term that was not computed (None, its weight is 0) counts as 0."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
+    noisy, refined = ([0.0 if t is None else t for t in pair] for pair in (noisy, refined))
     cls = (1.0 - alpha) * noisy[0] + alpha * refined[0]
     tri = (1.0 - alpha) * noisy[1] + alpha * refined[1]
     return cls, tri

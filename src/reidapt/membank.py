@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import l2_normalize
-
-EXP_CLAMP = 60.0  # belt-and-braces cap on exponent arguments
+from .graph import smallest_k
 
 
 class BankDivergedError(RuntimeError):
@@ -67,15 +66,16 @@ def positive_sets(bank: MemoryBank, feats: np.ndarray,
     """k largest dot products against the bank (excluding the anchor's own
     slot), plus the slot itself; similarity ties go to the lower index."""
     feats = np.asarray(feats, dtype=np.float64)
-    sample_indices = np.asarray(sample_indices)
-    n = len(bank)
-    k = min(bank.k_pos, n - 1)
-    sims = feats @ bank.v.T
+    sample_indices = np.asarray(sample_indices, dtype=np.int64)
+    k = min(bank.k_pos, len(bank) - 1)
+    if k == 0:
+        return NeighborSets(k_pos=bank.k_pos, indices=sample_indices[:, None].copy())
     rows = np.arange(len(feats))
-    sims[rows, sample_indices] = -np.inf
-    order = np.argsort(-sims, axis=1, kind="stable")[:, :k]
-    indices = np.concatenate([order, sample_indices[:, None]], axis=1)
-    indices.sort(axis=1)
+    neg_sims = -(feats @ bank.v.T)
+    neg_sims[rows, sample_indices] = np.inf
+    keep = smallest_k(neg_sims, k)
+    keep[rows, sample_indices] = True
+    indices = np.nonzero(keep)[1].reshape(len(feats), k + 1)
     return NeighborSets(k_pos=bank.k_pos, indices=indices.astype(np.int64))
 
 
@@ -106,7 +106,7 @@ def spread_loss(feats: np.ndarray, bank: MemoryBank, sets: NeighborSets,
     pos = sets.mask(n)
     neg = ~pos
 
-    sims = np.clip(feats @ bank.v.T, -EXP_CLAMP, EXP_CLAMP)
+    sims = feats @ bank.v.T
     ln_a = _masked_logsumexp(sims, neg)        # negatives
     ln_b = _masked_logsumexp(-sims, pos)       # positives
     ln_z = margin + ln_a + ln_b

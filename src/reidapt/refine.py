@@ -4,6 +4,7 @@ by average prototype similarity."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +25,16 @@ class PseudoLabelSet:
     @property
     def non_outliers(self) -> np.ndarray:
         return np.flatnonzero(self.coarse != OUTLIER)
+
+    @cached_property
+    def coarse_groups(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """(labels, members): the coarse labels other than OUTLIER, ascending,
+        and per label the indices of its samples, ascending. Computed once
+        per label set; the labels must not be changed afterwards."""
+        keep = self.non_outliers
+        order = keep[np.argsort(self.coarse[keep], kind="stable")]
+        labels, starts = np.unique(self.coarse[order], return_index=True)
+        return labels, np.split(order, starts[1:])
 
     def relabel_fraction(self) -> float:
         """Fraction of non-outlier samples whose refined label moved."""

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -158,7 +159,7 @@ class EpochMetrics:
     fscore_refined: float | None
     cls: float
     tri: float
-    spread: float
+    spread: float | None  # None at mu = 0, where the term is not computed
     total: float
 
 
@@ -172,20 +173,21 @@ def pk_sample(labels: PseudoLabelSet, p: int, k: int, rng) -> np.ndarray:
     cluster is smaller than K); outliers never appear.
 
     Groups follow the coarse labels whatever the loss blend: ``alpha`` only
-    weights the losses. The coarse losses run on every batch, and batch-hard
-    triplet needs the batch grouped by the labels it uses. Refined groups
-    would spread one chained coarse cluster over several groups, and the
-    coarse triplet would take its hardest positive from another identity.
+    weights the losses. The coarse losses run whenever alpha < 1, and
+    batch-hard triplet needs the batch grouped by the labels it uses.
+    Refined groups would spread one chained coarse cluster over several
+    groups, and the coarse triplet would take its hardest positive from
+    another identity. The members of each group are found once per label
+    set (``PseudoLabelSet.coarse_groups``), not by a scan per batch.
     """
-    coarse = labels.coarse
-    eligible = np.unique(coarse[coarse != OUTLIER])
+    eligible, members = labels.coarse_groups
     if len(eligible) < p:
         raise ValueError(f"need {p} clusters for a batch, have {len(eligible)}")
     chosen = rng.choice(eligible, size=p, replace=False)
     picks = []
-    for label in chosen:
-        members = np.flatnonzero(coarse == label)
-        picks.append(rng.choice(members, size=k, replace=len(members) < k))
+    for group in np.searchsorted(eligible, chosen):
+        picks.append(rng.choice(members[group], size=k,
+                                replace=len(members[group]) < k))
     return np.concatenate(picks)
 
 
@@ -228,40 +230,75 @@ def _triplet_or_zero(feats, labels, margin):
     return batch_hard_triplet(feats, labels, margin)
 
 
-def joint_loss_and_grads(state: EncoderState, bank: MemoryBank, x: np.ndarray,
+class _LabelBranch(NamedTuple):
+    """Cross-entropy and batch-hard triplet under one labeling of the batch."""
+
+    cls: float
+    g_logits: np.ndarray
+    tri: float
+    g_tri: np.ndarray
+
+
+def _label_branch(probs, feats, labels, margin) -> _LabelBranch:
+    cls, g_logits = cross_entropy(probs, labels)
+    tri, g_tri = _triplet_or_zero(feats, labels, margin)
+    return _LabelBranch(cls, g_logits, tri, g_tri)
+
+
+def joint_loss_and_grads(state: EncoderState, bank: MemoryBank | None, x: np.ndarray,
                          coarse: np.ndarray, refined: np.ndarray,
                          sample_indices: np.ndarray, cfg: TrainConfig):
     """Joint objective on one batch with every analytic gradient.
 
-    Returns (report, param grads incl. classifier, bank gradient). The bank
-    gradient is for the unweighted regularizer, which is what the bank's own
-    descent step uses.
+    Returns (report, param grads incl. classifier, bank gradient, unit
+    features). The bank gradient is for the unweighted regularizer, which is
+    what the bank's own descent step uses.
+
+    Only terms with a nonzero weight are computed: the coarse-label losses
+    when alpha < 1, the refined-label losses when alpha > 0 (reused from the
+    coarse ones when the two labelings agree on the batch), and the
+    spread-out term when mu > 0. At mu = 0 the bank is not read and may be
+    None; the bank gradient, the unit features and ``report.spread`` are
+    then None.
     """
     feats, cache = forward(state, x)
-    norms = np.linalg.norm(feats, axis=1, keepdims=True)
-    if np.any(norms == 0.0):
-        raise TrainingDivergedError("encoder produced a zero feature vector")
-    feats_n = feats / norms
-
     probs = classifier_forward(state, feats)
-    cls_noisy, g_logits_noisy = cross_entropy(probs, coarse)
-    cls_refined, g_logits_refined = cross_entropy(probs, refined)
-    tri_noisy, g_tri_noisy = _triplet_or_zero(feats, coarse, cfg.margin)
-    tri_refined, g_tri_refined = _triplet_or_zero(feats, refined, cfg.margin)
+    noisy = refined_terms = None
+    if cfg.alpha < 1.0:
+        noisy = _label_branch(probs, feats, coarse, cfg.margin)
+    if cfg.alpha > 0.0:
+        if noisy is not None and np.array_equal(refined, coarse):
+            refined_terms = noisy
+        else:
+            refined_terms = _label_branch(probs, feats, refined, cfg.margin)
 
-    sets = positive_sets(bank, feats_n, sample_indices)
-    spread, g_feats_n, g_bank = spread_loss(feats_n, bank, sets, cfg.spread_margin)
+    spread = g_bank = feats_n = None
+    if cfg.mu:
+        norms = np.linalg.norm(feats, axis=1, keepdims=True)
+        if np.any(norms == 0.0):
+            raise TrainingDivergedError("encoder produced a zero feature vector")
+        feats_n = feats / norms
+        sets = positive_sets(bank, feats_n, sample_indices)
+        spread, g_feats_n, g_bank = spread_loss(feats_n, bank, sets, cfg.spread_margin)
 
+    # a branch that was not computed reports None
+    cls_noisy, tri_noisy = (None, None) if noisy is None else (noisy.cls, noisy.tri)
+    cls_refined, tri_refined = ((None, None) if refined_terms is None
+                                else (refined_terms.cls, refined_terms.tri))
     cls_blend, tri_blend = blend_metric_losses(
         (cls_noisy, tri_noisy), (cls_refined, tri_refined), cfg.alpha)
-    total = total_loss(cls_blend, tri_blend, spread, cfg.mu)
+    total = total_loss(cls_blend, tri_blend, 0.0 if spread is None else spread, cfg.mu)
     if not np.isfinite(total):
         raise TrainingDivergedError(
             f"non-finite loss (cls={cls_blend}, tri={tri_blend}, spread={spread})")
 
-    g_logits = (1.0 - cfg.alpha) * g_logits_noisy + cfg.alpha * g_logits_refined
+    weighted = [(weight, branch) for weight, branch
+                in ((1.0 - cfg.alpha, noisy), (cfg.alpha, refined_terms))
+                if branch is not None]
+    g_logits = sum(weight * branch.g_logits for weight, branch in weighted)
     cls_grads, g_feats = classifier_backward(state, feats, g_logits)
-    g_feats = g_feats + (1.0 - cfg.alpha) * g_tri_noisy + cfg.alpha * g_tri_refined
+    for weight, branch in weighted:
+        g_feats = g_feats + weight * branch.g_tri
     if cfg.mu:
         # chain the spread gradient through the row normalization
         inner = np.sum(g_feats_n * feats_n, axis=1, keepdims=True)
@@ -280,11 +317,16 @@ def online_iteration(state: EncoderState, bank: MemoryBank, raw: np.ndarray,
                      batch: np.ndarray, labels: PseudoLabelSet,
                      cfg: TrainConfig, lr: float) -> LossReport:
     """One joint step: metric losses under both labelings, spread-out over
-    the bank, Adam on encoder+classifier, gradient (or momentum) bank update."""
+    the bank, Adam on encoder+classifier, gradient (or momentum) bank update.
+
+    At mu = 0 the bank is not part of the objective and is left unchanged.
+    """
     report, grads, g_bank, feats_n = joint_loss_and_grads(
         state, bank, raw[batch], labels.coarse[batch], labels.refined[batch],
         batch, cfg)
     adam_step(state, grads, lr, cfg.weight_decay)
+    if not cfg.mu:
+        return report
     if bank.mode == "instant":
         # the bank descends the unweighted regularizer at the network rate
         instant_update(bank, g_bank, lr)
@@ -301,7 +343,11 @@ def _pk_iterations(cfg: TrainConfig, non_outliers: int) -> int:
 
 def pretrain_source(raw: np.ndarray, identities: np.ndarray,
                     cfg: TrainConfig) -> EncoderState:
-    """Supervised pretraining with cross-entropy plus triplet on true labels."""
+    """Supervised pretraining with cross-entropy plus triplet on true labels.
+
+    Each step is the joint step at alpha = 0 and mu = 0 with the identities
+    as the coarse labels and no memory bank.
+    """
     cfg.validate()
     rng = np.random.default_rng((cfg.seed, _PRETRAIN_STREAM))
     classes, ids = np.unique(identities, return_inverse=True)
@@ -313,6 +359,7 @@ def pretrain_source(raw: np.ndarray, identities: np.ndarray,
     schedule = LrSchedule(cfg.base_lr, warmup_epochs=cfg.warmup_epochs,
                           decay_epochs=cfg.pretrain_decay_epochs,
                           decay_factor=cfg.decay_factor)
+    step_cfg = replace(cfg, alpha=0.0, mu=0.0)
     p = min(cfg.batch_p, len(classes))
     iters = _pk_iterations(cfg, len(raw))
     for epoch in range(cfg.pretrain_epochs):
@@ -320,16 +367,9 @@ def pretrain_source(raw: np.ndarray, identities: np.ndarray,
         epoch_rng = np.random.default_rng((cfg.seed, _PRETRAIN_STREAM, epoch))
         for _ in range(iters):
             batch = pk_sample(labels, p, cfg.batch_k, epoch_rng)
-            x = raw[batch]
-            feats, cache = forward(state, x)
-            probs = classifier_forward(state, feats)
-            cls, g_logits = cross_entropy(probs, ids[batch])
-            tri, g_tri = _triplet_or_zero(feats, ids[batch], cfg.margin)
-            if not np.isfinite(cls + tri):
-                raise TrainingDivergedError("non-finite pretraining loss")
-            cls_grads, g_feats = classifier_backward(state, feats, g_logits)
-            grads, _ = backward(state, cache, g_feats + g_tri)
-            grads.update(cls_grads)
+            _, grads, _, _ = joint_loss_and_grads(
+                state, None, raw[batch], labels.coarse[batch],
+                labels.refined[batch], batch, step_cfg)
             adam_step(state, grads, lr, cfg.weight_decay)
     return state
 
@@ -381,7 +421,7 @@ def adapt(state: EncoderState, raw: np.ndarray, cfg: TrainConfig,
             fscore_coarse=es.fscore_coarse, fscore_refined=es.fscore_refined,
             cls=float(np.mean([r.cls for r in reports])),
             tri=float(np.mean([r.tri for r in reports])),
-            spread=float(np.mean([r.spread for r in reports])),
+            spread=float(np.mean([r.spread for r in reports])) if cfg.mu else None,
             total=float(np.mean([r.total for r in reports])),
         )
         history.append(metrics)

@@ -1,14 +1,33 @@
-"""Dense reference implementations of the off-line labeling chain.
+"""Reference implementations the library used before it was optimised.
 
-These are the N x N versions the library used before it went k-NN-sparse.
-They stay here, unchanged, as oracles: the sparse chain must reproduce their
-numbers bit for bit (same eps, same labels, same pair counts).
+The off-line oracles are the dense N x N labeling chain the library used
+before it went k-NN-sparse. The on-line oracles are the per-anchor loop
+triplet, the full-argsort bank positives, the per-label scan sampler, and
+the joint step that computes every loss branch whatever its weight (plus
+the pretraining loop with its own inline copy of the step). They stay here,
+unchanged, as oracles: the library must reproduce their numbers bit for
+bit (same eps, same labels, same pair counts, same losses, weights and bank).
 """
 
 import numpy as np
 
 from reidapt.data import OUTLIER
+from reidapt.encoder import (
+    LrSchedule,
+    adam_step,
+    backward,
+    classifier_backward,
+    classifier_forward,
+    forward,
+    init_classifier,
+    init_encoder,
+    lr_at,
+)
 from reidapt.graph import SparseDistances
+from reidapt.losses import LossReport, blend_metric_losses, cross_entropy, total_loss
+from reidapt.membank import NeighborSets, instant_update, momentum_update, spread_loss
+from reidapt.refine import PseudoLabelSet
+from reidapt.trainer import _PRETRAIN_STREAM, TrainingDivergedError, _pk_iterations
 
 
 def pairwise_euclidean(features):
@@ -171,3 +190,176 @@ def csr_to_dense(indptr, indices, values, n):
     rows = np.repeat(np.arange(n), np.diff(indptr))
     out[rows, indices] = values
     return out
+
+
+# ------------------------------------------------------------------ on-line
+
+def batch_hard_triplet(features, labels, margin):
+    """Batch-hard triplet, one anchor at a time (the per-anchor loop)."""
+    f = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels)
+    if margin < 0:
+        raise ValueError("margin must be >= 0")
+    b = len(f)
+    diff = f[:, None, :] - f[None, :, :]
+    dist = np.sqrt(np.maximum(np.sum(diff * diff, axis=2), 0.0))
+    same = labels[:, None] == labels[None, :]
+    eye = np.eye(b, dtype=bool)
+
+    grad = np.zeros_like(f)
+    total = 0.0
+    active_anchors = 0
+    contributions = []
+    for i in range(b):
+        pos_mask = same[i] & ~eye[i]
+        neg_mask = ~same[i]
+        if not pos_mask.any() or not neg_mask.any():
+            continue
+        active_anchors += 1
+        pos_dist = np.where(pos_mask, dist[i], -np.inf)
+        neg_dist = np.where(neg_mask, dist[i], np.inf)
+        p = int(np.argmax(pos_dist))
+        n = int(np.argmin(neg_dist))
+        violation = margin + dist[i, p] - dist[i, n]
+        if violation > 0:
+            total += violation
+            contributions.append((i, p, n))
+    if active_anchors == 0:
+        raise ValueError("batch has no anchor with both a positive and a negative")
+
+    loss = total / active_anchors
+    for i, p, n in contributions:
+        if dist[i, p] > 0:
+            u = (f[i] - f[p]) / dist[i, p]
+            grad[i] += u
+            grad[p] -= u
+        if dist[i, n] > 0:
+            w = (f[i] - f[n]) / dist[i, n]
+            grad[i] -= w
+            grad[n] += w
+    return loss, grad / active_anchors
+
+
+def positive_sets(bank, feats, sample_indices):
+    """Bank positives through a full stable argsort of every anchor's row."""
+    feats = np.asarray(feats, dtype=np.float64)
+    sample_indices = np.asarray(sample_indices)
+    n = len(bank)
+    k = min(bank.k_pos, n - 1)
+    sims = feats @ bank.v.T
+    rows = np.arange(len(feats))
+    sims[rows, sample_indices] = -np.inf
+    order = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+    indices = np.concatenate([order, sample_indices[:, None]], axis=1)
+    indices.sort(axis=1)
+    return NeighborSets(k_pos=bank.k_pos, indices=indices.astype(np.int64))
+
+
+def pk_sample(labels, p, k, rng):
+    """PK batch that scans all N coarse labels once per chosen label."""
+    coarse = labels.coarse
+    eligible = np.unique(coarse[coarse != OUTLIER])
+    if len(eligible) < p:
+        raise ValueError(f"need {p} clusters for a batch, have {len(eligible)}")
+    chosen = rng.choice(eligible, size=p, replace=False)
+    picks = []
+    for label in chosen:
+        members = np.flatnonzero(coarse == label)
+        picks.append(rng.choice(members, size=k, replace=len(members) < k))
+    return np.concatenate(picks)
+
+
+def _triplet_or_zero(feats, labels, margin):
+    labels = np.asarray(labels)
+    counts = np.unique(labels, return_counts=True)[1]
+    if len(counts) < 2 or not np.any(counts >= 2):
+        return 0.0, np.zeros_like(feats)
+    return batch_hard_triplet(feats, labels, margin)
+
+
+def joint_loss_and_grads(state, bank, x, coarse, refined, sample_indices, cfg):
+    """The joint step with every branch computed, each then weighted."""
+    feats, cache = forward(state, x)
+    norms = np.linalg.norm(feats, axis=1, keepdims=True)
+    if np.any(norms == 0.0):
+        raise TrainingDivergedError("encoder produced a zero feature vector")
+    feats_n = feats / norms
+
+    probs = classifier_forward(state, feats)
+    cls_noisy, g_logits_noisy = cross_entropy(probs, coarse)
+    cls_refined, g_logits_refined = cross_entropy(probs, refined)
+    tri_noisy, g_tri_noisy = _triplet_or_zero(feats, coarse, cfg.margin)
+    tri_refined, g_tri_refined = _triplet_or_zero(feats, refined, cfg.margin)
+
+    sets = positive_sets(bank, feats_n, sample_indices)
+    spread, g_feats_n, g_bank = spread_loss(feats_n, bank, sets, cfg.spread_margin)
+
+    cls_blend, tri_blend = blend_metric_losses(
+        (cls_noisy, tri_noisy), (cls_refined, tri_refined), cfg.alpha)
+    total = total_loss(cls_blend, tri_blend, spread, cfg.mu)
+    if not np.isfinite(total):
+        raise TrainingDivergedError(
+            f"non-finite loss (cls={cls_blend}, tri={tri_blend}, spread={spread})")
+
+    g_logits = (1.0 - cfg.alpha) * g_logits_noisy + cfg.alpha * g_logits_refined
+    cls_grads, g_feats = classifier_backward(state, feats, g_logits)
+    g_feats = g_feats + (1.0 - cfg.alpha) * g_tri_noisy + cfg.alpha * g_tri_refined
+    if cfg.mu:
+        inner = np.sum(g_feats_n * feats_n, axis=1, keepdims=True)
+        g_feats = g_feats + cfg.mu * (g_feats_n - inner * feats_n) / norms
+
+    grads, _ = backward(state, cache, g_feats)
+    grads.update(cls_grads)
+    report = LossReport(cls_noisy=cls_noisy, cls_refined=cls_refined,
+                        tri_noisy=tri_noisy, tri_refined=tri_refined,
+                        spread=spread, total=total, alpha=cfg.alpha, mu=cfg.mu,
+                        grad_features=g_feats)
+    return report, grads, g_bank, feats_n
+
+
+def online_iteration(state, bank, raw, batch, labels, cfg, lr):
+    """The on-line step that always updates the bank, whatever mu."""
+    report, grads, g_bank, feats_n = joint_loss_and_grads(
+        state, bank, raw[batch], labels.coarse[batch], labels.refined[batch],
+        batch, cfg)
+    adam_step(state, grads, lr, cfg.weight_decay)
+    if bank.mode == "instant":
+        instant_update(bank, g_bank, lr)
+    else:
+        momentum_update(bank, feats_n, batch)
+    return report
+
+
+def pretrain_source(raw, identities, cfg):
+    """Source pretraining with its own inline forward -> CE -> triplet ->
+    backward -> Adam step."""
+    cfg.validate()
+    rng = np.random.default_rng((cfg.seed, _PRETRAIN_STREAM))
+    classes, ids = np.unique(identities, return_inverse=True)
+    state = init_encoder(raw.shape[1], cfg.hidden, cfg.feat_dim, rng)
+    init_classifier(state, len(classes), rng)
+    labels = PseudoLabelSet(coarse=ids.astype(np.int64),
+                            refined=ids.astype(np.int64),
+                            num_clusters=len(classes))
+    schedule = LrSchedule(cfg.base_lr, warmup_epochs=cfg.warmup_epochs,
+                          decay_epochs=cfg.pretrain_decay_epochs,
+                          decay_factor=cfg.decay_factor)
+    p = min(cfg.batch_p, len(classes))
+    iters = _pk_iterations(cfg, len(raw))
+    for epoch in range(cfg.pretrain_epochs):
+        lr = lr_at(schedule, epoch)
+        epoch_rng = np.random.default_rng((cfg.seed, _PRETRAIN_STREAM, epoch))
+        for _ in range(iters):
+            batch = pk_sample(labels, p, cfg.batch_k, epoch_rng)
+            x = raw[batch]
+            feats, cache = forward(state, x)
+            probs = classifier_forward(state, feats)
+            cls, g_logits = cross_entropy(probs, ids[batch])
+            tri, g_tri = _triplet_or_zero(feats, ids[batch], cfg.margin)
+            if not np.isfinite(cls + tri):
+                raise TrainingDivergedError("non-finite pretraining loss")
+            cls_grads, g_feats = classifier_backward(state, feats, g_logits)
+            grads, _ = backward(state, cache, g_feats + g_tri)
+            grads.update(cls_grads)
+            adam_step(state, grads, lr, cfg.weight_decay)
+    return state

@@ -6,7 +6,6 @@ from reidapt.encoder import (
     EncoderState,
     LrSchedule,
     adam_step,
-    adapt_schedule,
     backward,
     classifier_backward,
     classifier_forward,
@@ -15,9 +14,9 @@ from reidapt.encoder import (
     init_encoder,
     load_checkpoint,
     lr_at,
-    pretrain_schedule,
     save_checkpoint,
 )
+from reidapt.trainer import TrainConfig
 
 
 def random_state(rng, d_in=5, hidden=7, d=4, classes=None):
@@ -192,16 +191,26 @@ class TestAdam:
         assert np.allclose(state.w1, start * (1.0 - 0.1 * 0.1), atol=1e-12)
 
 
+# the adaptation and pretraining profiles the trainer builds from the
+# TrainConfig defaults
+_DEFAULTS = TrainConfig()
+ADAPT_PROFILE = dict(warmup_epochs=0, decay_epochs=_DEFAULTS.adapt_decay_epochs,
+                     decay_factor=_DEFAULTS.decay_factor)
+PRETRAIN_PROFILE = dict(warmup_epochs=_DEFAULTS.warmup_epochs,
+                        decay_epochs=_DEFAULTS.pretrain_decay_epochs,
+                        decay_factor=_DEFAULTS.decay_factor)
+
+
 class TestLrSchedule:
     def test_adaptation_profile(self):
-        sched = adapt_schedule()
+        sched = LrSchedule(_DEFAULTS.base_lr, **ADAPT_PROFILE)
         assert lr_at(sched, 0) == pytest.approx(3.5e-4)
         assert lr_at(sched, 19) == pytest.approx(3.5e-4)
         assert lr_at(sched, 20) == pytest.approx(3.5e-5)
         assert lr_at(sched, 39) == pytest.approx(3.5e-5)
 
     def test_pretrain_warmup_line(self):
-        sched = pretrain_schedule()
+        sched = LrSchedule(_DEFAULTS.base_lr, **PRETRAIN_PROFILE)
         assert lr_at(sched, 0) == pytest.approx(3.5e-5)
         assert lr_at(sched, 5) == pytest.approx(0.5 * (3.5e-5 + 3.5e-4))
         assert lr_at(sched, 10) == pytest.approx(3.5e-4)
@@ -209,7 +218,7 @@ class TestLrSchedule:
         assert lr_at(sched, 70) == pytest.approx(3.5e-6)
 
     def test_scales_with_base_lr(self):
-        sched = adapt_schedule(base_lr=7e-4)
+        sched = LrSchedule(7e-4, **ADAPT_PROFILE)
         assert lr_at(sched, 0) == pytest.approx(7e-4)
         assert lr_at(sched, 20) == pytest.approx(7e-5)
 
@@ -219,7 +228,7 @@ class TestLrSchedule:
         with pytest.raises(ValueError):
             LrSchedule(base_lr=1e-3, decay_epochs=(30, 20))
         with pytest.raises(ValueError):
-            lr_at(adapt_schedule(), -1)
+            lr_at(LrSchedule(_DEFAULTS.base_lr, **ADAPT_PROFILE), -1)
 
 
 class TestCheckpoint:

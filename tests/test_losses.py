@@ -1,4 +1,5 @@
 import numpy as np
+import oracles
 import pytest
 from helpers import central_diff, rel_error
 
@@ -112,14 +113,67 @@ class TestBatchHardTriplet:
             batch_hard_triplet(np.zeros((4, 2)), np.array([0, 0, 1, 1]), -0.1)
 
 
+def assert_same_triplet(feats, labels, margin):
+    loss, grad = batch_hard_triplet(feats, labels, margin)
+    want_loss, want_grad = oracles.batch_hard_triplet(feats, labels, margin)
+    assert loss == want_loss
+    assert grad.tobytes() == want_grad.tobytes()
+
+
+class TestBatchHardTripletAgainstLoop:
+    """The loop-free triplet reproduces the per-anchor loop bit for bit."""
+
+    def test_random_pk_batches(self):
+        rng = np.random.default_rng(20)
+        for _ in range(200):
+            p, k, d = (int(v) for v in rng.integers([2, 2, 1], [17, 5, 33]))
+            feats = rng.standard_normal((p * k, d))
+            labels = np.repeat(rng.permutation(p), k)
+            assert_same_triplet(feats, labels, float(rng.choice([0.0, 0.3, 3.0])))
+
+    def test_duplicate_and_coincident_features(self):
+        # equal distances force ties for the hardest pair; coincident points
+        # sit at distance 0 and contribute no gradient
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            b = int(rng.integers(4, 40))
+            pool = np.round(rng.standard_normal((int(rng.integers(1, 6)), 3)), 1)
+            feats = pool[rng.integers(0, len(pool), size=b)]
+            labels = rng.integers(0, int(rng.integers(2, 6)), size=b)
+            if len(np.unique(labels)) < 2 or np.all(np.bincount(labels) < 2):
+                continue
+            assert_same_triplet(feats, labels, 0.3)
+
+    def test_anchors_without_positive_or_negative(self):
+        rng = np.random.default_rng(22)
+        # singletons have no positive; with one big label most anchors have
+        # a negative only through the singletons
+        labels = np.array([0, 0, 0, 0, 0, 0, 1, 2, 3])
+        for _ in range(50):
+            assert_same_triplet(rng.standard_normal((9, 4)), labels, 0.3)
+        labels = np.array([5, 1, 1, 7, 2, 2, 2, 9])
+        for _ in range(50):
+            assert_same_triplet(rng.standard_normal((8, 2)), labels, 1.0)
+
+    def test_no_anchor_qualifies_rejected_like_the_loop(self):
+        for labels in (np.zeros(4, dtype=int), np.arange(4)):
+            with pytest.raises(ValueError):
+                oracles.batch_hard_triplet(np.eye(4), labels, 0.3)
+            with pytest.raises(ValueError):
+                batch_hard_triplet(np.eye(4), labels, 0.3)
+
+
 class TestBlendAndTotal:
     def test_alpha_zero_is_noisy_baseline(self):
         cls, tri = blend_metric_losses((1.5, 0.7), (9.9, 9.9), alpha=0.0)
         assert (cls, tri) == (1.5, 0.7)
+        # a term of weight 0 that was not computed (None) counts as 0
+        assert blend_metric_losses((1.5, 0.7), (None, None), alpha=0.0) == (1.5, 0.7)
 
     def test_alpha_one_is_refined(self):
         cls, tri = blend_metric_losses((9.9, 9.9), (1.5, 0.7), alpha=1.0)
         assert (cls, tri) == (1.5, 0.7)
+        assert blend_metric_losses((None, None), (1.5, 0.7), alpha=1.0) == (1.5, 0.7)
 
     def test_alpha_half_is_mean(self):
         cls, tri = blend_metric_losses((1.0, 3.0), (2.0, 5.0), alpha=0.5)

@@ -1,4 +1,5 @@
 import numpy as np
+import oracles
 import pytest
 from helpers import central_diff, rel_error
 
@@ -97,6 +98,48 @@ class TestPositiveSets:
         bank = init_bank(unit_rows(rng, 4, 3), k_pos=10)
         sets = positive_sets(bank, bank.v[[2]], np.array([2]))
         assert sets.indices.tolist() == [[0, 1, 2, 3]]
+
+
+def assert_same_sets(bank, feats, idx):
+    got = positive_sets(bank, feats, idx).indices
+    want = oracles.positive_sets(bank, feats, idx).indices
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+class TestPositiveSetsAgainstArgsort:
+    """The partial-sort sets equal the full-argsort sets, ascending rows."""
+
+    @pytest.mark.parametrize("k_choice", ["zero", "one", "n_minus_1", "n", "above_n", "mid"])
+    def test_random_banks(self, k_choice):
+        rng = np.random.default_rng(30)
+        for _ in range(40):
+            n = int(rng.integers(2, 60))
+            k_pos = {"zero": 0, "one": 1, "n_minus_1": n - 1, "n": n,
+                     "above_n": n + 7, "mid": max(1, n // 3)}[k_choice]
+            bank = init_bank(unit_rows(rng, n, 4), k_pos=k_pos)
+            b = int(rng.integers(1, 12))
+            feats = unit_rows(rng, b, 4)
+            assert_same_sets(bank, feats, rng.integers(0, n, size=b))
+
+    @pytest.mark.parametrize("k_pos", [0, 1, 3, 7, 19, 20, 25])
+    def test_duplicate_rows_tie_at_the_kth_similarity(self, k_pos):
+        # a few distinct rows repeated many times: every anchor sees long
+        # runs of equal similarities across the k-th position
+        rng = np.random.default_rng(31 + k_pos)
+        for _ in range(40):
+            pool = unit_rows(rng, int(rng.integers(1, 5)), 3)
+            v = pool[rng.integers(0, len(pool), size=20)]
+            bank = init_bank(v, k_pos=k_pos)
+            idx = rng.integers(0, 20, size=8)
+            # anchors are bank rows themselves or fresh directions
+            feats = v[idx] if rng.random() < 0.5 else unit_rows(rng, 8, 3)
+            assert_same_sets(bank, feats, idx)
+
+    def test_single_entry_bank(self):
+        bank = init_bank(np.array([[1.0, 0.0]]), k_pos=6)
+        assert positive_sets(bank, bank.v, np.array([0])).indices.tolist() == [[0]]
+        assert_same_sets(bank, bank.v, np.array([0]))
 
 
 class TestSpreadLoss:

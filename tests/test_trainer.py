@@ -1,4 +1,5 @@
 import copy
+from types import SimpleNamespace
 
 import numpy as np
 import oracles
@@ -50,6 +51,7 @@ class TestTrainConfig:
         assert cfg.k_pos == 6
         assert cfg.batch_size == 64
         assert cfg.bank_tau == 0.01
+        assert cfg.weight_decay == 5e-4
         cfg.validate()
 
     def test_from_dict_rejects_unknown_keys(self):
@@ -68,6 +70,17 @@ class TestTrainConfig:
 
 
 class TestPretrainSource:
+    def test_matches_the_inline_step(self):
+        # pretraining runs the joint step at alpha = 0, mu = 0: the weights
+        # equal those of the separate inline step bit for bit
+        source, *_ = small_fixture()
+        cfg = small_config(pretrain_epochs=4, base_lr=2e-3)
+        got = pretrain_source(source.raw, source.identity, cfg)
+        want = oracles.pretrain_source(source.raw, source.identity, cfg)
+        for name in ("w1", "b1", "w2", "b2", "wc", "bc"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert got.step == want.step
+
     def test_separable_source_high_accuracy(self):
         source, *_ = small_fixture(noise=0.0)
         cfg = small_config(pretrain_epochs=30, base_lr=2e-3)
@@ -225,6 +238,23 @@ class TestPkSample:
             assert len(values) == 3
             assert np.all(counts == 4)
 
+    def test_batches_match_the_label_scan(self):
+        # grouping once per label set draws the same batches as scanning all
+        # N labels for every chosen cluster
+        rng = np.random.default_rng(6)
+        for trial in range(20):
+            n = int(rng.integers(8, 200))
+            coarse = rng.integers(0, int(rng.integers(3, 12)), size=n)
+            coarse[rng.random(n) < 0.2] = OUTLIER
+            labels = label_set(coarse)
+            p = min(3, len(np.unique(coarse[coarse != OUTLIER])))
+            if p < 2:
+                continue
+            a, b = np.random.default_rng(trial), np.random.default_rng(trial)
+            for _ in range(10):
+                assert np.array_equal(pk_sample(labels, p, 4, a),
+                                      oracles.pk_sample(labels, p, 4, b))
+
 
 @pytest.fixture(scope="module")
 def trained_setup():
@@ -293,6 +323,147 @@ class TestOnlineIteration:
                                             es.labels, cfg, lr=cfg.base_lr))
         assert reports[-1].total < reports[0].total
         assert np.allclose(np.linalg.norm(bank.v, axis=1), 1.0, atol=1e-6)
+
+
+def relabeled(labels):
+    """The same clusters under refined labels that differ on every sample."""
+    coarse = labels.coarse
+    refined = np.where(coarse == OUTLIER, OUTLIER, (coarse + 1) % labels.num_clusters)
+    return PseudoLabelSet(coarse=coarse, refined=refined,
+                          num_clusters=labels.num_clusters)
+
+
+class TestZeroWeightBranches:
+    """A term whose weight is exactly 0 is never computed."""
+
+    @staticmethod
+    def record_label_branches(monkeypatch):
+        import reidapt.trainer as trainer
+        seen = []
+        for name in ("cross_entropy", "batch_hard_triplet"):
+            real = getattr(trainer, name)
+
+            def recording(first, labels, *rest, _real=real, _name=name):
+                seen.append((_name, np.array(labels)))
+                return _real(first, labels, *rest)
+
+            monkeypatch.setattr(trainer, name, recording)
+        return seen
+
+    @pytest.mark.parametrize("mode", ["instant", "momentum"])
+    def test_mu_zero_never_touches_the_bank(self, trained_setup, monkeypatch, mode):
+        import reidapt.trainer as trainer
+        state0, _, train, es, _ = trained_setup
+        cfg = small_config(alpha=0.0, mu=0.0, bank_mode=mode)
+
+        def forbidden(*args, **kw):
+            raise AssertionError("a zero-weight bank branch was computed")
+
+        for name in ("positive_sets", "spread_loss", "instant_update", "momentum_update"):
+            monkeypatch.setattr(trainer, name, forbidden)
+        seen = self.record_label_branches(monkeypatch)
+        state = copy.deepcopy(state0)
+        bank = init_bank(forward(state, train.raw)[0], mode=mode, k_pos=cfg.k_pos)
+        before = bank.v.copy()
+        labels = relabeled(es.labels)
+        rng = np.random.default_rng(4)
+        for _ in range(3):
+            batch = pk_sample(labels, cfg.batch_p, cfg.batch_k, rng)
+            report = online_iteration(state, bank, train.raw, batch, labels, cfg,
+                                      lr=cfg.base_lr)
+            assert report.spread is None
+            assert report.cls_refined is None and report.tri_refined is None
+            # alpha = 0: only the coarse labels reach the loss functions
+            assert [name for name, _ in seen] == ["cross_entropy", "batch_hard_triplet"]
+            assert all(np.array_equal(used, labels.coarse[batch]) for _, used in seen)
+            seen.clear()
+        assert not np.array_equal(state.w1, state0.w1)
+        assert bank.v.tobytes() == before.tobytes()
+
+    def test_alpha_one_skips_the_coarse_branch(self, trained_setup, monkeypatch):
+        state0, bank0, train, es, _ = trained_setup
+        cfg = small_config(alpha=1.0)
+        seen = self.record_label_branches(monkeypatch)
+        labels = relabeled(es.labels)
+        batch = pk_sample(labels, cfg.batch_p, cfg.batch_k, np.random.default_rng(5))
+        report = online_iteration(copy.deepcopy(state0), copy.deepcopy(bank0),
+                                  train.raw, batch, labels, cfg, lr=cfg.base_lr)
+        assert report.cls_noisy is None and report.tri_noisy is None
+        assert report.spread is not None
+        assert len(seen) == 2
+        assert all(np.array_equal(used, labels.refined[batch]) for _, used in seen)
+
+    def test_equal_labelings_are_computed_once(self, trained_setup, monkeypatch):
+        state0, bank0, train, es, _ = trained_setup
+        cfg = small_config(alpha=0.5)
+        seen = self.record_label_branches(monkeypatch)
+        labels = PseudoLabelSet(coarse=es.labels.coarse, refined=es.labels.coarse.copy(),
+                                num_clusters=es.labels.num_clusters)
+        batch = pk_sample(labels, cfg.batch_p, cfg.batch_k, np.random.default_rng(6))
+        report = online_iteration(copy.deepcopy(state0), copy.deepcopy(bank0),
+                                  train.raw, batch, labels, cfg, lr=cfg.base_lr)
+        assert len(seen) == 2
+        assert report.cls_noisy == report.cls_refined
+        assert report.tri_noisy == report.tri_refined
+
+
+class TestAgainstTheAllBranchStep:
+    """Whole adaptation runs against the step that computes every branch."""
+
+    @staticmethod
+    def run(monkeypatch, step, cfg, pretrained, raw):
+        import reidapt.trainer as trainer
+        monkeypatch.setattr(trainer, "online_iteration", step)
+        bank0 = init_bank(forward(pretrained, raw)[0], mode=cfg.bank_mode,
+                          tau=cfg.bank_tau, k_pos=cfg.k_pos)
+        rows = []
+        state, history, bank = adapt(
+            copy.deepcopy(pretrained), raw, cfg, bank=copy.deepcopy(bank0),
+            on_epoch=lambda m, s, b, r, l: rows.extend((m.epoch, i, x) for i, x in enumerate(r)))
+        # the all-branch step returns some terms as np.float64, whose repr is
+        # not a plain number, so the losses are compared as floats
+        losses = [[None if x is None else float(x) for x in (r.cls, r.tri, r.spread, r.total)]
+                  for _, _, r in rows]
+        return SimpleNamespace(state=state, metrics=metrics_csv_lines(history),
+                               losses=losses, loss_lines=loss_csv_lines(rows),
+                               bank=bank.v, bank0=bank0.v)
+
+    @pytest.mark.parametrize("mode", ["instant", "momentum"])
+    def test_full_weights_are_bit_identical(self, monkeypatch, mode):
+        source, train, _, _ = small_fixture()
+        cfg = small_config(epochs=2, alpha=0.5, mu=0.1, bank_mode=mode)
+        pretrained = pretrain_source(source.raw, source.identity, cfg)
+        got = self.run(monkeypatch, online_iteration, cfg, pretrained, train.raw)
+        want = self.run(monkeypatch, oracles.online_iteration, cfg, pretrained, train.raw)
+        for name in ("w1", "b1", "w2", "b2", "wc", "bc"):
+            assert getattr(got.state, name).tobytes() == getattr(want.state, name).tobytes()
+        assert got.metrics == want.metrics
+        assert got.losses == want.losses
+        assert got.bank.tobytes() == want.bank.tobytes()
+        assert not np.array_equal(got.bank, got.bank0)
+        for line in got.loss_lines[1:]:   # losses.csv holds plain numbers
+            assert all(np.isfinite(float(field)) for field in line.split(","))
+
+    def test_baseline_differs_only_in_spread_and_bank(self, monkeypatch):
+        source, train, _, _ = small_fixture()
+        cfg = small_config(epochs=2, alpha=0.0, mu=0.0)
+        pretrained = pretrain_source(source.raw, source.identity, cfg)
+        got = self.run(monkeypatch, online_iteration, cfg, pretrained, train.raw)
+        want = self.run(monkeypatch, oracles.online_iteration, cfg, pretrained, train.raw)
+        for name in ("w1", "b1", "w2", "b2", "wc", "bc"):
+            assert getattr(got.state, name).tobytes() == getattr(want.state, name).tobytes()
+
+        def drop(row, column):
+            return row[:column] + row[column + 1:]
+
+        spread = 7  # column of metrics.csv
+        assert ([drop(line.split(","), spread) for line in got.metrics]
+                == [drop(line.split(","), spread) for line in want.metrics])
+        assert all(line.split(",")[spread] == "" for line in got.metrics[1:])
+        assert [drop(row, 2) for row in got.losses] == [drop(row, 2) for row in want.losses]
+        assert all(line.split(",")[4] == "" for line in got.loss_lines[1:])
+        assert got.bank.tobytes() == got.bank0.tobytes()   # the bank never moved
+        assert not np.array_equal(want.bank, want.bank0)
 
 
 class TestAdapt:

@@ -21,14 +21,14 @@ idx = rng.choice(n, size=batch, replace=False)
 
 print("iter   spread loss   max |norm-1|")
 for step in range(8):
-    sets = positive_sets(bank, anchors, idx)
-    loss, grad_anchor, grad_bank = spread_loss(anchors, bank, sets, margin=0.35)
+    positives = positive_sets(bank, anchors, idx)  # (batch, 5) bank indices
+    loss, grad_anchor, grad_bank = spread_loss(anchors, bank, positives, margin=0.35)
     instant_update(bank, grad_bank, eta=0.05)
     drift = np.max(np.abs(np.linalg.norm(bank.v, axis=1) - 1.0))
     print(f"{step:4d}   {loss:11.4f}   {drift:.2e}")
 
 # with a margin of zero and no negatives the loss is exactly zero
 full = init_bank(bank.v.copy(), k_pos=n - 1)
-sets = positive_sets(full, anchors, idx)
-loss, _, _ = spread_loss(anchors, full, sets, margin=0.35)
+positives = positive_sets(full, anchors, idx)
+loss, _, _ = spread_loss(anchors, full, positives, margin=0.35)
 print(f"\nloss with every entry treated as a positive: {loss}")

@@ -102,6 +102,13 @@ def _load_ckpt(prefix):
         raise CliError(f"cannot load checkpoint {prefix}: {err}", EXIT_IO)
 
 
+def _check_width(state, raw, split):
+    """The checkpoint must read the split's feature width."""
+    if raw.shape[1] != state.d_in:
+        raise CliError(f"checkpoint expects (N, {state.d_in}) input, split "
+                       f"{split!r} has shape {raw.shape}", EXIT_IO)
+
+
 def _write_manifest(run_dir: Path, cfg: TrainConfig, command, data_dir, artifacts):
     manifest = {
         "command": command,
@@ -191,6 +198,10 @@ def cmd_adapt(args):
             bank_rows = read_features(resume_dir / f"bank_epoch_{last:03d}.drft")
         except (OSError, FeatureFileError) as err:
             raise CliError(f"cannot load bank snapshot: {err}", EXIT_IO)
+        want = (len(raw), state.feat_dim)
+        if bank_rows.shape != want:
+            raise CliError(f"bank snapshot has shape {bank_rows.shape}, split "
+                           f"'target_train' needs {want}", EXIT_IO)
         bank = MemoryBank(v=bank_rows, mode=cfg.bank_mode, tau=cfg.bank_tau,
                           k_pos=cfg.k_pos)
         start_epoch = last + 1
@@ -200,6 +211,7 @@ def cmd_adapt(args):
         src_raw, src_identity, _ = _load_split(args.data, "source")
         state = pretrain_source(src_raw, src_identity, cfg)
         save_checkpoint(run_dir / "pretrain", state)
+    _check_width(state, raw, "target_train")
 
     final = run_dir / "final"
     _write_manifest(run_dir, cfg, "adapt", args.data,
@@ -253,6 +265,7 @@ def cmd_cluster(args):
     cfg = _load_config(args)
     state = _load_ckpt(args.ckpt)
     raw, identity, _ = _load_split(args.data, "target_train")
+    _check_width(state, raw, "target_train")
     try:
         es = offline_epoch(state, raw, cfg, epoch=0, truth=identity,
                            keep_graph=bool(args.dump_jaccard))

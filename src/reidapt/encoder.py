@@ -42,6 +42,10 @@ class EncoderState:
     adam: dict = field(default_factory=dict)
     step: int = 0
 
+    def __post_init__(self):
+        if self.activation not in ("tanh", "identity"):
+            raise ValueError(f"unknown activation {self.activation!r}")
+
     @property
     def d_in(self) -> int:
         return self.w1.shape[0]
@@ -63,8 +67,6 @@ class EncoderState:
 
 def init_encoder(d_in: int, hidden: int, feat_dim: int, rng,
                  activation: str = "tanh") -> EncoderState:
-    if activation not in ("tanh", "identity"):
-        raise ValueError(f"unknown activation {activation!r}")
     return EncoderState(
         w1=rng.standard_normal((d_in, hidden)) / np.sqrt(d_in),
         b1=np.zeros(hidden),

@@ -191,20 +191,28 @@ def _dense_row_sums(indptr: np.ndarray, indices: np.ndarray, values: np.ndarray)
     cell_rows, cell_leaf = np.divmod(cells, len(leaves))
     by_leaf = np.argsort(cell_leaf, kind="stable")
     bounds = np.searchsorted(cell_leaf[by_leaf], np.arange(1, len(leaves)))
-    leaf_cells = iter(np.split(by_leaf, bounds))
 
-    def subtree(length):
-        if length <= _PW_BLOCK:
-            picked = next(leaf_cells)
-            out = np.zeros(n)
-            out[cell_rows[picked]] = acc[picked]
-            return out
-        half = length // 2
-        half -= half % _PW_LANES
-        left = subtree(half)
-        return left + subtree(length - half)
+    def leaf_sum(picked):
+        out = np.zeros(n)
+        out[cell_rows[picked]] = acc[picked]
+        return out
 
-    return subtree(n)
+    return _pairwise_tree(n, map(leaf_sum, np.split(by_leaf, bounds)))
+
+
+def _pairwise_tree(length: int, leaf_sums):
+    """Adds the per-leaf partial sums of a run of ``length`` entries in the
+    order of numpy's pairwise tree; ``leaf_sums`` yields them leaf by leaf.
+
+    A module-level function, not a closure that calls itself: such a closure
+    is a reference cycle, which keeps its buffers alive until the cyclic
+    garbage collector runs and leaves them to fragment the heap."""
+    if length <= _PW_BLOCK:
+        return next(leaf_sums)
+    half = length // 2
+    half -= half % _PW_LANES
+    left = _pairwise_tree(half, leaf_sums)
+    return left + _pairwise_tree(length - half, leaf_sums)
 
 
 def jaccard_distance(indptr: np.ndarray, indices: np.ndarray, d_s: np.ndarray):

@@ -3,9 +3,10 @@
 The bank keeps one unit-norm entry per target-train sample. Each anchor
 treats its k nearest bank entries (plus its own slot) as positives and every
 other entry as a negative; the regularizer is a softplus-of-sums ranking
-loss over those pairs. In instant mode the entries receive analytic
-gradients and a descent step every iteration; momentum mode blends in batch
-features instead, for ablation.
+loss over those pairs. An anchor's positives travel as one row of bank
+indices, never as a mask over the bank. In instant mode the entries receive
+analytic gradients and a descent step every iteration; momentum mode blends
+in batch features instead, for ablation.
 """
 
 from __future__ import annotations
@@ -41,20 +42,6 @@ class MemoryBank:
         return len(self.v)
 
 
-@dataclass
-class NeighborSets:
-    """Positive index sets per anchor; row b holds anchor b's own slot too."""
-
-    k_pos: int
-    indices: np.ndarray  # (B, min(k_pos + 1, N)) int64, ascending per row
-
-    def mask(self, n: int) -> np.ndarray:
-        out = np.zeros((len(self.indices), n), dtype=bool)
-        rows = np.arange(len(self.indices))[:, None]
-        out[rows, self.indices] = True
-        return out
-
-
 def init_bank(features: np.ndarray, mode: str = "instant", tau: float = 0.01,
               k_pos: int = 6) -> MemoryBank:
     """Bank entries start as the L2-normalized sample features."""
@@ -62,26 +49,27 @@ def init_bank(features: np.ndarray, mode: str = "instant", tau: float = 0.01,
 
 
 def positive_sets(bank: MemoryBank, feats: np.ndarray,
-                  sample_indices: np.ndarray) -> NeighborSets:
-    """k largest dot products against the bank (excluding the anchor's own
-    slot), plus the slot itself; similarity ties go to the lower index."""
+                  sample_indices: np.ndarray) -> np.ndarray:
+    """Each anchor's positive bank indices, (B, min(k_pos + 1, N)) int64.
+
+    Row b holds the k largest dot products against the bank (excluding the
+    anchor's own slot) plus the slot itself, in ascending index order;
+    similarity ties go to the lower index."""
     feats = np.asarray(feats, dtype=np.float64)
     sample_indices = np.asarray(sample_indices, dtype=np.int64)
     k = min(bank.k_pos, len(bank) - 1)
     if k == 0:
-        return NeighborSets(k_pos=bank.k_pos, indices=sample_indices[:, None].copy())
+        return sample_indices[:, None].copy()
     rows = np.arange(len(feats))
     neg_sims = -(feats @ bank.v.T)
     neg_sims[rows, sample_indices] = np.inf
     keep = smallest_k(neg_sims, k)
     keep[rows, sample_indices] = True
-    indices = np.nonzero(keep)[1].reshape(len(feats), k + 1)
-    return NeighborSets(k_pos=bank.k_pos, indices=indices.astype(np.int64))
+    return np.nonzero(keep)[1].reshape(len(feats), k + 1).astype(np.int64)
 
 
-def _masked_logsumexp(values, mask):
-    """Row-wise log-sum-exp over masked entries; empty rows give -inf."""
-    x = np.where(mask, values, -np.inf)
+def _logsumexp(x):
+    """Row-wise log-sum-exp; rows of -inf only give -inf."""
     peak = x.max(axis=1)
     shift = np.where(np.isfinite(peak), peak, 0.0)
     sums = np.exp(x - shift[:, None]).sum(axis=1)
@@ -89,40 +77,43 @@ def _masked_logsumexp(values, mask):
         return np.where(sums > 0.0, shift + np.log(sums), -np.inf)
 
 
-def spread_loss(feats: np.ndarray, bank: MemoryBank, sets: NeighborSets,
+def spread_loss(feats: np.ndarray, bank: MemoryBank, positives: np.ndarray,
                 margin: float):
     """Spread-out loss averaged over batch anchors, with gradients.
 
     Per anchor i: log[1 + sum_{k in K_i} sum_{n not in K_i}
-    exp(f_i.v_n - f_i.v_k + margin)]. The double sum factorizes into
-    independent log-sum-exps over positives and negatives, so both the value
-    and the gradients are computed in max-shifted form. Returns
-    (loss, grad wrt feats, grad wrt every bank entry).
+    exp(f_i.v_n - f_i.v_k + margin)], with K_i the bank indices in row i of
+    ``positives`` (as ``positive_sets`` returns them). The double sum
+    factorizes into independent log-sum-exps over positives and negatives,
+    so both the value and the gradients are computed in max-shifted form.
+    Each log-sum-exp runs over a full bank-wide row with the other side's
+    entries at -inf, and the positive entries are read and written by index.
+    Returns (loss, grad wrt feats, grad wrt every bank entry).
     """
     if margin < 0:
         raise ValueError("margin must be >= 0")
     feats = np.asarray(feats, dtype=np.float64)
     b, n = len(feats), len(bank)
-    pos = sets.mask(n)
-    neg = ~pos
+    rows = np.arange(b)[:, None]
 
     sims = feats @ bank.v.T
-    ln_a = _masked_logsumexp(sims, neg)        # negatives
-    ln_b = _masked_logsumexp(-sims, pos)       # positives
+    pos_sims = sims[rows, positives]
+    sims[rows, positives] = -np.inf            # negatives only from here on
+    pos_row = np.full((b, n), -np.inf)
+    pos_row[rows, positives] = -pos_sims
+    ln_a = _logsumexp(sims)                    # negatives
+    ln_b = _logsumexp(pos_row)                 # positives
     ln_z = margin + ln_a + ln_b
     per_anchor = np.logaddexp(0.0, ln_z)       # log(1 + Z)
     loss = float(per_anchor.mean())
 
     # d per_anchor / d sims: +exp(m + s_j + ln_b - log1pZ) on negatives,
     #                        -exp(m + ln_a - s_j - log1pZ) on positives
-    coef = np.zeros((b, n))
-    live = np.isfinite(ln_z)
-    if np.any(live):
-        log_neg = margin + sims + ln_b[:, None] - per_anchor[:, None]
-        log_pos = margin - sims + ln_a[:, None] - per_anchor[:, None]
-        coef[neg] = np.exp(log_neg[neg])
-        coef[pos] = -np.exp(log_pos[pos])
-        coef[~live] = 0.0
+    # (the positives' -inf entries give 0 in the first exp, then are written)
+    coef = np.exp(margin + sims + ln_b[:, None] - per_anchor[:, None])
+    coef[rows, positives] = -np.exp(
+        margin - pos_sims + ln_a[:, None] - per_anchor[:, None])
+    coef[~np.isfinite(ln_z)] = 0.0             # no negatives: +0, not -0.0
     coef /= b
 
     grad_feats = coef @ bank.v

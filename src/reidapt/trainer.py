@@ -141,7 +141,6 @@ class TrainConfig:
 class EpochState:
     epoch: int
     labels: PseudoLabelSet
-    prototypes: object
     num_clusters: int
     outliers: int
     eps: float
@@ -206,11 +205,10 @@ def offline_epoch(state: EncoderState, raw: np.ndarray, cfg: TrainConfig,
     if coarse.num_clusters == 0:
         raise ZeroClustersError(
             f"epoch {epoch}: every sample is an outlier (eps={eps:.4g})")
-    labels, protos = refine_labels(feats, coarse, cfg.fine_clusters,
-                                   seed=(cfg.seed, _ADAPT_STREAM, epoch))
+    labels, _ = refine_labels(feats, coarse, cfg.fine_clusters,
+                              seed=(cfg.seed, _ADAPT_STREAM, epoch))
     es = EpochState(
-        epoch=epoch, labels=labels, prototypes=protos,
-        num_clusters=coarse.num_clusters,
+        epoch=epoch, labels=labels, num_clusters=coarse.num_clusters,
         outliers=int(np.sum(coarse.assignment == OUTLIER)),
         eps=eps, d_j=d_j if keep_graph else None,
     )
@@ -278,8 +276,9 @@ def joint_loss_and_grads(state: EncoderState, bank: MemoryBank | None, x: np.nda
         if np.any(norms == 0.0):
             raise TrainingDivergedError("encoder produced a zero feature vector")
         feats_n = feats / norms
-        sets = positive_sets(bank, feats_n, sample_indices)
-        spread, g_feats_n, g_bank = spread_loss(feats_n, bank, sets, cfg.spread_margin)
+        positives = positive_sets(bank, feats_n, sample_indices)
+        spread, g_feats_n, g_bank = spread_loss(feats_n, bank, positives,
+                                                cfg.spread_margin)
 
     # a branch that was not computed reports None
     cls_noisy, tri_noisy = (None, None) if noisy is None else (noisy.cls, noisy.tri)

@@ -2,11 +2,12 @@
 
 The off-line oracles are the dense N x N labeling chain the library used
 before it went k-NN-sparse. The on-line oracles are the per-anchor loop
-triplet, the full-argsort bank positives, the per-label scan sampler, and
-the joint step that computes every loss branch whatever its weight (plus
-the pretraining loop with its own inline copy of the step). They stay here,
-unchanged, as oracles: the library must reproduce their numbers bit for
-bit (same eps, same labels, same pair counts, same losses, weights and bank).
+triplet, the full-argsort bank positives, the spread-out loss through
+boolean masks over the bank, the per-label scan sampler, and the joint step
+that computes every loss branch whatever its weight (plus the pretraining
+loop with its own inline copy of the step). They stay here, unchanged, as
+oracles: the library must reproduce their numbers bit for bit (same eps,
+same labels, same pair counts, same losses, weights and bank).
 """
 
 import numpy as np
@@ -25,7 +26,7 @@ from reidapt.encoder import (
 )
 from reidapt.graph import SparseDistances
 from reidapt.losses import LossReport, blend_metric_losses, cross_entropy, total_loss
-from reidapt.membank import NeighborSets, instant_update, momentum_update, spread_loss
+from reidapt.membank import instant_update, momentum_update
 from reidapt.refine import PseudoLabelSet
 from reidapt.trainer import _PRETRAIN_STREAM, TrainingDivergedError, _pk_iterations
 
@@ -252,7 +253,52 @@ def positive_sets(bank, feats, sample_indices):
     order = np.argsort(-sims, axis=1, kind="stable")[:, :k]
     indices = np.concatenate([order, sample_indices[:, None]], axis=1)
     indices.sort(axis=1)
-    return NeighborSets(k_pos=bank.k_pos, indices=indices.astype(np.int64))
+    return indices.astype(np.int64)
+
+
+def _masked_logsumexp(values, mask):
+    """Row-wise log-sum-exp over masked entries; empty rows give -inf."""
+    x = np.where(mask, values, -np.inf)
+    peak = x.max(axis=1)
+    shift = np.where(np.isfinite(peak), peak, 0.0)
+    sums = np.exp(x - shift[:, None]).sum(axis=1)
+    with np.errstate(divide="ignore"):
+        return np.where(sums > 0.0, shift + np.log(sums), -np.inf)
+
+
+def spread_loss(feats, bank, positives, margin):
+    """Spread-out loss through (B, N) boolean masks of positives and
+    negatives, built from the positive index rows."""
+    if margin < 0:
+        raise ValueError("margin must be >= 0")
+    feats = np.asarray(feats, dtype=np.float64)
+    b, n = len(feats), len(bank)
+    pos = np.zeros((len(positives), n), dtype=bool)
+    pos[np.arange(len(positives))[:, None], positives] = True
+    neg = ~pos
+
+    sims = feats @ bank.v.T
+    ln_a = _masked_logsumexp(sims, neg)        # negatives
+    ln_b = _masked_logsumexp(-sims, pos)       # positives
+    ln_z = margin + ln_a + ln_b
+    per_anchor = np.logaddexp(0.0, ln_z)       # log(1 + Z)
+    loss = float(per_anchor.mean())
+
+    # d per_anchor / d sims: +exp(m + s_j + ln_b - log1pZ) on negatives,
+    #                        -exp(m + ln_a - s_j - log1pZ) on positives
+    coef = np.zeros((b, n))
+    live = np.isfinite(ln_z)
+    if np.any(live):
+        log_neg = margin + sims + ln_b[:, None] - per_anchor[:, None]
+        log_pos = margin - sims + ln_a[:, None] - per_anchor[:, None]
+        coef[neg] = np.exp(log_neg[neg])
+        coef[pos] = -np.exp(log_pos[pos])
+        coef[~live] = 0.0
+    coef /= b
+
+    grad_feats = coef @ bank.v
+    grad_v = coef.T @ feats
+    return loss, grad_feats, grad_v
 
 
 def pk_sample(labels, p, k, rng):

@@ -111,12 +111,12 @@ def test_criterion_gradient_suite():
     bank = MemoryBank(v=v.copy(), k_pos=3)
     anchors = l2_normalize(rng.standard_normal((8, 8)))
     idx = rng.choice(16, size=8, replace=False)
-    sets = positive_sets(bank, anchors, idx)
-    _, gf, gv = spread_loss(anchors, bank, sets, 0.35)
-    num_f = central_diff(lambda f: spread_loss(f, bank, sets, 0.35)[0], anchors)
+    positives = positive_sets(bank, anchors, idx)
+    _, gf, gv = spread_loss(anchors, bank, positives, 0.35)
+    num_f = central_diff(lambda f: spread_loss(f, bank, positives, 0.35)[0], anchors)
     num_v = central_diff(
-        lambda vv: spread_loss(anchors, MemoryBank(v=vv, k_pos=3), sets, 0.35)[0], v)
-    inside = np.unique(sets.indices)
+        lambda vv: spread_loss(anchors, MemoryBank(v=vv, k_pos=3), positives, 0.35)[0], v)
+    inside = np.unique(positives)
     both_branches = len(inside) < 16 and np.any(gv[inside] != 0)
     sp_f_err = rel_error(gf, num_f)
     sp_v_err = rel_error(gv, num_v)
@@ -301,12 +301,12 @@ def test_criterion_oracle_suite():
         bank = init_bank(v, k_pos=2)
         anchors = l2_normalize(rng.standard_normal((3, 3)))
         idx = rng.choice(6, size=3, replace=False)
-        sets = positive_sets(bank, anchors, idx)
+        positives = positive_sets(bank, anchors, idx)
         for b in range(3):
             sims = anchors[b] @ bank.v.T
             order = sorted((-sims[j], j) for j in range(6) if j != idx[b])
             want = sorted([j for _, j in order[:2]] + [int(idx[b])])
-            assert sets.indices[b].tolist() == want
+            assert positives[b].tolist() == want
         checks["positive_sets"] += 1
 
         # pairwise F-score

@@ -5,8 +5,8 @@ import oracles
 import pytest
 
 from reidapt.cli import main
-from reidapt.data import read_features
-from reidapt.encoder import load_checkpoint
+from reidapt.data import l2_normalize, read_features, write_features
+from reidapt.encoder import init_encoder, load_checkpoint, save_checkpoint
 from reidapt.trainer import extract_features
 
 
@@ -201,6 +201,45 @@ class TestValidation:
         code, _, _ = run_cli(capsys, "eval", "--ckpt", str(tmp_path / "ghost"),
                              "--data", str(data_dir))
         assert code == 3
+
+    def test_adapt_rejects_checkpoint_of_other_width(self, data_dir, tmp_path, capsys):
+        # the split is 12 wide, the checkpoint reads 8
+        save_checkpoint(tmp_path / "narrow", init_encoder(8, 24, 12, np.random.default_rng(0)))
+        code, _, err = run_cli(capsys, "adapt", "--data", str(data_dir),
+                               "--ckpt", str(tmp_path / "narrow"),
+                               "--config", fast_config(tmp_path),
+                               "--out", str(tmp_path / "run"))
+        assert code == 3
+        assert "(N, 8)" in err and "(80, 12)" in err
+
+    def test_cluster_rejects_checkpoint_of_other_width(self, data_dir, tmp_path, capsys):
+        save_checkpoint(tmp_path / "narrow", init_encoder(8, 24, 12, np.random.default_rng(0)))
+        code, _, err = run_cli(capsys, "cluster", "--ckpt", str(tmp_path / "narrow"),
+                               "--data", str(data_dir), "--config", fast_config(tmp_path))
+        assert code == 3
+        assert "(N, 8)" in err and "(80, 12)" in err
+
+    def test_resume_rejects_bank_of_other_size(self, data_dir, tmp_path, capsys):
+        # a run directory whose bank has 59 rows, resumed on an 80-sample split
+        run = tmp_path / "runA"
+        run.mkdir()
+        rng = np.random.default_rng(0)
+        save_checkpoint(run / "ckpt_epoch_000", init_encoder(12, 24, 12, rng))
+        write_features(run / "bank_epoch_000.drft", l2_normalize(rng.standard_normal((59, 12))))
+        code, _, err = run_cli(capsys, "adapt", "--data", str(data_dir),
+                               "--config", fast_config(tmp_path), "--resume", str(run),
+                               "--out", str(tmp_path / "runB"))
+        assert code == 3
+        assert "(59, 12)" in err and "(80, 12)" in err
+
+    def test_eval_rejects_unknown_activation(self, data_dir, tmp_path, capsys):
+        save_checkpoint(tmp_path / "ckpt", init_encoder(12, 24, 12, np.random.default_rng(0)))
+        sidecar = tmp_path / "ckpt.json"
+        sidecar.write_text(sidecar.read_text().replace('"tanh"', '"relu"'))
+        code, _, err = run_cli(capsys, "eval", "--ckpt", str(tmp_path / "ckpt"),
+                               "--data", str(data_dir))
+        assert code == 3
+        assert "relu" in err
 
     def test_stdout_always_json(self, data_dir, tmp_path, capsys):
         cfg = fast_config(tmp_path)

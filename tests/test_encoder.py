@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from helpers import central_diff, rel_error
@@ -245,6 +247,17 @@ class TestCheckpoint:
         assert back.activation == state.activation
         for name in ("w1", "b1", "w2", "b2", "wc", "bc"):
             assert np.array_equal(getattr(back, name), getattr(state, name))
+
+    def test_unknown_activation_rejected(self, tmp_path):
+        # forward runs anything but tanh as the identity, so a relabeled
+        # checkpoint would evaluate silently with the wrong network
+        save_checkpoint(tmp_path / "ckpt", random_state(np.random.default_rng(19)))
+        sidecar = tmp_path / "ckpt.json"
+        doc = json.loads(sidecar.read_text())
+        doc["activation"] = "relu"
+        sidecar.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="relu"):
+            load_checkpoint(tmp_path / "ckpt")
 
     def test_round_trip_without_classifier(self, tmp_path):
         state = random_state(np.random.default_rng(18))

@@ -1,3 +1,4 @@
+import gc
 import os
 import subprocess
 import sys
@@ -295,6 +296,19 @@ class TestSparseChainAgainstDense:
                 row[at] = rng.random(len(at)) * 10.0 ** rng.uniform(-3, 3, len(at))
             got = graph._dense_row_sums(*csr_of(dense))
             assert np.array_equal(got, dense.sum(axis=1))
+
+    def test_graph_leaves_no_reference_cycle(self):
+        # cyclic garbage keeps its buffers until the collector runs, so a
+        # repeated labeling pass would fragment the heap and grow peak RSS
+        f = np.random.default_rng(17).standard_normal((300, 8))
+        build_distance_graph(f, 10)  # first calls may import lazily
+        gc.collect()
+        gc.disable()
+        try:
+            build_distance_graph(f, 10)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_percentile_bitwise_equals_numpy(self):
         rng = np.random.default_rng(15)

@@ -7,7 +7,6 @@ from reidapt.data import l2_normalize
 from reidapt.membank import (
     BankDivergedError,
     MemoryBank,
-    NeighborSets,
     init_bank,
     instant_update,
     momentum_update,
@@ -68,16 +67,16 @@ class TestPositiveSets:
     def test_k_zero_is_self_only(self):
         rng = np.random.default_rng(2)
         bank = init_bank(unit_rows(rng, 6, 4), k_pos=0)
-        sets = positive_sets(bank, bank.v[[1, 4]], np.array([1, 4]))
-        assert sets.indices.tolist() == [[1], [4]]
+        positives = positive_sets(bank, bank.v[[1, 4]], np.array([1, 4]))
+        assert positives.tolist() == [[1], [4]]
 
     def test_exact_copy_is_selected(self):
         rng = np.random.default_rng(3)
         v = unit_rows(rng, 6, 4)
         v[3] = v[0]
         bank = init_bank(v, k_pos=1)
-        sets = positive_sets(bank, v[[0]], np.array([0]))
-        assert sets.indices.tolist() == [[0, 3]]
+        positives = positive_sets(bank, v[[0]], np.array([0]))
+        assert positives.tolist() == [[0, 3]]
 
     def test_matches_brute_force_top_k(self):
         rng = np.random.default_rng(4)
@@ -86,23 +85,23 @@ class TestPositiveSets:
             bank = init_bank(v, k_pos=2)
             feats = unit_rows(rng, 3, 3)
             idx = rng.choice(6, size=3, replace=False)
-            sets = positive_sets(bank, feats, idx)
+            positives = positive_sets(bank, feats, idx)
             for b in range(3):
                 sims = feats[b] @ v.T
                 order = sorted((-sims[j], j) for j in range(6) if j != idx[b])
                 want = sorted([j for _, j in order[:2]] + [int(idx[b])])
-                assert sets.indices[b].tolist() == want
+                assert positives[b].tolist() == want
 
     def test_k_clamped_to_bank_size(self):
         rng = np.random.default_rng(5)
         bank = init_bank(unit_rows(rng, 4, 3), k_pos=10)
-        sets = positive_sets(bank, bank.v[[2]], np.array([2]))
-        assert sets.indices.tolist() == [[0, 1, 2, 3]]
+        positives = positive_sets(bank, bank.v[[2]], np.array([2]))
+        assert positives.tolist() == [[0, 1, 2, 3]]
 
 
 def assert_same_sets(bank, feats, idx):
-    got = positive_sets(bank, feats, idx).indices
-    want = oracles.positive_sets(bank, feats, idx).indices
+    got = positive_sets(bank, feats, idx)
+    want = oracles.positive_sets(bank, feats, idx)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
 
@@ -138,7 +137,7 @@ class TestPositiveSetsAgainstArgsort:
 
     def test_single_entry_bank(self):
         bank = init_bank(np.array([[1.0, 0.0]]), k_pos=6)
-        assert positive_sets(bank, bank.v, np.array([0])).indices.tolist() == [[0]]
+        assert positive_sets(bank, bank.v, np.array([0])).tolist() == [[0]]
         assert_same_sets(bank, bank.v, np.array([0]))
 
 
@@ -147,8 +146,8 @@ class TestSpreadLoss:
         rng = np.random.default_rng(6)
         v = unit_rows(rng, 5, 4)
         bank = init_bank(v, k_pos=4)  # K_i covers the whole bank
-        sets = positive_sets(bank, v[[0, 2]], np.array([0, 2]))
-        loss, gf, gv = spread_loss(v[[0, 2]], bank, sets, margin=0.35)
+        positives = positive_sets(bank, v[[0, 2]], np.array([0, 2]))
+        loss, gf, gv = spread_loss(v[[0, 2]], bank, positives, margin=0.35)
         assert loss == 0.0
         assert np.all(gf == 0.0)
         assert np.all(gv == 0.0)
@@ -160,8 +159,8 @@ class TestSpreadLoss:
         v = np.tile([[1.0, 0.0]], (n, 1))
         bank = MemoryBank(v=v.copy(), k_pos=k)
         feats = np.array([[1.0, 0.0]])
-        sets = NeighborSets(k_pos=k, indices=np.array([[0, 1, 2]]))
-        loss, _, _ = spread_loss(feats, bank, sets, margin=0.0)
+        positives = np.array([[0, 1, 2]])
+        loss, _, _ = spread_loss(feats, bank, positives, margin=0.0)
         assert loss == pytest.approx(np.log(1 + 3 * 3), rel=1e-12)
 
     def test_matches_double_loop_oracle(self):
@@ -171,9 +170,9 @@ class TestSpreadLoss:
             bank = init_bank(v.copy(), k_pos=1)
             feats = unit_rows(rng, 2, 3)
             idx = np.array([0, 3])
-            sets = positive_sets(bank, feats, idx)
-            loss, _, _ = spread_loss(feats, bank, sets, margin=0.35)
-            want = naive_spread(feats, v, sets.indices, 0.35)
+            positives = positive_sets(bank, feats, idx)
+            loss, _, _ = spread_loss(feats, bank, positives, margin=0.35)
+            want = naive_spread(feats, v, positives, 0.35)
             assert loss == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_gradients_match_finite_differences(self):
@@ -182,21 +181,21 @@ class TestSpreadLoss:
         bank = init_bank(v.copy(), k_pos=1)
         feats = unit_rows(rng, 3, 3)
         idx = np.array([0, 2, 4])
-        sets = positive_sets(bank, feats, idx)
-        loss, gf, gv = spread_loss(feats, bank, sets, margin=0.35)
+        positives = positive_sets(bank, feats, idx)
+        loss, gf, gv = spread_loss(feats, bank, positives, margin=0.35)
         assert loss > 0
 
         def loss_of_feats(f):
-            return spread_loss(f, bank, sets, 0.35)[0]
+            return spread_loss(f, bank, positives, 0.35)[0]
 
         def loss_of_bank(vv):
             trial = MemoryBank(v=vv, k_pos=1)
-            return spread_loss(feats, trial, sets, 0.35)[0]
+            return spread_loss(feats, trial, positives, 0.35)[0]
 
         # bank gradient covers both branches: entries inside some K_i and out
         assert rel_error(gf, central_diff(loss_of_feats, feats)) <= 1e-5
         assert rel_error(gv, central_diff(loss_of_bank, v)) <= 1e-5
-        inside = np.unique(sets.indices)
+        inside = np.unique(positives)
         outside = np.setdiff1d(np.arange(5), inside)
         assert np.any(gv[inside] != 0.0)
         if len(outside):
@@ -208,16 +207,73 @@ class TestSpreadLoss:
         bank = init_bank(v.copy(), k_pos=2)
         feats = unit_rows(rng, 3, 4)
         idx = np.array([0, 1, 2])
-        sets = positive_sets(bank, feats, idx)
-        losses = [spread_loss(feats, bank, sets, m)[0] for m in (0.0, 0.2, 0.35, 1.0)]
+        positives = positive_sets(bank, feats, idx)
+        losses = [spread_loss(feats, bank, positives, m)[0] for m in (0.0, 0.2, 0.35, 1.0)]
         assert all(b >= a for a, b in zip(losses, losses[1:]))
 
     def test_rejects_negative_margin(self):
         rng = np.random.default_rng(10)
         bank = init_bank(unit_rows(rng, 4, 3))
-        sets = NeighborSets(k_pos=0, indices=np.array([[0]]))
+        positives = np.array([[0]])
         with pytest.raises(ValueError):
-            spread_loss(bank.v[[0]], bank, sets, margin=-0.1)
+            spread_loss(bank.v[[0]], bank, positives, margin=-0.1)
+
+
+def assert_same_spread(feats, bank, positives, margin=0.35):
+    got = spread_loss(feats, bank, positives, margin)
+    want = oracles.spread_loss(feats, bank, positives, margin)
+    assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+    for g, w in zip(got[1:], want[1:]):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+class TestSpreadLossAgainstMasks:
+    """Index-row spread-out equals the boolean-mask version bit for bit:
+    loss, gradient wrt the anchors and gradient wrt every bank entry."""
+
+    @pytest.mark.parametrize("k_choice", ["zero", "one", "mid", "n_minus_1", "above_n"])
+    def test_random_banks(self, k_choice):
+        rng = np.random.default_rng(40)
+        for _ in range(30):
+            n = int(rng.integers(2, 80))
+            d = int(rng.integers(2, 9))
+            k_pos = {"zero": 0, "one": 1, "mid": max(1, n // 4),
+                     "n_minus_1": n - 1, "above_n": n + 3}[k_choice]
+            bank = init_bank(unit_rows(rng, n, d), k_pos=k_pos)
+            b = int(rng.integers(1, 16))
+            feats = unit_rows(rng, b, d)
+            idx = rng.integers(0, n, size=b)
+            positives = positive_sets(bank, feats, idx)
+            margin = float(rng.choice([0.0, 0.35, 1.0]))
+            assert_same_spread(feats, bank, positives, margin)
+
+    @pytest.mark.parametrize("k_pos", [0, 2, 7, 19, 25])
+    def test_duplicate_rows_tie_at_the_kth_similarity(self, k_pos):
+        rng = np.random.default_rng(41 + k_pos)
+        for _ in range(30):
+            pool = unit_rows(rng, int(rng.integers(1, 5)), 3)
+            v = pool[rng.integers(0, len(pool), size=20)]
+            bank = init_bank(v, k_pos=k_pos)
+            idx = rng.integers(0, 20, size=8)
+            feats = v[idx] if rng.random() < 0.5 else unit_rows(rng, 8, 3)
+            assert_same_spread(feats, bank, positive_sets(bank, feats, idx))
+
+    def test_no_negatives_zeroes_the_gradient(self):
+        # k_pos >= N - 1: every row covers the bank, so no row is live
+        rng = np.random.default_rng(42)
+        bank = init_bank(unit_rows(rng, 9, 4), k_pos=8)
+        feats = unit_rows(rng, 5, 4)
+        positives = positive_sets(bank, feats, np.arange(5))
+        assert positives.shape == (5, 9)
+        assert_same_spread(feats, bank, positives)
+        _, gf, gv = spread_loss(feats, bank, positives, 0.35)
+        assert not np.any(gf) and not np.any(gv)
+
+    def test_single_entry_bank(self):
+        bank = init_bank(np.array([[0.6, 0.8]]), k_pos=6)
+        feats = np.array([[1.0, 0.0], [0.0, 1.0]])
+        assert_same_spread(feats, bank, positive_sets(bank, feats, np.array([0, 0])))
 
 
 class TestInstantUpdate:
@@ -255,10 +311,10 @@ class TestInstantUpdate:
         bank = init_bank(v.copy(), k_pos=2)
         feats = unit_rows(rng, 4, 4)
         idx = np.array([0, 2, 4, 6])
-        sets = positive_sets(bank, feats, idx)
-        before, _, gv = spread_loss(feats, bank, sets, 0.35)
+        positives = positive_sets(bank, feats, idx)
+        before, _, gv = spread_loss(feats, bank, positives, 0.35)
         instant_update(bank, gv, eta=1e-3)
-        after, _, _ = spread_loss(feats, bank, sets, 0.35)
+        after, _, _ = spread_loss(feats, bank, positives, 0.35)
         assert after <= before
         assert np.allclose(np.linalg.norm(bank.v, axis=1), 1.0, atol=1e-6)
 

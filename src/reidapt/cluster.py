@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import OUTLIER
-from .graph import SparseDistances
+from .graph import SparseDistances, gram_sq_distances, screen_extremes
 
 
 @dataclass
@@ -112,14 +112,33 @@ def _kmeans_pp_init(points, r, rng):
     return centers
 
 
+def _assign(points, centers):
+    """Each point's nearest center, the lowest index on ties, and its squared
+    distance ``np.sum((point - center)**2)``.
+
+    The nearest center is screened on the Gram form; only points with more
+    than one candidate center are recomputed in the difference form, which
+    gives the same assignment as the difference form over every center.
+    """
+    d2, tol = gram_sq_distances(points, centers)
+    candidates = screen_extremes(d2, tol)
+    assignment = np.argmin(d2, axis=1)  # the one candidate of every other point
+    tied = np.flatnonzero(np.count_nonzero(candidates, axis=1) > 1)
+    if len(tied):
+        rows, cols = np.nonzero(candidates[tied])
+        exact = np.full((len(tied), len(centers)), np.inf)
+        exact[rows, cols] = np.sum((points[tied[rows]] - centers[cols]) ** 2, axis=1)
+        assignment[tied] = np.argmin(exact, axis=1)
+    return assignment, np.sum((points - centers[assignment]) ** 2, axis=1)
+
+
 def _lloyd(points, centers, max_iter):
-    m, r = len(points), len(centers)
-    assignment = np.full(m, -1, dtype=np.int64)
+    r = len(centers)
+    assignment = np.full(len(points), -1, dtype=np.int64)
     history = []
     for _ in range(max_iter):
-        d2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-        new_assignment = np.argmin(d2, axis=1)
-        history.append(float(d2[np.arange(m), new_assignment].sum()))
+        new_assignment, best = _assign(points, centers)
+        history.append(float(best.sum()))
         if np.array_equal(new_assignment, assignment):
             break
         assignment = new_assignment
@@ -129,12 +148,9 @@ def _lloyd(points, centers, max_iter):
                 centers[c] = points[mask].mean(axis=0)
             else:
                 # reseed an empty center at the point farthest from its center
-                worst = int(np.argmax(d2[np.arange(m), assignment]))
-                centers[c] = points[worst]
-    d2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-    assignment = np.argmin(d2, axis=1)
-    inertia = float(d2[np.arange(m), assignment].sum())
-    return centers, assignment, inertia, history
+                centers[c] = points[int(np.argmax(best))]
+    assignment, best = _assign(points, centers)
+    return centers, assignment, float(best.sum()), history
 
 
 def kmeans(points: np.ndarray, r: int, seed, max_iter: int = 100, n_init: int = 1) -> KMeansResult:

@@ -10,6 +10,10 @@ CSR rows; and d_J is stored only for the pairs that share a reciprocal
 member. Every other off-diagonal pair has a min-sum of zero and therefore a
 Jaccard distance of exactly 1.0 (Zhong et al. 2017, arXiv:1701.08398; Ge et
 al. 2020, arXiv:2006.02713).
+
+The module also holds the Gram-form screen with which the triplet loss and
+k-means find each row's nearest or farthest rows without a difference
+tensor, and still exactly as the difference form would.
 """
 
 from __future__ import annotations
@@ -26,6 +30,9 @@ _BLOCK_ENTRIES = 1 << 21
 # in 8 interleaved lanes, and splits longer runs in two (loops_utils.h.src).
 _PW_BLOCK = 128
 _PW_LANES = 8
+
+# unit roundoff of float64
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 @dataclass
@@ -80,6 +87,47 @@ def smallest_k(values: np.ndarray, k: int) -> np.ndarray:
     return keep
 
 
+def gram_sq_distances(a: np.ndarray, b: np.ndarray):
+    """Squared Euclidean distances between the rows of ``a`` and ``b`` in the
+    Gram form |a|^2 + |b|^2 - 2 a.b, and for each entry a bound ``tol`` on how
+    far it can lie from the difference form ``np.sum((a_i - b_j)**2)``.
+
+    Each form is within about (2d + 4) u (|a|^2 + |b|^2) of the exact value
+    (u = 2^-53), whatever order its sums are taken in, so the two are within
+    half of tol = 8 (d + 4) u (|a|^2 + |b|^2) of each other. The other half
+    keeps every entry that ``screen_extremes`` leaves out so far beyond the
+    kept extreme that their square roots still differ after rounding. The
+    ``tiny`` term covers products that underflow.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    norms = np.add.outer(np.sum(a * a, axis=1), np.sum(b * b, axis=1))
+    d2 = norms - 2.0 * (a @ b.T)
+    tol = 8.0 * (a.shape[1] + 4) * _UNIT_ROUNDOFF * (norms + np.finfo(np.float64).tiny)
+    return d2, tol
+
+
+def screen_extremes(d2: np.ndarray, tol: np.ndarray, allowed: np.ndarray | None = None,
+                    largest: bool = False) -> np.ndarray:
+    """Mask of the entries that may hold their row's smallest (``largest``:
+    largest) allowed squared distance in the difference form.
+
+    ``d2`` and ``tol`` come from ``gram_sq_distances``. An entry is left out
+    only if its difference-form value lies strictly beyond that of the row's
+    Gram-form extreme, which is always kept, even after a square root rounds
+    both; so an exact recompute over the kept entries finds the same extreme,
+    and the same lowest index among ties, as one over every allowed entry.
+    A row without an allowed entry keeps none.
+    """
+    masked = d2 if allowed is None else np.where(allowed, d2, -np.inf if largest else np.inf)
+    at = np.argmax(masked, axis=1) if largest else np.argmin(masked, axis=1)
+    rows = np.arange(len(d2))
+    edge = masked[rows, at][:, None]
+    reach = tol + tol[rows, at][:, None]
+    near = masked >= edge - reach if largest else masked <= edge + reach
+    return near if allowed is None else allowed & near
+
+
 def nearest_neighbors(features: np.ndarray, k: int):
     """Each row's k nearest other rows under Euclidean distance.
 
@@ -100,11 +148,13 @@ def nearest_neighbors(features: np.ndarray, k: int):
     # matrix-vector product, whose dot products can differ in the last bit
     blocks = -(-n // max(1, _BLOCK_ENTRIES // n))
     bounds = np.arange(blocks + 1) * n // blocks
+    # one Gram and one distance buffer serve every block
+    gram_buf, d_buf = np.empty((2, int(np.max(np.diff(bounds))), n))
     for start, stop in zip(bounds[:-1], bounds[1:]):
         local = np.arange(stop - start)
-        gram = f[start:stop] @ f.T
+        gram = np.matmul(f[start:stop], f.T, out=gram_buf[:stop - start])
         gram *= 2.0
-        d = np.add.outer(sq[start:stop], sq)
+        d = np.add.outer(sq[start:stop], sq, out=d_buf[:stop - start])
         d -= gram
         np.maximum(d, 0.0, out=d)
         np.sqrt(d, out=d)

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graph import gram_sq_distances, screen_extremes
+
 
 @dataclass
 class LossReport:
@@ -66,17 +68,18 @@ def batch_hard_triplet(features: np.ndarray, labels: np.ndarray, margin: float):
     hinge subgradient at zero activation is zero, as is the distance
     gradient for coincident pairs; hardest-pair ties go to the lowest index.
 
-    The violations are summed one anchor after another, and each gradient
-    row receives its terms in anchor order, so the loss and the gradient
-    equal those of a per-anchor loop bit for bit.
+    The hardest pairs are screened on the Gram form of the distances and
+    the few candidates are recomputed in the difference form, which picks
+    the same pairs at the same distances as the difference form over every
+    pair. The violations are summed one anchor after another, and each
+    gradient row receives its terms in anchor order, so the loss and the
+    gradient equal those of a per-anchor loop bit for bit.
     """
     f = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     if margin < 0:
         raise ValueError("margin must be >= 0")
     b = len(f)
-    diff = f[:, None, :] - f[None, :, :]
-    dist = np.sqrt(np.maximum(np.sum(diff * diff, axis=2), 0.0))
     same = labels[:, None] == labels[None, :]
     pos_mask = same & ~np.eye(b, dtype=bool)
     neg_mask = ~same
@@ -85,12 +88,10 @@ def batch_hard_triplet(features: np.ndarray, labels: np.ndarray, margin: float):
     if active_anchors == 0:
         raise ValueError("batch has no anchor with both a positive and a negative")
 
-    # argmax/argmin return the first extreme entry: ties go to the lowest index
-    hardest_pos = np.argmax(np.where(pos_mask, dist, -np.inf), axis=1)
-    hardest_neg = np.argmin(np.where(neg_mask, dist, np.inf), axis=1)
+    d2, tol = gram_sq_distances(f, f)
+    hardest_pos, d_pos = _hardest(f, screen_extremes(d2, tol, pos_mask, largest=True), True)
+    hardest_neg, d_neg = _hardest(f, screen_extremes(d2, tol, neg_mask), False)
     anchors = np.arange(b)
-    d_pos = dist[anchors, hardest_pos]
-    d_neg = dist[anchors, hardest_neg]
     violation = margin + d_pos - d_neg
     hit = active & (violation > 0)
     i, p, n = anchors[hit], hardest_pos[hit], hardest_neg[hit]
@@ -108,6 +109,17 @@ def batch_hard_triplet(features: np.ndarray, labels: np.ndarray, margin: float):
     grad = np.zeros_like(f)
     np.add.at(grad, targets, terms)
     return loss, grad / active_anchors
+
+
+def _hardest(f, candidates, largest):
+    """Per row, the candidate column at the largest (smallest) distance
+    sqrt(sum((f_i - f_j)**2)), the lowest index on ties, and that distance;
+    a row without candidates gets column 0 at -inf (inf)."""
+    rows, cols = np.nonzero(candidates)
+    dist = np.full(candidates.shape, -np.inf if largest else np.inf)
+    dist[rows, cols] = np.sqrt(np.maximum(np.sum((f[rows] - f[cols]) ** 2, axis=1), 0.0))
+    pick = np.argmax(dist, axis=1) if largest else np.argmin(dist, axis=1)
+    return pick, dist[np.arange(len(f)), pick]
 
 
 def blend_metric_losses(noisy: tuple, refined: tuple, alpha: float):

@@ -1,13 +1,15 @@
 """Reference implementations the library used before it was optimised.
 
 The off-line oracles are the dense N x N labeling chain the library used
-before it went k-NN-sparse. The on-line oracles are the per-anchor loop
-triplet, the full-argsort bank positives, the spread-out loss through
-boolean masks over the bank, the per-label scan sampler, and the joint step
-that computes every loss branch whatever its weight (plus the pretraining
-loop with its own inline copy of the step). They stay here, unchanged, as
-oracles: the library must reproduce their numbers bit for bit (same eps,
-same labels, same pair counts, same losses, weights and bank).
+before it went k-NN-sparse, and the Lloyd iterations on an (m, r, d)
+difference tensor it used before its Gram-form screen. The on-line oracles
+are the per-anchor loop triplet on a (B, B, d) difference tensor, the
+full-argsort bank positives, the spread-out loss through boolean masks over
+the bank, the per-label scan sampler, and the joint step that computes
+every loss branch whatever its weight (plus the pretraining loop with its
+own inline copy of the step). They stay here, unchanged, as oracles: the
+library must reproduce their numbers bit for bit (same eps, same labels,
+same pair counts, same losses, weights, centers and bank).
 """
 
 import numpy as np
@@ -191,6 +193,33 @@ def csr_to_dense(indptr, indices, values, n):
     rows = np.repeat(np.arange(n), np.diff(indptr))
     out[rows, indices] = values
     return out
+
+
+def lloyd(points, centers, max_iter):
+    """Lloyd iterations on an (m, r, d) difference tensor; updates ``centers``
+    in place and returns (centers, assignment, inertia, history)."""
+    m, r = len(points), len(centers)
+    assignment = np.full(m, -1, dtype=np.int64)
+    history = []
+    for _ in range(max_iter):
+        d2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        new_assignment = np.argmin(d2, axis=1)
+        history.append(float(d2[np.arange(m), new_assignment].sum()))
+        if np.array_equal(new_assignment, assignment):
+            break
+        assignment = new_assignment
+        for c in range(r):
+            mask = assignment == c
+            if mask.any():
+                centers[c] = points[mask].mean(axis=0)
+            else:
+                # reseed an empty center at the point farthest from its center
+                worst = int(np.argmax(d2[np.arange(m), assignment]))
+                centers[c] = points[worst]
+    d2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+    assignment = np.argmin(d2, axis=1)
+    inertia = float(d2[np.arange(m), assignment].sum())
+    return centers, assignment, inertia, history
 
 
 # ------------------------------------------------------------------ on-line

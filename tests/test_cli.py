@@ -1,4 +1,6 @@
 import json
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import oracles
@@ -7,7 +9,7 @@ import pytest
 from reidapt.cli import main
 from reidapt.data import l2_normalize, read_features, write_features
 from reidapt.encoder import init_encoder, load_checkpoint, save_checkpoint
-from reidapt.trainer import extract_features
+from reidapt.trainer import TrainConfig, extract_features
 
 
 def run_cli(capsys, *argv):
@@ -190,6 +192,12 @@ class TestValidation:
                                "--config", cfg, "--out", str(tmp_path / "run"))
         assert code == 2
         assert "alhpa" in err
+
+    def test_readme_config_table_lists_the_config_keys(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        table = readme.split("### Config schema", 1)[1].split("\n## ", 1)[0]
+        keys = [line.split("`")[1] for line in table.splitlines() if line.startswith("| `")]
+        assert keys == [f.name for f in fields(TrainConfig)]
 
     def test_missing_data_is_io_error(self, tmp_path, capsys):
         cfg = fast_config(tmp_path)

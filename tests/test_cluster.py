@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 import oracles
 from oracles import pairwise_euclidean, to_sparse
+from reidapt import cluster
 from reidapt.cluster import dbscan, kmeans
 from reidapt.data import OUTLIER, l2_normalize
 from reidapt.graph import SparseDistances, build_distance_graph
@@ -281,3 +283,88 @@ class TestKmeans:
             kmeans(pts, 4, seed=0)
         with pytest.raises(ValueError):
             kmeans(pts, 0, seed=0)
+
+
+def assert_same_lloyd(points, centers, max_iter=100):
+    got = cluster._lloyd(points, centers.copy(), max_iter)
+    want = oracles.lloyd(points, centers.copy(), max_iter)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+    assert got[2] == want[2]
+    assert got[3] == want[3]
+
+
+class TestLloydAgainstDifferenceTensor:
+    """The Gram-screened Lloyd iterations reproduce the (m, r, d) difference
+    tensor bit for bit: centers, assignment, inertia and history."""
+
+    @staticmethod
+    def starts(rng, points, r):
+        # rows of the points, drawn with replacement: repeated rows give
+        # equal centers, whose ties go to the lower index, and empty ones
+        return points[rng.integers(0, len(points), size=r)]
+
+    def test_random_instances(self):
+        rng = np.random.default_rng(30)
+        for _ in range(150):
+            m, d = int(rng.integers(2, 120)), int(rng.integers(1, 40))
+            r = int(rng.integers(1, min(m, 8) + 1))
+            points = rng.standard_normal((m, d))
+            assert_same_lloyd(points, self.starts(rng, points, r))
+
+    def test_integer_grid_ties(self):
+        rng = np.random.default_rng(31)
+        for _ in range(150):
+            m, d = int(rng.integers(2, 80)), int(rng.integers(1, 6))
+            r = int(rng.integers(1, min(m, 6) + 1))
+            points = rng.integers(-2, 3, size=(m, d)).astype(float)
+            assert_same_lloyd(points, self.starts(rng, points, r))
+
+    def test_duplicate_points(self):
+        rng = np.random.default_rng(32)
+        for _ in range(150):
+            pool = rng.standard_normal((int(rng.integers(1, 6)), int(rng.integers(1, 20))))
+            points = pool[rng.integers(0, len(pool), size=int(rng.integers(2, 60)))]
+            r = int(rng.integers(1, min(len(points), 6) + 1))
+            assert_same_lloyd(points, self.starts(rng, points, r))
+
+    def test_cancellation_regime(self):
+        # far from the origin and close together: the Gram form loses most
+        # of its digits, so the assignment rests on the exact recompute
+        rng = np.random.default_rng(33)
+        for trial in range(300):
+            m, d = int(rng.integers(2, 120)), int(rng.integers(1, 40))
+            r = int(rng.integers(1, min(m, 8) + 1))
+            offset = 10.0 ** rng.uniform(0, 6) * rng.standard_normal(d)
+            spread = 10.0 ** rng.uniform(-8, 0)
+            if trial % 2:
+                points = offset + spread * rng.integers(-2, 3, size=(m, d))
+            else:
+                points = offset + spread * rng.standard_normal((m, d))
+            assert_same_lloyd(points, self.starts(rng, points, r))
+
+    def test_kmeans_end_to_end(self, monkeypatch):
+        rng = np.random.default_rng(34)
+        cases = [(rng.standard_normal((m, 8)), r, seed)
+                 for seed, (m, r) in enumerate([(40, 3), (200, 5), (7, 7), (60, 1)])]
+        got = [kmeans(points, r, seed=seed, n_init=2) for points, r, seed in cases]
+        monkeypatch.setattr(cluster, "_lloyd", oracles.lloyd)
+        for res, (points, r, seed) in zip(got, cases):
+            want = kmeans(points, r, seed=seed, n_init=2)
+            assert res.centers.tobytes() == want.centers.tobytes()
+            assert res.assignment.tobytes() == want.assignment.tobytes()
+            assert (res.inertia, res.inertia_history) == (want.inertia, want.inertia_history)
+
+
+class TestMemory:
+    def test_no_point_center_difference_tensor(self):
+        rng = np.random.default_rng(35)
+        points = rng.standard_normal((5120, 32))
+        kmeans(points[:50], 5, seed=0)  # warm up the imports
+        tracemalloc.start()
+        try:
+            kmeans(points, 5, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5120 * 5 * 32 * 8, f"peak {peak} bytes, one (m, r, d) tensor"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import oracles
 import pytest
@@ -144,6 +146,21 @@ class TestBatchHardTripletAgainstLoop:
                 continue
             assert_same_triplet(feats, labels, 0.3)
 
+    def test_cancellation_regime(self):
+        # points far from the origin and close together: the Gram form loses
+        # most of its digits, so the pair choice rests on the exact recompute
+        rng = np.random.default_rng(23)
+        for trial in range(300):
+            p, k, d = (int(v) for v in rng.integers([2, 2, 1], [9, 5, 33]))
+            offset = 10.0 ** rng.uniform(0, 6) * rng.standard_normal(d)
+            spread = 10.0 ** rng.uniform(-8, 0)
+            if trial % 2:  # integer-grid offsets from the center force ties
+                feats = offset + spread * rng.integers(-2, 3, size=(p * k, d))
+            else:
+                feats = offset + spread * rng.standard_normal((p * k, d))
+            labels = np.repeat(rng.permutation(p), k)
+            assert_same_triplet(feats, labels, float(rng.choice([0.0, 0.3 * spread])))
+
     def test_anchors_without_positive_or_negative(self):
         rng = np.random.default_rng(22)
         # singletons have no positive; with one big label most anchors have
@@ -161,6 +178,21 @@ class TestBatchHardTripletAgainstLoop:
                 oracles.batch_hard_triplet(np.eye(4), labels, 0.3)
             with pytest.raises(ValueError):
                 batch_hard_triplet(np.eye(4), labels, 0.3)
+
+
+class TestMemory:
+    def test_no_pairwise_difference_tensor(self):
+        rng = np.random.default_rng(24)
+        feats = rng.standard_normal((64, 32))
+        labels = np.repeat(np.arange(16), 4)
+        batch_hard_triplet(feats, labels, 0.3)  # warm up the imports
+        tracemalloc.start()
+        try:
+            batch_hard_triplet(feats, labels, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 64 * 32 * 8, f"peak {peak} bytes, one (B, B, d) tensor"
 
 
 class TestBlendAndTotal:

@@ -125,21 +125,13 @@ def _domain_transform(rng, d_in, magnitude):
     return rot, offset
 
 
-def _draw_split(rng, spec, centers, cam_offsets, identity_base, per_identity, cameras_of):
-    n = len(centers) * per_identity
-    raw = np.empty((n, spec.d_in))
-    identity = np.empty(n, dtype=np.int64)
-    camera = np.empty(n, dtype=np.int64)
-    row = 0
-    for k in range(len(centers)):
-        for j in range(per_identity):
-            cam = cameras_of(rng, j)
-            raw[row] = centers[k] + cam_offsets[cam]
-            identity[row] = identity_base + k
-            camera[row] = cam
-            row += 1
+def _draw_split(rng, spec, centers, cam_offsets, identity_base, camera):
+    """Samples of each identity in turn, ``len(camera) // len(centers)`` per
+    identity, the i-th seen by camera ``camera[i]``."""
+    identity = np.repeat(np.arange(len(centers)), len(camera) // len(centers))
+    raw = centers[identity] + cam_offsets[camera]
     raw += spec.intra_noise * rng.standard_normal(raw.shape)
-    return raw, identity, camera
+    return raw, identity_base + identity, camera
 
 
 def generate_synthetic(spec: SynthSpec):
@@ -165,19 +157,12 @@ def generate_synthetic(spec: SynthSpec):
     tgt_cam = camera_offsets()
     rot, offset = _domain_transform(rng, d, spec.domain_shift)
 
-    def random_cam(r, _j):
-        return int(r.integers(spec.num_cameras))
-
-    def query_cam(_r, j):
-        return j % spec.num_cameras
-
-    def gallery_cam(_r, j):
-        return (j + 1) % spec.num_cameras
-
-    src = _draw_split(rng, spec, src_centers, src_cam, 0, spec.samples_per_identity, random_cam)
-    tt = _draw_split(rng, spec, tgt_centers, tgt_cam, k, spec.samples_per_identity, random_cam)
-    tq = _draw_split(rng, spec, tgt_centers, tgt_cam, k, QUERIES_PER_IDENTITY, query_cam)
-    tg = _draw_split(rng, spec, tgt_centers, tgt_cam, k, GALLERY_PER_IDENTITY, gallery_cam)
+    c, per_id = spec.num_cameras, spec.samples_per_identity
+    queries, gallery = np.arange(QUERIES_PER_IDENTITY), np.arange(GALLERY_PER_IDENTITY)
+    src = _draw_split(rng, spec, src_centers, src_cam, 0, rng.integers(c, size=k * per_id))
+    tt = _draw_split(rng, spec, tgt_centers, tgt_cam, k, rng.integers(c, size=k * per_id))
+    tq = _draw_split(rng, spec, tgt_centers, tgt_cam, k, np.tile(queries % c, k))
+    tg = _draw_split(rng, spec, tgt_centers, tgt_cam, k, np.tile((gallery + 1) % c, k))
 
     datasets = [Dataset(*src, role="source")]
     for (raw, identity, camera), role in zip(

@@ -6,10 +6,11 @@ similarity rows of two samples by their elementwise min/max sums.
 
 Nothing here is N x N. Distances are computed a block of rows at a time and
 only each row's k nearest neighbors are kept; the similarity d_S is stored as
-CSR rows; and d_J is stored only for the pairs that share a reciprocal
-member. Every other off-diagonal pair has a min-sum of zero and therefore a
-Jaccard distance of exactly 1.0 (Zhong et al. 2017, arXiv:1701.08398; Ge et
-al. 2020, arXiv:2006.02713).
+CSR rows, and ``np.sum`` takes its row sums over the same row blocks,
+scattered into one reused dense buffer; d_J is stored only for the pairs
+that share a reciprocal member. Every other off-diagonal pair has a min-sum
+of zero and therefore a Jaccard distance of exactly 1.0 (Zhong et al. 2017,
+arXiv:1701.08398; Ge et al. 2020, arXiv:2006.02713).
 
 The module also holds the Gram-form screen with which the triplet loss and
 k-means find each row's nearest or farthest rows without a difference
@@ -22,14 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Rows per distance block are chosen so that one block holds about this many
-# float64 entries (16 MB).
+# Rows per block of distances or of dense similarity rows are chosen so that
+# one block holds about this many float64 entries (16 MB).
 _BLOCK_ENTRIES = 1 << 21
-
-# numpy's pairwise summation adds blocks of at most 128 entries directly,
-# in 8 interleaved lanes, and splits longer runs in two (loops_utils.h.src).
-_PW_BLOCK = 128
-_PW_LANES = 8
 
 # unit roundoff of float64
 _UNIT_ROUNDOFF = 2.0 ** -53
@@ -128,6 +124,15 @@ def screen_extremes(d2: np.ndarray, tol: np.ndarray, allowed: np.ndarray | None 
     return near if allowed is None else allowed & near
 
 
+def _row_blocks(n: int, entries: int) -> np.ndarray:
+    """Bounds of the row blocks of an (n, n) array, each of about ``entries``
+    entries and at least one row. The blocks are of near-equal size: a block
+    of one row would go through a matrix-vector product, whose dot products
+    can differ in the last bit."""
+    blocks = -(-n // max(1, entries // n))
+    return np.arange(blocks + 1) * n // blocks
+
+
 def nearest_neighbors(features: np.ndarray, k: int):
     """Each row's k nearest other rows under Euclidean distance.
 
@@ -144,10 +149,7 @@ def nearest_neighbors(features: np.ndarray, k: int):
     sq = np.sum(f * f, axis=1)
     neighbors = np.empty((n, k), dtype=np.int64)
     dist = np.empty((n, k))
-    # blocks of near-equal size: a block of one row would go through a
-    # matrix-vector product, whose dot products can differ in the last bit
-    blocks = -(-n // max(1, _BLOCK_ENTRIES // n))
-    bounds = np.arange(blocks + 1) * n // blocks
+    bounds = _row_blocks(n, _BLOCK_ENTRIES)
     # one Gram and one distance buffer serve every block
     gram_buf, d_buf = np.empty((2, int(np.max(np.diff(bounds))), n))
     for start, stop in zip(bounds[:-1], bounds[1:]):
@@ -195,74 +197,22 @@ def reciprocal_sets(features: np.ndarray, k_rr: int) -> ReciprocalSets:
     return ReciprocalSets(indptr=indptr, indices=cols[order], dist=pair_dist[order])
 
 
-def _pairwise_leaves(n: int, offset: int = 0) -> list[tuple[int, int]]:
-    """(offset, length) of the runs numpy's pairwise summation of n entries
-    adds directly, in order."""
-    if n <= _PW_BLOCK:
-        return [(offset, n)]
-    half = n // 2
-    half -= half % _PW_LANES
-    return _pairwise_leaves(half, offset) + _pairwise_leaves(n - half, offset + half)
-
-
 def _dense_row_sums(indptr: np.ndarray, indices: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Row sums of a nonnegative CSR matrix, bitwise equal to ``np.sum`` over
-    its dense rows.
-
-    numpy sums a contiguous row pairwise: runs of at most 128 entries are
-    summed in 8 interleaved lanes that are then added as a balanced tree,
-    with a tail of fewer than 8 entries added last, and longer rows are split
-    in two halves whose sums are added. Adding an exact zero changes nothing,
-    so the same additions over the stored entries alone give the same bits.
-    """
+    """Row sums of a CSR matrix, bitwise equal to ``np.sum`` over its dense
+    rows, since numpy computes them: each block of rows is scattered into one
+    reused dense buffer, summed, and its stored entries are zeroed again."""
     n = len(indptr) - 1
-    leaves = _pairwise_leaves(n)
-    starts = np.array([start for start, _ in leaves])
-    lengths = np.array([length for _, length in leaves])
+    bounds = _row_blocks(n, _BLOCK_ENTRIES)
+    buf = np.zeros((int(np.max(np.diff(bounds))), n))
     rows = np.repeat(np.arange(n), np.diff(indptr))
-    leaf = np.searchsorted(starts, indices, side="right") - 1
-    pos = indices - starts[leaf]
-    laned = lengths[leaf] - lengths[leaf] % _PW_LANES
-    cell = rows * len(leaves) + leaf
-    cells, cell_of = np.unique(cell, return_inverse=True)
-
-    # each lane adds its entries in index order
-    in_lane = pos < laned
-    lanes = np.bincount(cell_of[in_lane] * _PW_LANES + pos[in_lane] % _PW_LANES,
-                        weights=values[in_lane], minlength=len(cells) * _PW_LANES)
-    lanes = lanes.astype(np.float64).reshape(-1, _PW_LANES)
-    acc = ((lanes[:, 0] + lanes[:, 1]) + (lanes[:, 2] + lanes[:, 3])) + \
-          ((lanes[:, 4] + lanes[:, 5]) + (lanes[:, 6] + lanes[:, 7]))
-    tail = pos - laned
-    for t in range(_PW_LANES):
-        at = tail == t
-        acc[cell_of[at]] += values[at]
-
-    cell_rows, cell_leaf = np.divmod(cells, len(leaves))
-    by_leaf = np.argsort(cell_leaf, kind="stable")
-    bounds = np.searchsorted(cell_leaf[by_leaf], np.arange(1, len(leaves)))
-
-    def leaf_sum(picked):
-        out = np.zeros(n)
-        out[cell_rows[picked]] = acc[picked]
-        return out
-
-    return _pairwise_tree(n, map(leaf_sum, np.split(by_leaf, bounds)))
-
-
-def _pairwise_tree(length: int, leaf_sums):
-    """Adds the per-leaf partial sums of a run of ``length`` entries in the
-    order of numpy's pairwise tree; ``leaf_sums`` yields them leaf by leaf.
-
-    A module-level function, not a closure that calls itself: such a closure
-    is a reference cycle, which keeps its buffers alive until the cyclic
-    garbage collector runs and leaves them to fragment the heap."""
-    if length <= _PW_BLOCK:
-        return next(leaf_sums)
-    half = length // 2
-    half -= half % _PW_LANES
-    left = _pairwise_tree(half, leaf_sums)
-    return left + _pairwise_tree(length - half, leaf_sums)
+    sums = np.empty(n)
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        at = slice(indptr[start], indptr[stop])
+        block, stored = buf[:stop - start], (rows[at] - start, indices[at])
+        block[stored] = values[at]
+        np.sum(block, axis=1, out=sums[start:stop])
+        block[stored] = 0.0
+    return sums
 
 
 def jaccard_distance(indptr: np.ndarray, indices: np.ndarray, d_s: np.ndarray):

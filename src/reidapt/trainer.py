@@ -52,6 +52,10 @@ class TrainingDivergedError(RuntimeError):
     """A loss became non-finite or the bank collapsed."""
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters; the defaults reproduce the reference regime."""
@@ -83,6 +87,16 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type in (int, "int") and not _is_int(value):
+                raise ConfigError(f"config key {f.name!r} must be an integer (got {value!r})")
+        for name in ("pretrain_decay_epochs", "adapt_decay_epochs"):
+            epochs = getattr(self, name)
+            if not (isinstance(epochs, (tuple, list)) and all(map(_is_int, epochs))
+                    and all(a < b for a, b in zip(epochs, epochs[1:]))):
+                raise ConfigError(f"config key {name!r} must list strictly increasing "
+                                  f"integer epochs (got {epochs!r})")
         checks = [
             ("alpha", 0.0 <= self.alpha <= 1.0),
             ("mu", self.mu >= 0.0),

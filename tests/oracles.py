@@ -7,14 +7,23 @@ are the per-anchor loop triplet on a (B, B, d) difference tensor, the
 full-argsort bank positives, the spread-out loss through boolean masks over
 the bank, the per-label scan sampler, and the joint step that computes
 every loss branch whatever its weight (plus the pretraining loop with its
-own inline copy of the step). They stay here, unchanged, as oracles: the
-library must reproduce their numbers bit for bit (same eps, same labels,
-same pair counts, same losses, weights, centers and bank).
+own inline copy of the step). The synthetic generator fills each split a
+row at a time through per-row camera callbacks. They stay here, unchanged,
+as oracles: the library must reproduce their numbers bit for bit (same eps,
+same labels, same pair counts, same losses, weights, centers, bank and
+synthetic splits).
 """
 
 import numpy as np
 
-from reidapt.data import OUTLIER
+from reidapt.data import (
+    GALLERY_PER_IDENTITY,
+    OUTLIER,
+    QUERIES_PER_IDENTITY,
+    Dataset,
+    SynthSpec,
+    _domain_transform,
+)
 from reidapt.encoder import (
     LrSchedule,
     adam_step,
@@ -438,3 +447,65 @@ def pretrain_source(raw, identities, cfg):
             grads.update(cls_grads)
             adam_step(state, grads, lr, cfg.weight_decay)
     return state
+
+
+def _draw_split(rng, spec, centers, cam_offsets, identity_base, per_identity, cameras_of):
+    n = len(centers) * per_identity
+    raw = np.empty((n, spec.d_in))
+    identity = np.empty(n, dtype=np.int64)
+    camera = np.empty(n, dtype=np.int64)
+    row = 0
+    for k in range(len(centers)):
+        for j in range(per_identity):
+            cam = cameras_of(rng, j)
+            raw[row] = centers[k] + cam_offsets[cam]
+            identity[row] = identity_base + k
+            camera[row] = cam
+            row += 1
+    raw += spec.intra_noise * rng.standard_normal(raw.shape)
+    return raw, identity, camera
+
+
+def generate_synthetic(spec: SynthSpec):
+    """Generate (source, target_train, target_query, target_gallery).
+
+    Identity centers are drawn once per domain and the two domains use
+    disjoint identity ids. The target query/gallery splits reuse the target
+    identities with fresh samples; gallery cameras are cycled so every query
+    has a cross-camera match. Output is a pure function of ``spec.seed``.
+    """
+    spec.validate()
+    rng = np.random.default_rng(spec.seed)
+    k, d = spec.num_identities, spec.d_in
+
+    src_centers = spec.identity_spread * rng.standard_normal((k, d))
+    tgt_centers = spec.identity_spread * rng.standard_normal((k, d))
+
+    def camera_offsets():
+        g = rng.standard_normal((spec.num_cameras, d))
+        return spec.camera_shift_scale * g / np.linalg.norm(g, axis=1, keepdims=True)
+
+    src_cam = camera_offsets()
+    tgt_cam = camera_offsets()
+    rot, offset = _domain_transform(rng, d, spec.domain_shift)
+
+    def random_cam(r, _j):
+        return int(r.integers(spec.num_cameras))
+
+    def query_cam(_r, j):
+        return j % spec.num_cameras
+
+    def gallery_cam(_r, j):
+        return (j + 1) % spec.num_cameras
+
+    src = _draw_split(rng, spec, src_centers, src_cam, 0, spec.samples_per_identity, random_cam)
+    tt = _draw_split(rng, spec, tgt_centers, tgt_cam, k, spec.samples_per_identity, random_cam)
+    tq = _draw_split(rng, spec, tgt_centers, tgt_cam, k, QUERIES_PER_IDENTITY, query_cam)
+    tg = _draw_split(rng, spec, tgt_centers, tgt_cam, k, GALLERY_PER_IDENTITY, gallery_cam)
+
+    datasets = [Dataset(*src, role="source")]
+    for (raw, identity, camera), role in zip(
+        (tt, tq, tg), ("target-train", "target-query", "target-gallery")
+    ):
+        datasets.append(Dataset(raw @ rot.T + offset, identity, camera, role=role))
+    return tuple(datasets)

@@ -193,6 +193,28 @@ class TestValidation:
         assert code == 2
         assert "alhpa" in err
 
+    def test_adapt_rejects_decreasing_decay_epochs(self, data_dir, tmp_path, capsys):
+        cfg = fast_config(tmp_path, adapt_decay_epochs=[5, 2])
+        code, _, err = run_cli(capsys, "adapt", "--data", str(data_dir),
+                               "--config", cfg, "--out", str(tmp_path / "run"))
+        assert code == 2
+        assert "adapt_decay_epochs" in err
+
+    def test_pretrain_rejects_repeated_decay_epochs(self, data_dir, tmp_path, capsys):
+        cfg = fast_config(tmp_path, pretrain_decay_epochs=[5, 5])
+        code, _, err = run_cli(capsys, "pretrain", "--data", str(data_dir),
+                               "--config", cfg, "--out", str(tmp_path / "run"))
+        assert code == 2
+        assert "pretrain_decay_epochs" in err
+
+    def test_non_integer_epochs_rejected(self, data_dir, tmp_path, capsys):
+        for value in (1.5, True):
+            cfg = fast_config(tmp_path, epochs=value)
+            code, _, err = run_cli(capsys, "adapt", "--data", str(data_dir),
+                                   "--config", cfg, "--out", str(tmp_path / "run"))
+            assert code == 2
+            assert "epochs" in err
+
     def test_readme_config_table_lists_the_config_keys(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         table = readme.split("### Config schema", 1)[1].split("\n## ", 1)[0]

@@ -2,6 +2,7 @@ import gc
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -297,6 +298,29 @@ class TestSparseChainAgainstDense:
             got = graph._dense_row_sums(*csr_of(dense))
             assert np.array_equal(got, dense.sum(axis=1))
 
+    @pytest.mark.parametrize("entries", [1, 200, 2100])
+    def test_row_sums_over_several_blocks(self, monkeypatch, entries):
+        # wide-ranging values make the sum depend on its order; about a third
+        # of the rows are empty, and N=1 is a single block of one row
+        monkeypatch.setattr(graph, "_BLOCK_ENTRIES", entries)
+        rng = np.random.default_rng(18)
+        for n in (1, 2, 7, 130, 1031):
+            dense = np.zeros((n, n))
+            for i in np.flatnonzero(rng.random(n) < 2 / 3):
+                at = rng.choice(n, size=min(n, int(rng.integers(1, 200))), replace=False)
+                dense[i, at] = rng.random(len(at)) * 10.0 ** rng.uniform(-3, 3, len(at))
+            assert n < 130 or len(graph._row_blocks(n, entries)) > 2
+            got = graph._dense_row_sums(*csr_of(dense))
+            assert got.tobytes() == dense.sum(axis=1).tobytes()
+
+    def test_jaccard_over_several_row_sum_blocks(self, monkeypatch):
+        monkeypatch.setattr(graph, "_BLOCK_ENTRIES", 150)
+        rng = np.random.default_rng(19)
+        for trial in range(20):
+            f = random_features(rng, duplicates=trial % 3 == 0)
+            _, _, d_s, d_j = oracles.dense_chain(f, int(rng.integers(1, min(25, len(f)))))
+            assert np.array_equal(sparse_jaccard(d_s), d_j)
+
     def test_graph_leaves_no_reference_cycle(self):
         # cyclic garbage keeps its buffers until the collector runs, so a
         # repeated labeling pass would fragment the heap and grow peak RSS
@@ -355,6 +379,22 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
 
 
 class TestMemory:
+    def test_row_sums_at_5120_peak_near_one_block(self):
+        # one reused (rows, N) block, not an N x N array (210 MB here)
+        n = 5120
+        indptr = np.arange(n + 1) * 20
+        indices = np.sort((np.arange(n)[:, None] + 256 * np.arange(20)) % n, axis=1).ravel()
+        values = np.random.default_rng(20).random(n * 20)
+        graph._dense_row_sums(indptr, indices, values)  # warm up the imports
+        tracemalloc.start()
+        try:
+            graph._dense_row_sums(indptr, indices, values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = 8 * int(np.max(np.diff(graph._row_blocks(n, graph._BLOCK_ENTRIES)))) * n
+        assert peak < 2 * block, f"peak {peak} bytes, one block {block} bytes"
+
     def test_graph_and_dbscan_at_5120_stay_under_512_mb(self):
         # The dense chain held five N x N float64 arrays: about 1.4 GB here.
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

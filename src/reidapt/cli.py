@@ -73,14 +73,14 @@ def _load_config(args) -> TrainConfig:
             raise CliError(f"cannot read config: {err}", EXIT_IO)
         except json.JSONDecodeError as err:
             raise CliError(f"config is not valid JSON: {err}", EXIT_USAGE)
+        if not isinstance(doc, dict):
+            raise CliError("config must be a JSON object", EXIT_USAGE)
     if getattr(args, "seed", None) is not None:
         doc["seed"] = args.seed
     try:
         return TrainConfig.from_dict(doc)
     except ConfigError as err:
         raise CliError(str(err), EXIT_USAGE)
-    except TypeError as err:
-        raise CliError(f"bad config value: {err}", EXIT_USAGE)
 
 
 def _load_split(data_dir, split):

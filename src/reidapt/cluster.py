@@ -10,14 +10,13 @@ import numpy as np
 from .data import OUTLIER
 from .graph import SparseDistances, gram_sq_distances, screen_extremes
 
+LLOYD_MAX_ITER = 100  # Lloyd iterations per k-means call, at most
+
 
 @dataclass
 class CoarseClusters:
     assignment: np.ndarray  # (N,) int64, cluster id or OUTLIER
     num_clusters: int
-
-    def members(self, label: int) -> np.ndarray:
-        return np.flatnonzero(self.assignment == label)
 
 
 @dataclass
@@ -26,6 +25,16 @@ class KMeansResult:
     assignment: np.ndarray       # (M,) int64
     inertia: float
     inertia_history: list[float]
+
+
+def group_members(assignment: np.ndarray, num_labels: int) -> list[np.ndarray]:
+    """Per label 0..num_labels-1, the indices that hold it, ascending: the
+    bytes of ``np.flatnonzero(assignment == label)`` from one stable sort
+    instead of one scan per label. A label nothing holds gets an empty array;
+    OUTLIER and labels past the range are left out."""
+    order = np.argsort(assignment, kind="stable")
+    bounds = np.searchsorted(assignment[order], np.arange(num_labels + 1))
+    return [order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def dbscan(dist: SparseDistances, eps: float, min_pts: int) -> CoarseClusters:
@@ -153,20 +162,11 @@ def _lloyd(points, centers, max_iter):
     return centers, assignment, float(best.sum()), history
 
 
-def kmeans(points: np.ndarray, r: int, seed, max_iter: int = 100, n_init: int = 1) -> KMeansResult:
-    """Lloyd iterations from k-means++ starts; deterministic given ``seed``.
-
-    ``n_init`` independent starts are run and the lowest-inertia result kept.
-    """
+def kmeans(points: np.ndarray, r: int, seed) -> KMeansResult:
+    """Lloyd iterations from one k-means++ start; deterministic given ``seed``."""
     points = np.asarray(points, dtype=np.float64)
     m = len(points)
     if not 1 <= r <= m:
         raise ValueError(f"cluster count must be in [1, {m}], got {r}")
-    rng = np.random.default_rng(seed)
-    best = None
-    for _ in range(n_init):
-        centers = _kmeans_pp_init(points, r, rng)
-        centers, assignment, inertia, history = _lloyd(points, centers.copy(), max_iter)
-        if best is None or inertia < best.inertia:
-            best = KMeansResult(centers, assignment, inertia, history)
-    return best
+    centers = _kmeans_pp_init(points, r, np.random.default_rng(seed))
+    return KMeansResult(*_lloyd(points, centers, LLOYD_MAX_ITER))

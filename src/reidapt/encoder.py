@@ -1,8 +1,8 @@
 """A small feed-forward encoder with hand-derived gradients.
 
-One hidden layer (d_in -> h -> d, tanh by default) stands in for a deep
-backbone, plus a linear softmax classifier whose width tracks the current
-number of pseudo-classes. Adam with decoupled weight decay drives updates;
+One tanh hidden layer (d_in -> h -> d) stands in for a deep backbone, plus
+a linear softmax classifier whose width tracks the current number of
+pseudo-classes. Adam with decoupled weight decay drives updates;
 all compute is float64 so finite-difference checks are tight.
 """
 
@@ -38,13 +38,8 @@ class EncoderState:
     b2: np.ndarray                 # (d,)
     wc: np.ndarray | None = None   # (L, d) classifier, rebuilt per epoch
     bc: np.ndarray | None = None   # (L,)
-    activation: str = "tanh"
     adam: dict = field(default_factory=dict)
     step: int = 0
-
-    def __post_init__(self):
-        if self.activation not in ("tanh", "identity"):
-            raise ValueError(f"unknown activation {self.activation!r}")
 
     @property
     def d_in(self) -> int:
@@ -65,21 +60,18 @@ class EncoderState:
         return out
 
 
-def init_encoder(d_in: int, hidden: int, feat_dim: int, rng,
-                 activation: str = "tanh") -> EncoderState:
+def init_encoder(d_in: int, hidden: int, feat_dim: int, rng) -> EncoderState:
     return EncoderState(
         w1=rng.standard_normal((d_in, hidden)) / np.sqrt(d_in),
         b1=np.zeros(hidden),
         w2=rng.standard_normal((hidden, feat_dim)) / np.sqrt(hidden),
         b2=np.zeros(feat_dim),
-        activation=activation,
     )
 
 
-def init_classifier(state: EncoderState, num_classes: int, rng,
-                    scale: float = 0.01):
+def init_classifier(state: EncoderState, num_classes: int, rng):
     """(Re)build the classifier head; its Adam slots reset, encoder untouched."""
-    state.wc = scale * rng.standard_normal((num_classes, state.feat_dim))
+    state.wc = 0.01 * rng.standard_normal((num_classes, state.feat_dim))
     state.bc = np.zeros(num_classes)
     for name in CLASSIFIER_PARAMS:
         state.adam.pop(name, None)
@@ -90,8 +82,7 @@ def forward(state: EncoderState, x: np.ndarray):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != state.d_in:
         raise ValueError(f"expected (B, {state.d_in}) input, got {x.shape}")
-    z1 = x @ state.w1 + state.b1
-    a1 = np.tanh(z1) if state.activation == "tanh" else z1
+    a1 = np.tanh(x @ state.w1 + state.b1)
     feats = a1 @ state.w2 + state.b2
     return feats, (x, a1)
 
@@ -105,7 +96,7 @@ def backward(state: EncoderState, cache, grad_feats: np.ndarray):
     g_w2 = a1.T @ grad_feats
     g_b2 = grad_feats.sum(axis=0)
     g_a1 = grad_feats @ state.w2.T
-    g_z1 = g_a1 * (1.0 - a1 * a1) if state.activation == "tanh" else g_a1
+    g_z1 = g_a1 * (1.0 - a1 * a1)
     grads = {
         "w1": x.T @ g_z1,
         "b1": g_z1.sum(axis=0),
@@ -194,7 +185,7 @@ def save_checkpoint(prefix, state: EncoderState):
     sidecar = {
         "order": order,
         "shapes": {name: list(params[name].shape) for name in order},
-        "activation": state.activation,
+        "activation": "tanh",
         "step": state.step,
     }
     with open(prefix + ".json", "w") as fh:
@@ -215,9 +206,9 @@ def load_checkpoint(prefix) -> EncoderState:
         offset += size
     if offset != len(flat):
         raise ValueError("checkpoint payload does not match its sidecar shapes")
-    state = EncoderState(
+    if sidecar["activation"] != "tanh":
+        raise ValueError(f"unknown activation {sidecar['activation']!r}")
+    return EncoderState(
         w1=fields["w1"], b1=fields["b1"], w2=fields["w2"], b2=fields["b2"],
-        wc=fields.get("wc"), bc=fields.get("bc"),
-        activation=sidecar["activation"], step=int(sidecar["step"]),
+        wc=fields.get("wc"), bc=fields.get("bc"), step=int(sidecar["step"]),
     )
-    return state

@@ -8,7 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cluster import CoarseClusters, kmeans
+from .cluster import CoarseClusters, group_members, kmeans
 from .data import OUTLIER, l2_normalize
 
 
@@ -28,13 +28,12 @@ class PseudoLabelSet:
 
     @cached_property
     def coarse_groups(self) -> tuple[np.ndarray, list[np.ndarray]]:
-        """(labels, members): the coarse labels other than OUTLIER, ascending,
-        and per label the indices of its samples, ascending. Computed once
-        per label set; the labels must not be changed afterwards."""
-        keep = self.non_outliers
-        order = keep[np.argsort(self.coarse[keep], kind="stable")]
-        labels, starts = np.unique(self.coarse[order], return_index=True)
-        return labels, np.split(order, starts[1:])
+        """(labels, members): the coarse labels some sample holds, ascending,
+        and per label from 0 to the largest the indices of its samples,
+        ascending. Computed once per label set; the labels must not be
+        changed afterwards."""
+        members = group_members(self.coarse, int(self.coarse.max(initial=OUTLIER)) + 1)
+        return np.flatnonzero([len(group) for group in members]), members
 
     def relabel_fraction(self) -> float:
         """Fraction of non-outlier samples whose refined label moved."""
@@ -44,43 +43,31 @@ class PseudoLabelSet:
         return float(np.mean(self.coarse[keep] != self.refined[keep]))
 
 
-@dataclass
-class PrototypeSet:
-    """Unit-norm prototype rows per coarse cluster, clamped to cluster size."""
-
-    prototypes: list[np.ndarray]  # entry l: (R_l, d)
-
-    @property
-    def num_clusters(self) -> int:
-        return len(self.prototypes)
-
-
 def select_prototypes(features: np.ndarray, coarse: CoarseClusters, r: int,
-                      seed) -> PrototypeSet:
+                      seed) -> list[np.ndarray]:
     """Fine k-means inside every coarse cluster; centers become prototypes.
 
-    Each cluster contributes min(r, cluster size) prototypes and every
-    prototype is L2-normalized after averaging.
+    Entry l holds cluster l's (R_l, d) prototypes, R_l = min(r, cluster
+    size), each L2-normalized after averaging.
     """
     if r < 1:
         raise ValueError("prototype count must be >= 1")
     seed = (seed,) if np.isscalar(seed) else tuple(seed)
     normalized = l2_normalize(features)
     prototypes = []
-    for label in range(coarse.num_clusters):
-        members = coarse.members(label)
-        r_l = min(r, len(members))
-        result = kmeans(normalized[members], r_l, seed=seed + (label,))
+    groups = group_members(coarse.assignment, coarse.num_clusters)
+    for label, members in enumerate(groups):
+        result = kmeans(normalized[members], min(r, len(members)), seed=seed + (label,))
         prototypes.append(l2_normalize(result.centers))
-    return PrototypeSet(prototypes=prototypes)
+    return prototypes
 
 
-def refined_similarity(features: np.ndarray, protos: PrototypeSet) -> np.ndarray:
+def refined_similarity(features: np.ndarray, prototypes: list[np.ndarray]) -> np.ndarray:
     """Score matrix s[i, l]: mean dot product of sample i against cluster l's
     prototypes. Features must be L2-normalized."""
     features = np.asarray(features, dtype=np.float64)
-    scores = np.empty((len(features), protos.num_clusters))
-    for label, cents in enumerate(protos.prototypes):
+    scores = np.empty((len(features), len(prototypes)))
+    for label, cents in enumerate(prototypes):
         scores[:, label] = (features @ cents.T).mean(axis=1)
     return scores
 
@@ -98,8 +85,8 @@ def assign_refined_labels(scores: np.ndarray, coarse: CoarseClusters) -> PseudoL
 
 
 def refine_labels(features: np.ndarray, coarse: CoarseClusters, r: int,
-                  seed) -> tuple[PseudoLabelSet, PrototypeSet]:
+                  seed) -> tuple[PseudoLabelSet, list[np.ndarray]]:
     """Full refinement pass; ``features`` need not be pre-normalized."""
-    protos = select_prototypes(features, coarse, r, seed)
-    scores = refined_similarity(l2_normalize(features), protos)
-    return assign_refined_labels(scores, coarse), protos
+    prototypes = select_prototypes(features, coarse, r, seed)
+    scores = refined_similarity(l2_normalize(features), prototypes)
+    return assign_refined_labels(scores, coarse), prototypes

@@ -56,6 +56,10 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    return _is_int(value) or isinstance(value, (float, np.floating))
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters; the defaults reproduce the reference regime."""
@@ -91,6 +95,8 @@ class TrainConfig:
             value = getattr(self, f.name)
             if f.type in (int, "int") and not _is_int(value):
                 raise ConfigError(f"config key {f.name!r} must be an integer (got {value!r})")
+            if f.type in (float, "float") and not _is_real(value):
+                raise ConfigError(f"config key {f.name!r} must be a number (got {value!r})")
         for name in ("pretrain_decay_epochs", "adapt_decay_epochs"):
             epochs = getattr(self, name)
             if not (isinstance(epochs, (tuple, list)) and all(map(_is_int, epochs))
@@ -176,9 +182,8 @@ class EpochMetrics:
     total: float
 
 
-def extract_features(state: EncoderState, raw: np.ndarray, normalized: bool = True):
-    feats, _ = forward(state, raw)
-    return l2_normalize(feats) if normalized else feats
+def extract_features(state: EncoderState, raw: np.ndarray) -> np.ndarray:
+    return l2_normalize(forward(state, raw)[0])
 
 
 def pk_sample(labels: PseudoLabelSet, p: int, k: int, rng) -> np.ndarray:
@@ -198,9 +203,9 @@ def pk_sample(labels: PseudoLabelSet, p: int, k: int, rng) -> np.ndarray:
         raise ValueError(f"need {p} clusters for a batch, have {len(eligible)}")
     chosen = rng.choice(eligible, size=p, replace=False)
     picks = []
-    for group in np.searchsorted(eligible, chosen):
-        picks.append(rng.choice(members[group], size=k,
-                                replace=len(members[group]) < k))
+    for label in chosen:
+        picks.append(rng.choice(members[label], size=k,
+                                replace=len(members[label]) < k))
     return np.concatenate(picks)
 
 

@@ -215,6 +215,25 @@ class TestValidation:
             assert code == 2
             assert "epochs" in err
 
+    def test_non_number_float_keys_rejected(self, data_dir, tmp_path, capsys):
+        for key, value in (("alpha", True), ("base_lr", "x")):
+            cfg = fast_config(tmp_path, **{key: value})
+            code, _, err = run_cli(capsys, "adapt", "--data", str(data_dir),
+                                   "--config", cfg, "--out", str(tmp_path / "run"))
+            assert code == 2
+            assert key in err
+
+    def test_config_must_be_a_json_object(self, data_dir, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        for doc in ("null", "3", "[[1]]", "[1]"):
+            path.write_text(doc)
+            for seed in ((), ("--seed", "1")):
+                code, _, err = run_cli(capsys, "adapt", "--data", str(data_dir),
+                                       "--config", str(path),
+                                       "--out", str(tmp_path / "run"), *seed)
+                assert code == 2
+                assert "JSON object" in err
+
     def test_readme_config_table_lists_the_config_keys(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         table = readme.split("### Config schema", 1)[1].split("\n## ", 1)[0]

@@ -7,9 +7,44 @@ import pytest
 import oracles
 from oracles import pairwise_euclidean, to_sparse
 from reidapt import cluster
-from reidapt.cluster import dbscan, kmeans
+from reidapt.cluster import dbscan, group_members, kmeans
 from reidapt.data import OUTLIER, l2_normalize
 from reidapt.graph import SparseDistances, build_distance_graph
+
+
+class TestGroupMembers:
+    """One stable sort gives, per label, the bytes of the per-label scan."""
+
+    @staticmethod
+    def assert_matches_scan(assignment, num_labels):
+        groups = group_members(assignment, num_labels)
+        assert len(groups) == num_labels
+        for label, group in enumerate(groups):
+            want = np.flatnonzero(assignment == label)
+            assert group.dtype == want.dtype
+            assert group.tobytes() == want.tobytes()
+
+    def test_random_assignments_with_outliers(self):
+        rng = np.random.default_rng(40)
+        for _ in range(200):
+            n, num_labels = int(rng.integers(0, 300)), int(rng.integers(1, 15))
+            assignment = rng.integers(0, num_labels, size=n)
+            assignment[rng.random(n) < rng.random()] = OUTLIER
+            self.assert_matches_scan(assignment, num_labels)
+
+    def test_one_cluster(self):
+        self.assert_matches_scan(np.zeros(7, dtype=np.int64), 1)
+        self.assert_matches_scan(np.array([OUTLIER, 0, 0, OUTLIER, 0]), 1)
+
+    def test_all_outliers(self):
+        assignment = np.full(9, OUTLIER, dtype=np.int64)
+        self.assert_matches_scan(assignment, 0)
+        self.assert_matches_scan(assignment, 3)
+
+    def test_skipped_label(self):
+        assignment = np.array([3, 0, 2, OUTLIER, 2, 0, 3, 3])
+        self.assert_matches_scan(assignment, 4)  # label 1 holds nothing
+        self.assert_matches_scan(assignment, 3)  # label 3 lies past the range
 
 
 def reference_dbscan(dist, eps, min_pts):
@@ -347,10 +382,10 @@ class TestLloydAgainstDifferenceTensor:
         rng = np.random.default_rng(34)
         cases = [(rng.standard_normal((m, 8)), r, seed)
                  for seed, (m, r) in enumerate([(40, 3), (200, 5), (7, 7), (60, 1)])]
-        got = [kmeans(points, r, seed=seed, n_init=2) for points, r, seed in cases]
+        got = [kmeans(points, r, seed=seed) for points, r, seed in cases]
         monkeypatch.setattr(cluster, "_lloyd", oracles.lloyd)
         for res, (points, r, seed) in zip(got, cases):
-            want = kmeans(points, r, seed=seed, n_init=2)
+            want = kmeans(points, r, seed=seed)
             assert res.centers.tobytes() == want.centers.tobytes()
             assert res.assignment.tobytes() == want.assignment.tobytes()
             assert (res.inertia, res.inertia_history) == (want.inertia, want.inertia_history)

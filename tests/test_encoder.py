@@ -34,13 +34,12 @@ class TestForward:
         feats, _ = forward(state, np.ones((5, 3)))
         assert np.all(feats == 0.0)
 
-    def test_identity_linear_path(self):
+    def test_identity_weights_give_tanh(self):
         eye = np.eye(4)
-        state = EncoderState(eye.copy(), np.zeros(4), eye.copy(), np.zeros(4),
-                             activation="identity")
+        state = EncoderState(eye.copy(), np.zeros(4), eye.copy(), np.zeros(4))
         x = np.random.default_rng(0).standard_normal((6, 4))
         feats, _ = forward(state, x)
-        assert np.array_equal(feats, x)
+        assert np.array_equal(feats, np.tanh(x))
 
     def test_deterministic(self):
         rng = np.random.default_rng(1)
@@ -66,11 +65,10 @@ class TestBackward:
         assert np.all(gx == 0.0)
 
     def test_single_linear_layer_sum_loss(self):
-        # with identity activation, w2 = I and loss = sum(feats),
-        # d loss / d w1 = sum over batch of outer(x, ones)
+        # with w1 = 0 every hidden unit sits at tanh'(0) = 1, so with w2 = I
+        # and loss = sum(feats), d loss / d w1 = sum over batch of outer(x, ones)
         d = 3
-        state = EncoderState(np.zeros((d, d)), np.zeros(d), np.eye(d), np.zeros(d),
-                             activation="identity")
+        state = EncoderState(np.zeros((d, d)), np.zeros(d), np.eye(d), np.zeros(d))
         x = np.random.default_rng(4).standard_normal((6, d))
         _, cache = forward(state, x)
         grads, _ = backward(state, cache, np.ones((6, d)))
@@ -244,13 +242,13 @@ class TestCheckpoint:
         save_checkpoint(tmp_path / "ckpt", state)
         back = load_checkpoint(tmp_path / "ckpt")
         assert back.step == 123
-        assert back.activation == state.activation
+        assert json.loads((tmp_path / "ckpt.json").read_text())["activation"] == "tanh"
         for name in ("w1", "b1", "w2", "b2", "wc", "bc"):
             assert np.array_equal(getattr(back, name), getattr(state, name))
 
     def test_unknown_activation_rejected(self, tmp_path):
-        # forward runs anything but tanh as the identity, so a relabeled
-        # checkpoint would evaluate silently with the wrong network
+        # forward always runs tanh, so a checkpoint that names another
+        # activation would evaluate silently with the wrong network
         save_checkpoint(tmp_path / "ckpt", random_state(np.random.default_rng(19)))
         sidecar = tmp_path / "ckpt.json"
         doc = json.loads(sidecar.read_text())

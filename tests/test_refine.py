@@ -23,15 +23,15 @@ class TestSelectPrototypes:
         v = np.array([0.6, 0.8])
         feats = np.tile(v, (3, 1))
         protos = select_prototypes(feats, coarse([0, 0, 0]), r=5, seed=0)
-        assert protos.prototypes[0].shape == (3, 2)
-        assert np.allclose(protos.prototypes[0], v, atol=1e-12)
+        assert protos[0].shape == (3, 2)
+        assert np.allclose(protos[0], v, atol=1e-12)
 
     def test_r1_is_normalized_mean(self):
         rng = np.random.default_rng(0)
         feats = rng.standard_normal((8, 4))
         protos = select_prototypes(feats, coarse([0] * 8), r=1, seed=3)
         want = l2_normalize(l2_normalize(feats).mean(axis=0)[None, :])
-        assert np.allclose(protos.prototypes[0], want, atol=1e-12)
+        assert np.allclose(protos[0], want, atol=1e-12)
 
     def test_matches_per_cluster_kmeans(self):
         rng = np.random.default_rng(1)
@@ -42,21 +42,27 @@ class TestSelectPrototypes:
         normalized = l2_normalize(feats)
         for label, members in ((0, slice(0, 6)), (1, slice(6, 12))):
             direct = kmeans(normalized[members], 2, seed=(9, label))
-            assert np.allclose(protos.prototypes[label],
+            assert np.allclose(protos[label],
                                l2_normalize(direct.centers), atol=1e-12)
 
     def test_unit_norm_prototypes(self):
         rng = np.random.default_rng(2)
         feats = rng.standard_normal((20, 5)) * 3.0
         protos = select_prototypes(feats, coarse([0] * 10 + [1] * 10), r=3, seed=1)
-        for cents in protos.prototypes:
+        for cents in protos:
             assert np.allclose(np.linalg.norm(cents, axis=1), 1.0, atol=1e-6)
 
     def test_outliers_ignored(self):
         rng = np.random.default_rng(3)
         feats = rng.standard_normal((5, 3))
         protos = select_prototypes(feats, coarse([0, 0, 0, 0, OUTLIER]), r=2, seed=0)
-        assert protos.num_clusters == 1
+        assert len(protos) == 1
+
+    def test_skipped_label_raises(self):
+        # label 1 holds no sample, so it has no prototype to give
+        feats = np.random.default_rng(6).standard_normal((4, 3))
+        with pytest.raises(ValueError):
+            select_prototypes(feats, CoarseClusters(np.array([0, 0, 2, 2]), 3), r=2, seed=0)
 
 
 class TestRefinedSimilarity:
@@ -69,12 +75,11 @@ class TestRefinedSimilarity:
         assert s[1, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_average_of_prototype_dots(self):
-        from reidapt.refine import PrototypeSet
         # hand-set prototypes: cluster 0 averages 0.5, cluster 1 averages 0.6
         f = np.array([[1.0, 0.0]])
         p0 = np.array([[0.8, 0.6], [0.2, np.sqrt(1 - 0.04)]])        # dots 0.8, 0.2
         p1 = np.array([[0.5, np.sqrt(0.75)], [0.7, np.sqrt(0.51)]])  # dots 0.5, 0.7
-        s = refined_similarity(f, PrototypeSet([p0, p1]))
+        s = refined_similarity(f, [p0, p1])
         assert s[0, 0] == pytest.approx(0.5, abs=1e-12)
         assert s[0, 1] == pytest.approx(0.6, abs=1e-12)
         # the 0.6 average wins over 0.5 even though p0 holds the single best dot
@@ -132,8 +137,7 @@ class TestRefineLabelsPipeline:
         # normalization cannot change the argmax
         scaled = refined_similarity(l2_normalize(feats), protos)
         boosted = assign_refined_labels(scaled * 1.0, coarse(assignment))
-        from reidapt.refine import PrototypeSet
-        protos2 = PrototypeSet([l2_normalize(3.7 * p) for p in protos.prototypes])
+        protos2 = [l2_normalize(3.7 * p) for p in protos]
         relabeled = assign_refined_labels(
             refined_similarity(l2_normalize(feats), protos2), coarse(assignment))
         assert np.array_equal(boosted.refined, relabeled.refined)

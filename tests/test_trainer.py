@@ -64,6 +64,17 @@ class TestTrainConfig:
             TrainConfig.from_dict({"alpha": 1.3})
         assert "alpha" in str(err.value)
 
+    def test_from_dict_rejects_non_numbers_in_float_keys(self):
+        for key, value in (("alpha", True), ("mu", False), ("base_lr", "x"),
+                           ("margin", None), ("decay_factor", [10.0])):
+            with pytest.raises(ConfigError) as err:
+                TrainConfig.from_dict({key: value})
+            assert key in str(err.value)
+
+    def test_from_dict_accepts_integers_in_float_keys(self):
+        cfg = TrainConfig.from_dict({"alpha": 1, "decay_factor": 10, "mu": np.float64(0.2)})
+        assert (cfg.alpha, cfg.decay_factor, cfg.mu) == (1, 10, 0.2)
+
     def test_round_trip(self):
         cfg = TrainConfig(alpha=0.25, epochs=7, adapt_decay_epochs=(5,))
         assert TrainConfig.from_dict(cfg.to_dict()) == cfg

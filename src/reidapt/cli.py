@@ -130,6 +130,11 @@ def _run_dir(args) -> Path:
     return run_dir
 
 
+def _append_lines(path, lines):
+    with open(path, "a") as fh:
+        fh.write("".join(line + "\n" for line in lines))
+
+
 def _write_label_snapshot(path, labels):
     with open(path, "w") as fh:
         fh.write("index,coarse,refined\n")
@@ -214,11 +219,14 @@ def cmd_adapt(args):
     _check_width(state, raw, "target_train")
 
     final = run_dir / "final"
+    metrics_csv, losses_csv = run_dir / "metrics.csv", run_dir / "losses.csv"
     _write_manifest(run_dir, cfg, "adapt", args.data,
-                    {"final": final, "metrics": run_dir / "metrics.csv",
-                     "losses": run_dir / "losses.csv"})
+                    {"final": final, "metrics": metrics_csv, "losses": losses_csv})
+    # headers now and rows as each epoch ends, so a run that stops early
+    # keeps the rows of the epochs it finished
+    metrics_csv.write_text(metrics_csv_lines([])[0] + "\n")
+    losses_csv.write_text(loss_csv_lines([])[0] + "\n")
 
-    loss_rows = []
     labels_dir = Path(args.dump_labels) if args.dump_labels else None
     if labels_dir:
         labels_dir.mkdir(parents=True, exist_ok=True)
@@ -226,7 +234,9 @@ def cmd_adapt(args):
     def on_epoch(metrics, epoch_state, epoch_bank, reports, labels):
         save_checkpoint(run_dir / f"ckpt_epoch_{metrics.epoch:03d}", epoch_state)
         write_features(run_dir / f"bank_epoch_{metrics.epoch:03d}.drft", epoch_bank.v)
-        loss_rows.extend((metrics.epoch, i, r) for i, r in enumerate(reports))
+        _append_lines(metrics_csv, metrics_csv_lines([metrics])[1:])
+        _append_lines(losses_csv, loss_csv_lines(
+            (metrics.epoch, i, r) for i, r in enumerate(reports))[1:])
         if labels_dir:
             _write_label_snapshot(
                 labels_dir / f"labels_epoch_{metrics.epoch:03d}.csv", labels)
@@ -241,13 +251,11 @@ def cmd_adapt(args):
     save_checkpoint(final, state)
     if args.dump_bank and bank is not None:
         write_features(args.dump_bank, bank.v)
-    (run_dir / "metrics.csv").write_text("\n".join(metrics_csv_lines(history)) + "\n")
-    (run_dir / "losses.csv").write_text("\n".join(loss_csv_lines(loss_rows)) + "\n")
     summary = {
         "final_checkpoint": str(final),
         "epochs_run": len(history),
-        "metrics_csv": str(run_dir / "metrics.csv"),
-        "losses_csv": str(run_dir / "losses.csv"),
+        "metrics_csv": str(metrics_csv),
+        "losses_csv": str(losses_csv),
     }
     if history:
         summary["last_epoch"] = {

@@ -149,30 +149,17 @@ def adam_step(state: EncoderState, grads: dict, lr: float, weight_decay: float):
     state.step += 1
 
 
-@dataclass(frozen=True)
-class LrSchedule:
-    """Warmup then step decay; the warmup ramps from base_lr/10 to base_lr."""
-
-    base_lr: float
-    warmup_epochs: int = 0
-    decay_epochs: tuple = ()
-    decay_factor: float = 10.0
-
-    def __post_init__(self):
-        if self.base_lr < 0:
-            raise ValueError("base_lr must be nonnegative")
-        if list(self.decay_epochs) != sorted(set(self.decay_epochs)):
-            raise ValueError("decay epochs must be strictly increasing")
-
-
-def lr_at(schedule: LrSchedule, epoch: int) -> float:
+def lr_at(base_lr: float, epoch: int, warmup_epochs: int, decay_epochs,
+          decay_factor: float) -> float:
+    """Warmup then step decay; the warmup ramps from base_lr/10 to base_lr,
+    and the rate is divided by decay_factor at each of decay_epochs."""
     if epoch < 0:
         raise ValueError("epoch must be >= 0")
-    if schedule.warmup_epochs and epoch < schedule.warmup_epochs:
-        frac = epoch / schedule.warmup_epochs
-        return schedule.base_lr * (0.1 + 0.9 * frac)
-    drops = sum(1 for e in schedule.decay_epochs if epoch >= e)
-    return schedule.base_lr / schedule.decay_factor ** drops
+    if warmup_epochs and epoch < warmup_epochs:
+        frac = epoch / warmup_epochs
+        return base_lr * (0.1 + 0.9 * frac)
+    drops = sum(1 for e in decay_epochs if epoch >= e)
+    return base_lr / decay_factor ** drops
 
 
 def save_checkpoint(prefix, state: EncoderState):

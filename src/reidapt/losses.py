@@ -1,8 +1,7 @@
 """Supervised metric losses with analytic gradients.
 
-Cross-entropy over softmax probabilities, batch-hard triplet with hinge
-margin, the convex blend of noisy- and refined-label losses, and the joint
-objective that adds the weighted spread-out regularizer.
+Cross-entropy over softmax probabilities and batch-hard triplet with hinge
+margin, plus the per-iteration report of the joint objective.
 """
 
 from __future__ import annotations
@@ -16,7 +15,9 @@ from .graph import gram_sq_distances, screen_extremes
 
 @dataclass
 class LossReport:
-    """Per-iteration loss breakdown; ``total`` honors the alpha/mu weighting.
+    """Per-iteration loss breakdown: ``cls`` and ``tri`` are the alpha blends
+    of the coarse- and refined-label terms, and ``total`` adds mu times
+    ``spread``.
 
     A term whose weight is exactly 0 is not computed and reads None: the
     coarse-label pair at alpha=1, the refined-label pair at alpha=0, and
@@ -27,23 +28,11 @@ class LossReport:
     cls_refined: float | None
     tri_noisy: float | None
     tri_refined: float | None
+    cls: float
+    tri: float
     spread: float | None
     total: float
-    alpha: float
-    mu: float
     grad_features: np.ndarray | None = None
-
-    @property
-    def cls(self) -> float:
-        return self._blend()[0]
-
-    @property
-    def tri(self) -> float:
-        return self._blend()[1]
-
-    def _blend(self):
-        return blend_metric_losses((self.cls_noisy, self.tri_noisy),
-                                   (self.cls_refined, self.tri_refined), self.alpha)
 
 
 def cross_entropy(probs: np.ndarray, labels: np.ndarray):
@@ -64,9 +53,9 @@ def batch_hard_triplet(features: np.ndarray, labels: np.ndarray, margin: float):
     """Hinge on the hardest positive/negative per anchor.
 
     Anchors lacking an in-batch positive or negative are skipped; a batch
-    where no anchor qualifies violates the PK-sampling precondition. The
-    hinge subgradient at zero activation is zero, as is the distance
-    gradient for coincident pairs; hardest-pair ties go to the lowest index.
+    where no anchor qualifies scores 0 with a zero gradient. The hinge
+    subgradient at zero activation is zero, as is the distance gradient for
+    coincident pairs; hardest-pair ties go to the lowest index.
 
     The hardest pairs are screened on the Gram form of the distances and
     the few candidates are recomputed in the difference form, which picks
@@ -86,7 +75,7 @@ def batch_hard_triplet(features: np.ndarray, labels: np.ndarray, margin: float):
     active = pos_mask.any(axis=1) & neg_mask.any(axis=1)
     active_anchors = int(np.count_nonzero(active))
     if active_anchors == 0:
-        raise ValueError("batch has no anchor with both a positive and a negative")
+        return 0.0, np.zeros_like(f)
 
     d2, tol = gram_sq_distances(f, f)
     hardest_pos, d_pos = _hardest(f, screen_extremes(d2, tol, pos_mask, largest=True), True)
@@ -120,21 +109,3 @@ def _hardest(f, candidates, largest):
     dist[rows, cols] = np.sqrt(np.maximum(np.sum((f[rows] - f[cols]) ** 2, axis=1), 0.0))
     pick = np.argmax(dist, axis=1) if largest else np.argmin(dist, axis=1)
     return pick, dist[np.arange(len(f)), pick]
-
-
-def blend_metric_losses(noisy: tuple, refined: tuple, alpha: float):
-    """Convex blend (1-alpha)*noisy + alpha*refined of (cls, tri) pairs; a
-    term that was not computed (None, its weight is 0) counts as 0."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    noisy, refined = ([0.0 if t is None else t for t in pair] for pair in (noisy, refined))
-    cls = (1.0 - alpha) * noisy[0] + alpha * refined[0]
-    tri = (1.0 - alpha) * noisy[1] + alpha * refined[1]
-    return cls, tri
-
-
-def total_loss(cls: float, tri: float, spread: float, mu: float) -> float:
-    """Joint objective: blended metric losses plus mu times the regularizer."""
-    if mu < 0:
-        raise ValueError("mu must be >= 0")
-    return cls + tri + mu * spread

@@ -21,6 +21,9 @@ class PseudoLabelSet:
     def __post_init__(self):
         if not np.array_equal(self.coarse == OUTLIER, self.refined == OUTLIER):
             raise ValueError("refined must be OUTLIER exactly where coarse is")
+        top = max(self.coarse.max(initial=OUTLIER), self.refined.max(initial=OUTLIER))
+        if top >= self.num_clusters:
+            raise ValueError(f"labels must lie below num_clusters={self.num_clusters}")
 
     @property
     def non_outliers(self) -> np.ndarray:
@@ -73,8 +76,12 @@ def refined_similarity(features: np.ndarray, prototypes: list[np.ndarray]) -> np
 
 
 def assign_refined_labels(scores: np.ndarray, coarse: CoarseClusters) -> PseudoLabelSet:
-    """argmax over refined scores for non-outliers; ties go to the lowest
-    cluster index and outliers stay outliers."""
+    """argmax over refined scores, one column per coarse cluster, for
+    non-outliers; ties go to the lowest cluster index and outliers stay
+    outliers."""
+    if scores.shape[1] != coarse.num_clusters:
+        raise ValueError(f"scores have {scores.shape[1]} columns for "
+                         f"{coarse.num_clusters} clusters")
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores must be finite")
     refined = np.full(len(scores), OUTLIER, dtype=np.int64)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import asdict, dataclass, fields, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -19,7 +18,6 @@ from .cluster import dbscan
 from .data import OUTLIER, l2_normalize
 from .encoder import (
     EncoderState,
-    LrSchedule,
     adam_step,
     backward,
     classifier_backward,
@@ -31,7 +29,7 @@ from .encoder import (
 )
 from .evaluate import pairwise_fscore
 from .graph import SparseDistances, build_distance_graph, offdiag_percentile
-from .losses import LossReport, batch_hard_triplet, blend_metric_losses, cross_entropy, total_loss
+from .losses import LossReport, batch_hard_triplet, cross_entropy
 from .membank import MemoryBank, init_bank, instant_update, momentum_update, positive_sets, spread_loss
 from .refine import PseudoLabelSet, refine_labels
 
@@ -237,31 +235,6 @@ def offline_epoch(state: EncoderState, raw: np.ndarray, cfg: TrainConfig,
     return es
 
 
-def _triplet_or_zero(feats, labels, margin):
-    """Batch-hard triplet, or a zero contribution when the batch cannot form
-    a single (anchor, positive, negative) triple under these labels."""
-    labels = np.asarray(labels)
-    counts = np.unique(labels, return_counts=True)[1]
-    if len(counts) < 2 or not np.any(counts >= 2):
-        return 0.0, np.zeros_like(feats)
-    return batch_hard_triplet(feats, labels, margin)
-
-
-class _LabelBranch(NamedTuple):
-    """Cross-entropy and batch-hard triplet under one labeling of the batch."""
-
-    cls: float
-    g_logits: np.ndarray
-    tri: float
-    g_tri: np.ndarray
-
-
-def _label_branch(probs, feats, labels, margin) -> _LabelBranch:
-    cls, g_logits = cross_entropy(probs, labels)
-    tri, g_tri = _triplet_or_zero(feats, labels, margin)
-    return _LabelBranch(cls, g_logits, tri, g_tri)
-
-
 def joint_loss_and_grads(state: EncoderState, bank: MemoryBank | None, x: np.ndarray,
                          coarse: np.ndarray, refined: np.ndarray,
                          sample_indices: np.ndarray, cfg: TrainConfig):
@@ -280,14 +253,19 @@ def joint_loss_and_grads(state: EncoderState, bank: MemoryBank | None, x: np.nda
     """
     feats, cache = forward(state, x)
     probs = classifier_forward(state, feats)
-    noisy = refined_terms = None
+    cls_noisy = tri_noisy = cls_refined = tri_refined = None
+    weighted = []  # (weight, logit gradient, triplet gradient) per computed labeling
     if cfg.alpha < 1.0:
-        noisy = _label_branch(probs, feats, coarse, cfg.margin)
+        cls_noisy, g_logits = cross_entropy(probs, coarse)
+        tri_noisy, g_tri = batch_hard_triplet(feats, coarse, cfg.margin)
+        weighted.append((1.0 - cfg.alpha, g_logits, g_tri))
     if cfg.alpha > 0.0:
-        if noisy is not None and np.array_equal(refined, coarse):
-            refined_terms = noisy
+        if cls_noisy is not None and np.array_equal(refined, coarse):
+            cls_refined, tri_refined = cls_noisy, tri_noisy
         else:
-            refined_terms = _label_branch(probs, feats, refined, cfg.margin)
+            cls_refined, g_logits = cross_entropy(probs, refined)
+            tri_refined, g_tri = batch_hard_triplet(feats, refined, cfg.margin)
+        weighted.append((cfg.alpha, g_logits, g_tri))
 
     spread = g_bank = feats_n = None
     if cfg.mu:
@@ -299,24 +277,20 @@ def joint_loss_and_grads(state: EncoderState, bank: MemoryBank | None, x: np.nda
         spread, g_feats_n, g_bank = spread_loss(feats_n, bank, positives,
                                                 cfg.spread_margin)
 
-    # a branch that was not computed reports None
-    cls_noisy, tri_noisy = (None, None) if noisy is None else (noisy.cls, noisy.tri)
-    cls_refined, tri_refined = ((None, None) if refined_terms is None
-                                else (refined_terms.cls, refined_terms.tri))
-    cls_blend, tri_blend = blend_metric_losses(
-        (cls_noisy, tri_noisy), (cls_refined, tri_refined), cfg.alpha)
-    total = total_loss(cls_blend, tri_blend, 0.0 if spread is None else spread, cfg.mu)
+    # convex blend; a term that was not computed (its weight is 0) counts as 0
+    cn, tn, cr, tr = (0.0 if t is None else t
+                      for t in (cls_noisy, tri_noisy, cls_refined, tri_refined))
+    cls = (1.0 - cfg.alpha) * cn + cfg.alpha * cr
+    tri = (1.0 - cfg.alpha) * tn + cfg.alpha * tr
+    total = cls + tri + cfg.mu * (0.0 if spread is None else spread)
     if not np.isfinite(total):
         raise TrainingDivergedError(
-            f"non-finite loss (cls={cls_blend}, tri={tri_blend}, spread={spread})")
+            f"non-finite loss (cls={cls}, tri={tri}, spread={spread})")
 
-    weighted = [(weight, branch) for weight, branch
-                in ((1.0 - cfg.alpha, noisy), (cfg.alpha, refined_terms))
-                if branch is not None]
-    g_logits = sum(weight * branch.g_logits for weight, branch in weighted)
+    g_logits = sum(weight * g for weight, g, _ in weighted)
     cls_grads, g_feats = classifier_backward(state, feats, g_logits)
-    for weight, branch in weighted:
-        g_feats = g_feats + weight * branch.g_tri
+    for weight, _, g in weighted:
+        g_feats = g_feats + weight * g
     if cfg.mu:
         # chain the spread gradient through the row normalization
         inner = np.sum(g_feats_n * feats_n, axis=1, keepdims=True)
@@ -326,7 +300,7 @@ def joint_loss_and_grads(state: EncoderState, bank: MemoryBank | None, x: np.nda
     grads.update(cls_grads)
     report = LossReport(cls_noisy=cls_noisy, cls_refined=cls_refined,
                         tri_noisy=tri_noisy, tri_refined=tri_refined,
-                        spread=spread, total=total, alpha=cfg.alpha, mu=cfg.mu,
+                        cls=cls, tri=tri, spread=spread, total=total,
                         grad_features=g_feats)
     return report, grads, g_bank, feats_n
 
@@ -374,14 +348,12 @@ def pretrain_source(raw: np.ndarray, identities: np.ndarray,
     labels = PseudoLabelSet(coarse=ids.astype(np.int64),
                             refined=ids.astype(np.int64),
                             num_clusters=len(classes))
-    schedule = LrSchedule(cfg.base_lr, warmup_epochs=cfg.warmup_epochs,
-                          decay_epochs=cfg.pretrain_decay_epochs,
-                          decay_factor=cfg.decay_factor)
     step_cfg = replace(cfg, alpha=0.0, mu=0.0)
     p = min(cfg.batch_p, len(classes))
     iters = _pk_iterations(cfg, len(raw))
     for epoch in range(cfg.pretrain_epochs):
-        lr = lr_at(schedule, epoch)
+        lr = lr_at(cfg.base_lr, epoch, cfg.warmup_epochs, cfg.pretrain_decay_epochs,
+                   cfg.decay_factor)
         epoch_rng = np.random.default_rng((cfg.seed, _PRETRAIN_STREAM, epoch))
         for _ in range(iters):
             batch = pk_sample(labels, p, cfg.batch_k, epoch_rng)
@@ -405,17 +377,19 @@ def adapt(state: EncoderState, raw: np.ndarray, cfg: TrainConfig,
     """Alternating adaptation; returns (state, per-epoch metrics, bank).
 
     ``truth`` feeds diagnostics only. ``bank``/``start_epoch`` support
-    resuming from a checkpointed run; ``on_epoch`` is called with
-    (EpochMetrics, state, bank, iteration reports, PseudoLabelSet) after
-    every epoch.
+    resuming from a checkpointed run; a given bank's mode, tau and k_pos
+    must equal the config's. ``on_epoch`` is called with (EpochMetrics,
+    state, bank, iteration reports, PseudoLabelSet) after every epoch.
     """
     cfg.validate()
     if bank is None:
         bank = init_bank(forward(state, raw)[0], mode=cfg.bank_mode,
                          tau=cfg.bank_tau, k_pos=cfg.k_pos)
-    schedule = LrSchedule(cfg.base_lr, warmup_epochs=0,
-                          decay_epochs=cfg.adapt_decay_epochs,
-                          decay_factor=cfg.decay_factor)
+    for key, value in (("bank_mode", bank.mode), ("bank_tau", bank.tau),
+                       ("k_pos", bank.k_pos)):
+        if value != getattr(cfg, key):
+            raise ConfigError(f"config key {key!r} is {getattr(cfg, key)!r} but the "
+                              f"given bank has {value!r}")
     history = []
     for epoch in range(start_epoch, cfg.epochs):
         es = offline_epoch(state, raw, cfg, epoch, truth)
@@ -428,7 +402,7 @@ def adapt(state: EncoderState, raw: np.ndarray, cfg: TrainConfig,
             p = es.num_clusters
         non_outliers = len(raw) - es.outliers
         iters = _pk_iterations(cfg, non_outliers)
-        lr = lr_at(schedule, epoch)
+        lr = lr_at(cfg.base_lr, epoch, 0, cfg.adapt_decay_epochs, cfg.decay_factor)
         reports = []
         for _ in range(iters):
             batch = pk_sample(es.labels, p, cfg.batch_k, epoch_rng)

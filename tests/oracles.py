@@ -6,12 +6,13 @@ difference tensor it used before its Gram-form screen. The on-line oracles
 are the per-anchor loop triplet on a (B, B, d) difference tensor, the
 full-argsort bank positives, the spread-out loss through boolean masks over
 the bank, the per-label scan sampler, and the joint step that computes
-every loss branch whatever its weight (plus the pretraining loop with its
-own inline copy of the step). The synthetic generator fills each split a
-row at a time through per-row camera callbacks. They stay here, unchanged,
-as oracles: the library must reproduce their numbers bit for bit (same eps,
-same labels, same pair counts, same losses, weights, centers, bank and
-synthetic splits).
+every loss branch whatever its weight and weights them with the blend and
+total helpers the library used before its step did that arithmetic itself
+(plus the pretraining loop with its own inline copy of the step). The
+synthetic generator fills each split a row at a time through per-row
+camera callbacks. They stay here, unchanged, as oracles: the library must
+reproduce their numbers bit for bit (same eps, same labels, same pair
+counts, same losses, weights, centers, bank and synthetic splits).
 """
 
 import numpy as np
@@ -25,7 +26,6 @@ from reidapt.data import (
     _domain_transform,
 )
 from reidapt.encoder import (
-    LrSchedule,
     adam_step,
     backward,
     classifier_backward,
@@ -36,7 +36,7 @@ from reidapt.encoder import (
     lr_at,
 )
 from reidapt.graph import SparseDistances
-from reidapt.losses import LossReport, blend_metric_losses, cross_entropy, total_loss
+from reidapt.losses import LossReport, cross_entropy
 from reidapt.membank import instant_update, momentum_update
 from reidapt.refine import PseudoLabelSet
 from reidapt.trainer import _PRETRAIN_STREAM, TrainingDivergedError, _pk_iterations
@@ -361,6 +361,24 @@ def _triplet_or_zero(feats, labels, margin):
     return batch_hard_triplet(feats, labels, margin)
 
 
+def blend_metric_losses(noisy: tuple, refined: tuple, alpha: float):
+    """Convex blend (1-alpha)*noisy + alpha*refined of (cls, tri) pairs; a
+    term that was not computed (None, its weight is 0) counts as 0."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [0, 1]")
+    noisy, refined = ([0.0 if t is None else t for t in pair] for pair in (noisy, refined))
+    cls = (1.0 - alpha) * noisy[0] + alpha * refined[0]
+    tri = (1.0 - alpha) * noisy[1] + alpha * refined[1]
+    return cls, tri
+
+
+def total_loss(cls: float, tri: float, spread: float, mu: float) -> float:
+    """Joint objective: blended metric losses plus mu times the regularizer."""
+    if mu < 0:
+        raise ValueError("mu must be >= 0")
+    return cls + tri + mu * spread
+
+
 def joint_loss_and_grads(state, bank, x, coarse, refined, sample_indices, cfg):
     """The joint step with every branch computed, each then weighted."""
     feats, cache = forward(state, x)
@@ -396,7 +414,7 @@ def joint_loss_and_grads(state, bank, x, coarse, refined, sample_indices, cfg):
     grads.update(cls_grads)
     report = LossReport(cls_noisy=cls_noisy, cls_refined=cls_refined,
                         tri_noisy=tri_noisy, tri_refined=tri_refined,
-                        spread=spread, total=total, alpha=cfg.alpha, mu=cfg.mu,
+                        cls=cls_blend, tri=tri_blend, spread=spread, total=total,
                         grad_features=g_feats)
     return report, grads, g_bank, feats_n
 
@@ -425,13 +443,11 @@ def pretrain_source(raw, identities, cfg):
     labels = PseudoLabelSet(coarse=ids.astype(np.int64),
                             refined=ids.astype(np.int64),
                             num_clusters=len(classes))
-    schedule = LrSchedule(cfg.base_lr, warmup_epochs=cfg.warmup_epochs,
-                          decay_epochs=cfg.pretrain_decay_epochs,
-                          decay_factor=cfg.decay_factor)
     p = min(cfg.batch_p, len(classes))
     iters = _pk_iterations(cfg, len(raw))
     for epoch in range(cfg.pretrain_epochs):
-        lr = lr_at(schedule, epoch)
+        lr = lr_at(cfg.base_lr, epoch, cfg.warmup_epochs, cfg.pretrain_decay_epochs,
+                   cfg.decay_factor)
         epoch_rng = np.random.default_rng((cfg.seed, _PRETRAIN_STREAM, epoch))
         for _ in range(iters):
             batch = pk_sample(labels, p, cfg.batch_k, epoch_rng)

@@ -178,6 +178,41 @@ class TestPipeline:
         assert (tmp_path / "runB" / "ckpt_epoch_002.drft").exists()
 
 
+    def test_csvs_keep_finished_epochs_on_exit_4(self, data_dir, tmp_path, capsys,
+                                                 monkeypatch):
+        import reidapt.trainer as trainer
+        cfg = fast_config(tmp_path, epochs=3)
+        pre = tmp_path / "pre"
+        code, stdout, _ = run_cli(capsys, "pretrain", "--data", str(data_dir),
+                                  "--config", cfg, "--out", str(pre))
+        assert code == 0
+        ckpt = json.loads(stdout)["checkpoint"]
+        code, _, _ = run_cli(capsys, "adapt", "--data", str(data_dir), "--ckpt", ckpt,
+                             "--config", cfg, "--out", str(tmp_path / "whole"))
+        assert code == 0
+
+        real = trainer.offline_epoch
+
+        def no_clusters_at_epoch_1(state, raw, cfg, epoch, *rest, **kw):
+            if epoch == 1:
+                raise trainer.ZeroClustersError("epoch 1: every sample is an outlier")
+            return real(state, raw, cfg, epoch, *rest, **kw)
+
+        monkeypatch.setattr(trainer, "offline_epoch", no_clusters_at_epoch_1)
+        code, _, err = run_cli(capsys, "adapt", "--data", str(data_dir), "--ckpt", ckpt,
+                               "--config", cfg, "--out", str(tmp_path / "cut"))
+        assert code == 4
+        assert "diverged" in err
+        for name in ("metrics.csv", "losses.csv"):
+            cut = (tmp_path / "cut" / name).read_text().splitlines()
+            whole = (tmp_path / "whole" / name).read_text().splitlines()
+            epochs = [line.split(",")[0] for line in cut[1:]]
+            # the header and every epoch-0 row, as the completed run wrote them
+            assert epochs and set(epochs) == {"0"}
+            assert cut == whole[:len(cut)]
+            assert whole[len(cut)].split(",")[0] == "1"
+
+
 class TestValidation:
     def test_alpha_out_of_range_names_key(self, data_dir, tmp_path, capsys):
         cfg = fast_config(tmp_path, alpha=1.3)

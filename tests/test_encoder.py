@@ -6,7 +6,6 @@ from helpers import central_diff, rel_error
 
 from reidapt.encoder import (
     EncoderState,
-    LrSchedule,
     adam_step,
     backward,
     classifier_backward,
@@ -203,32 +202,29 @@ PRETRAIN_PROFILE = dict(warmup_epochs=_DEFAULTS.warmup_epochs,
 
 class TestLrSchedule:
     def test_adaptation_profile(self):
-        sched = LrSchedule(_DEFAULTS.base_lr, **ADAPT_PROFILE)
-        assert lr_at(sched, 0) == pytest.approx(3.5e-4)
-        assert lr_at(sched, 19) == pytest.approx(3.5e-4)
-        assert lr_at(sched, 20) == pytest.approx(3.5e-5)
-        assert lr_at(sched, 39) == pytest.approx(3.5e-5)
+        base_lr = _DEFAULTS.base_lr
+        assert lr_at(base_lr, 0, **ADAPT_PROFILE) == pytest.approx(3.5e-4)
+        assert lr_at(base_lr, 19, **ADAPT_PROFILE) == pytest.approx(3.5e-4)
+        assert lr_at(base_lr, 20, **ADAPT_PROFILE) == pytest.approx(3.5e-5)
+        assert lr_at(base_lr, 39, **ADAPT_PROFILE) == pytest.approx(3.5e-5)
 
     def test_pretrain_warmup_line(self):
-        sched = LrSchedule(_DEFAULTS.base_lr, **PRETRAIN_PROFILE)
-        assert lr_at(sched, 0) == pytest.approx(3.5e-5)
-        assert lr_at(sched, 5) == pytest.approx(0.5 * (3.5e-5 + 3.5e-4))
-        assert lr_at(sched, 10) == pytest.approx(3.5e-4)
-        assert lr_at(sched, 40) == pytest.approx(3.5e-5)
-        assert lr_at(sched, 70) == pytest.approx(3.5e-6)
+        base_lr = _DEFAULTS.base_lr
+        assert lr_at(base_lr, 0, **PRETRAIN_PROFILE) == pytest.approx(3.5e-5)
+        assert lr_at(base_lr, 5, **PRETRAIN_PROFILE) == pytest.approx(0.5 * (3.5e-5 + 3.5e-4))
+        assert lr_at(base_lr, 10, **PRETRAIN_PROFILE) == pytest.approx(3.5e-4)
+        assert lr_at(base_lr, 40, **PRETRAIN_PROFILE) == pytest.approx(3.5e-5)
+        assert lr_at(base_lr, 70, **PRETRAIN_PROFILE) == pytest.approx(3.5e-6)
 
     def test_scales_with_base_lr(self):
-        sched = LrSchedule(7e-4, **ADAPT_PROFILE)
-        assert lr_at(sched, 0) == pytest.approx(7e-4)
-        assert lr_at(sched, 20) == pytest.approx(7e-5)
+        assert lr_at(7e-4, 0, **ADAPT_PROFILE) == pytest.approx(7e-4)
+        assert lr_at(7e-4, 20, **ADAPT_PROFILE) == pytest.approx(7e-5)
 
     def test_validation(self):
+        # a negative base_lr and unordered decay epochs are config errors,
+        # checked where the config is read (test_trainer.py, test_cli.py)
         with pytest.raises(ValueError):
-            LrSchedule(base_lr=-1e-4)
-        with pytest.raises(ValueError):
-            LrSchedule(base_lr=1e-3, decay_epochs=(30, 20))
-        with pytest.raises(ValueError):
-            lr_at(LrSchedule(_DEFAULTS.base_lr, **ADAPT_PROFILE), -1)
+            lr_at(_DEFAULTS.base_lr, -1, **ADAPT_PROFILE)
 
 
 class TestCheckpoint:

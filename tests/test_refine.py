@@ -88,8 +88,8 @@ class TestRefinedSimilarity:
 
 class TestAssignRefinedLabels:
     def test_higher_average_wins(self):
-        s = np.array([[0.5, 0.6]])
-        labels = assign_refined_labels(s, coarse([0]))
+        s = np.array([[0.5, 0.6], [0.1, 0.9]])
+        labels = assign_refined_labels(s, coarse([0, 1]))
         assert labels.refined[0] == 1
 
     def test_tie_breaks_low(self):
@@ -107,8 +107,29 @@ class TestAssignRefinedLabels:
         assert labels.refined[0] == OUTLIER
         with pytest.raises(ValueError):
             PseudoLabelSet(np.array([OUTLIER, 0]), np.array([0, 0]), 1)
-        with pytest.raises(ValueError):
-            assign_refined_labels(np.array([[np.nan, 0.0]]), coarse([0]))
+        with pytest.raises(ValueError, match="finite"):
+            assign_refined_labels(np.array([[np.nan, 0.0], [0.0, 0.0]]), coarse([0, 1]))
+
+    def test_score_width_must_match_clusters(self):
+        # one cluster scored against two prototype sets would name label 1
+        with pytest.raises(ValueError, match="columns"):
+            assign_refined_labels(np.array([[0.5, 0.6]]), coarse([0]))
+        with pytest.raises(ValueError, match="columns"):
+            assign_refined_labels(np.zeros((3, 1)), coarse([0, 1, 1]))
+
+
+class TestPseudoLabelSet:
+    def test_labels_must_lie_below_num_clusters(self):
+        for coarse_labels, refined_labels, num_clusters in (
+                ([0, 1], [0, 0], 1),                 # coarse past the range
+                ([0, 0], [1, 0], 1),                 # refined past the range
+                ([OUTLIER, 2], [OUTLIER, 0], 2)):    # label == num_clusters
+            with pytest.raises(ValueError, match="num_clusters"):
+                PseudoLabelSet(np.array(coarse_labels), np.array(refined_labels),
+                               num_clusters)
+        labels = PseudoLabelSet(np.array([OUTLIER, 1, 0]), np.array([OUTLIER, 0, 1]), 2)
+        assert labels.num_clusters == 2
+        assert PseudoLabelSet(np.array([OUTLIER]), np.array([OUTLIER]), 0).num_clusters == 0
 
 
 class TestRefineLabelsPipeline:

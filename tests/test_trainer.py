@@ -1,4 +1,5 @@
 import copy
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from conftest import adapt_config, standard_fixture
 from reidapt.cluster import CoarseClusters
 from reidapt.data import OUTLIER, SynthSpec, generate_synthetic
-from reidapt.encoder import forward
+from reidapt.encoder import forward, init_encoder
 from reidapt.losses import batch_hard_triplet, cross_entropy
 from reidapt.membank import init_bank
 from reidapt.refine import PseudoLabelSet, refine_labels
@@ -19,6 +20,7 @@ from reidapt.trainer import (
     ZeroClustersError,
     adapt,
     extract_features,
+    joint_loss_and_grads,
     loss_csv_lines,
     metrics_csv_lines,
     offline_epoch,
@@ -60,9 +62,11 @@ class TestTrainConfig:
         assert "alhpa" in str(err.value)
 
     def test_from_dict_rejects_out_of_range(self):
-        with pytest.raises(ConfigError) as err:
-            TrainConfig.from_dict({"alpha": 1.3})
-        assert "alpha" in str(err.value)
+        for key, value in (("alpha", 1.3), ("alpha", -0.1), ("mu", -0.5),
+                           ("base_lr", -1e-4)):
+            with pytest.raises(ConfigError) as err:
+                TrainConfig.from_dict({key: value})
+            assert key in str(err.value)
 
     def test_from_dict_rejects_non_numbers_in_float_keys(self):
         for key, value in (("alpha", True), ("mu", False), ("base_lr", "x"),
@@ -418,6 +422,65 @@ class TestZeroWeightBranches:
         assert report.tri_noisy == report.tri_refined
 
 
+def bits(value):
+    return np.float64(value).tobytes()
+
+
+class TestStepBlend:
+    """The step blends its terms as the oracle blend and total do, bit for bit."""
+
+    @staticmethod
+    def step(trained_setup, alpha, mu):
+        state, bank, train, es, _ = trained_setup
+        cfg = small_config(alpha=alpha, mu=mu)
+        labels = relabeled(es.labels)
+        batch = pk_sample(labels, cfg.batch_p, cfg.batch_k, np.random.default_rng(7))
+        args = (state, bank, train.raw[batch], labels.coarse[batch],
+                labels.refined[batch], batch, cfg)
+        report = joint_loss_and_grads(*args)[0]
+        # the all-branch step computes every term, so it reports them all
+        full = oracles.joint_loss_and_grads(*args)[0]
+        cls, tri = oracles.blend_metric_losses((report.cls_noisy, report.tri_noisy),
+                                               (report.cls_refined, report.tri_refined),
+                                               alpha)
+        spread = 0.0 if report.spread is None else report.spread
+        total = oracles.total_loss(cls, tri, spread, mu)
+        for got, want in ((report.cls, cls), (report.tri, tri), (report.total, total),
+                          (report.cls, full.cls), (report.tri, full.tri),
+                          (report.total, full.total)):
+            assert bits(got) == bits(want)
+        return report, full
+
+    @pytest.mark.parametrize("mu", [0.0, 0.1])
+    def test_alpha_zero_is_noisy_baseline(self, trained_setup, mu):
+        report, full = self.step(trained_setup, 0.0, mu)
+        assert report.cls_refined is None and report.tri_refined is None
+        assert (bits(report.cls), bits(report.tri)) == (bits(full.cls_noisy),
+                                                        bits(full.tri_noisy))
+
+    @pytest.mark.parametrize("mu", [0.0, 0.1])
+    def test_alpha_one_is_refined(self, trained_setup, mu):
+        report, full = self.step(trained_setup, 1.0, mu)
+        assert report.cls_noisy is None and report.tri_noisy is None
+        assert (bits(report.cls), bits(report.tri)) == (bits(full.cls_refined),
+                                                        bits(full.tri_refined))
+
+    @pytest.mark.parametrize("mu", [0.0, 0.1])
+    def test_alpha_half_is_mean(self, trained_setup, mu):
+        report, _ = self.step(trained_setup, 0.5, mu)
+        assert report.cls_noisy != report.cls_refined
+        assert report.cls == pytest.approx(0.5 * (report.cls_noisy + report.cls_refined))
+        assert report.tri == pytest.approx(0.5 * (report.tri_noisy + report.tri_refined))
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_total_composition(self, trained_setup, alpha):
+        report, full = self.step(trained_setup, alpha, 0.1)
+        assert report.total == pytest.approx(report.cls + report.tri + 0.1 * report.spread)
+        report, _ = self.step(trained_setup, alpha, 0.0)
+        assert report.spread is None
+        assert bits(report.total) == bits(report.cls + report.tri)
+
+
 class TestAgainstTheAllBranchStep:
     """Whole adaptation runs against the step that computes every branch."""
 
@@ -487,6 +550,28 @@ class TestAdapt:
         assert history == []
         for k, v in before.items():
             assert np.array_equal(getattr(out, k), v)
+
+    def test_given_bank_must_match_the_config(self, monkeypatch):
+        import reidapt.trainer as trainer
+        _, train, _, _ = small_fixture()
+        cfg = small_config(bank_mode="instant")
+        state = init_encoder(train.raw.shape[1], cfg.hidden, cfg.feat_dim,
+                             np.random.default_rng(0))
+        feats = forward(state, train.raw)[0]
+
+        def forbidden(*args, **kw):
+            raise AssertionError("an epoch ran under a mismatched bank")
+
+        monkeypatch.setattr(trainer, "offline_epoch", forbidden)
+        settings = dict(mode=cfg.bank_mode, tau=cfg.bank_tau, k_pos=cfg.k_pos)
+        for key, change in (("bank_mode", dict(mode="momentum")),
+                            ("bank_tau", dict(tau=0.5)), ("k_pos", dict(k_pos=3))):
+            bank = init_bank(feats, **{**settings, **change})
+            with pytest.raises(ConfigError) as err:
+                adapt(state, train.raw, cfg, bank=bank)
+            assert key in str(err.value)
+        bank = init_bank(feats, **settings)
+        assert adapt(state, train.raw, replace(cfg, epochs=0), bank=bank)[2] is bank
 
     def test_metrics_deterministic_across_runs(self):
         source, train, _, _ = small_fixture()
@@ -598,7 +683,8 @@ class TestCsvFormatting:
 
     def test_loss_lines(self):
         from reidapt.losses import LossReport
-        rep = LossReport(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, alpha=0.5, mu=0.1)
+        rep = LossReport(cls_noisy=1.0, cls_refined=2.0, tri_noisy=3.0, tri_refined=4.0,
+                         cls=1.5, tri=3.5, spread=5.0, total=5.5)
         lines = loss_csv_lines([(0, 0, rep)])
         assert lines[0] == "epoch,iter,cls,tri,spread,total"
         assert lines[1].split(",")[:2] == ["0", "0"]

@@ -4,7 +4,8 @@ Each anchor keeps its k nearest bank entries (plus its own slot) close and
 pushes every other entry away. The bank entries receive analytic gradients
 and a renormalized descent step each call, so repeatedly regularizing the
 same anchors drives the loss down while every entry stays on the unit
-sphere.
+sphere. The bank itself is only its rows: the number of positives is an
+argument of ``positive_sets`` (``TrainConfig.k_pos`` in a training run).
 """
 
 import numpy as np
@@ -15,20 +16,19 @@ from reidapt.membank import init_bank, instant_update, positive_sets, spread_los
 rng = np.random.default_rng(0)
 n, d, batch = 64, 16, 8
 
-bank = init_bank(rng.standard_normal((n, d)), k_pos=4)
+bank = init_bank(rng.standard_normal((n, d)))
 anchors = l2_normalize(rng.standard_normal((batch, d)))
 idx = rng.choice(n, size=batch, replace=False)
 
 print("iter   spread loss   max |norm-1|")
 for step in range(8):
-    positives = positive_sets(bank, anchors, idx)  # (batch, 5) bank indices
+    positives = positive_sets(bank, anchors, idx, k_pos=4)  # (batch, 5) bank indices
     loss, grad_anchor, grad_bank = spread_loss(anchors, bank, positives, margin=0.35)
     instant_update(bank, grad_bank, eta=0.05)
     drift = np.max(np.abs(np.linalg.norm(bank.v, axis=1) - 1.0))
     print(f"{step:4d}   {loss:11.4f}   {drift:.2e}")
 
 # with a margin of zero and no negatives the loss is exactly zero
-full = init_bank(bank.v.copy(), k_pos=n - 1)
-positives = positive_sets(full, anchors, idx)
-loss, _, _ = spread_loss(anchors, full, positives, margin=0.35)
+positives = positive_sets(bank, anchors, idx, k_pos=n - 1)
+loss, _, _ = spread_loss(anchors, bank, positives, margin=0.35)
 print(f"\nloss with every entry treated as a positive: {loss}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -181,11 +182,12 @@ def cmd_pretrain(args):
 
 
 def _find_resume_point(resume_dir: Path):
-    epochs = sorted(int(p.stem.split("_")[-1])
-                    for p in resume_dir.glob("ckpt_epoch_*.json"))
+    """The last epoch with a checkpoint; other names (backups, say) are skipped."""
+    epochs = [int(m.group(1)) for p in resume_dir.glob("ckpt_epoch_*.json")
+              if (m := re.fullmatch(r"ckpt_epoch_(\d+)\.json", p.name))]
     if not epochs:
         raise CliError(f"no epoch checkpoints under {resume_dir}", EXIT_IO)
-    return epochs[-1]
+    return max(epochs)
 
 
 def cmd_adapt(args):
@@ -207,8 +209,7 @@ def cmd_adapt(args):
         if bank_rows.shape != want:
             raise CliError(f"bank snapshot has shape {bank_rows.shape}, split "
                            f"'target_train' needs {want}", EXIT_IO)
-        bank = MemoryBank(v=bank_rows, mode=cfg.bank_mode, tau=cfg.bank_tau,
-                          k_pos=cfg.k_pos)
+        bank = MemoryBank(v=bank_rows)
         start_epoch = last + 1
     elif args.ckpt:
         state = _load_ckpt(args.ckpt)
@@ -274,11 +275,8 @@ def cmd_cluster(args):
     state = _load_ckpt(args.ckpt)
     raw, identity, _ = _load_split(args.data, "target_train")
     _check_width(state, raw, "target_train")
-    try:
-        es = offline_epoch(state, raw, cfg, epoch=0, truth=identity,
-                           keep_graph=bool(args.dump_jaccard))
-    except ZeroClustersError as err:
-        raise CliError(str(err), EXIT_DIVERGED)
+    es = offline_epoch(state, raw, cfg, epoch=0, truth=identity,
+                       keep_graph=bool(args.dump_jaccard))
     doc = {
         "N": len(raw),
         "N_outlier": es.outliers,
@@ -394,6 +392,12 @@ def main(argv=None) -> int:
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.code
+    except ZeroClustersError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_DIVERGED
+    except OSError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_IO
     return 0
 
 

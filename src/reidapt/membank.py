@@ -1,12 +1,14 @@
 """Instant memory bank and the spread-out regularizer.
 
-The bank keeps one unit-norm entry per target-train sample. Each anchor
-treats its k nearest bank entries (plus its own slot) as positives and every
-other entry as a negative; the regularizer is a softplus-of-sums ranking
-loss over those pairs. An anchor's positives travel as one row of bank
-indices, never as a mask over the bank. In instant mode the entries receive
-analytic gradients and a descent step every iteration; momentum mode blends
-in batch features instead, for ablation.
+The bank keeps one unit-norm entry per target-train sample and nothing else.
+Each anchor treats its k nearest bank entries (plus its own slot) as
+positives and every other entry as a negative; the regularizer is a
+softplus-of-sums ranking loss over those pairs. An anchor's positives travel
+as one row of bank indices, never as a mask over the bank. The instant rule
+gives the entries analytic gradients and a descent step every iteration; the
+momentum rule blends in batch features instead, for ablation. The functions
+here take k and tau as plain arguments: which rule runs, and with which
+values, is decided by the trainer from its configuration.
 """
 
 from __future__ import annotations
@@ -25,31 +27,19 @@ class BankDivergedError(RuntimeError):
 
 @dataclass
 class MemoryBank:
-    v: np.ndarray          # (N, d), unit rows
-    mode: str = "instant"  # instant | momentum
-    tau: float = 0.01      # momentum blend, used in momentum mode only
-    k_pos: int = 6
-
-    def __post_init__(self):
-        if self.mode not in ("instant", "momentum"):
-            raise ValueError(f"unknown bank mode {self.mode!r}")
-        if not 0.0 <= self.tau < 1.0:
-            raise ValueError("tau must lie in [0, 1)")
-        if self.k_pos < 0:
-            raise ValueError("k_pos must be >= 0")
+    v: np.ndarray  # (N, d), unit rows
 
     def __len__(self) -> int:
         return len(self.v)
 
 
-def init_bank(features: np.ndarray, mode: str = "instant", tau: float = 0.01,
-              k_pos: int = 6) -> MemoryBank:
+def init_bank(features: np.ndarray) -> MemoryBank:
     """Bank entries start as the L2-normalized sample features."""
-    return MemoryBank(v=l2_normalize(features), mode=mode, tau=tau, k_pos=k_pos)
+    return MemoryBank(v=l2_normalize(features))
 
 
 def positive_sets(bank: MemoryBank, feats: np.ndarray,
-                  sample_indices: np.ndarray) -> np.ndarray:
+                  sample_indices: np.ndarray, k_pos: int) -> np.ndarray:
     """Each anchor's positive bank indices, (B, min(k_pos + 1, N)) int64.
 
     Row b holds the k largest dot products against the bank (excluding the
@@ -57,7 +47,7 @@ def positive_sets(bank: MemoryBank, feats: np.ndarray,
     similarity ties go to the lower index."""
     feats = np.asarray(feats, dtype=np.float64)
     sample_indices = np.asarray(sample_indices, dtype=np.int64)
-    k = min(bank.k_pos, len(bank) - 1)
+    k = min(k_pos, len(bank) - 1)
     if k == 0:
         return sample_indices[:, None].copy()
     rows = np.arange(len(feats))
@@ -123,8 +113,6 @@ def spread_loss(feats: np.ndarray, bank: MemoryBank, positives: np.ndarray,
 
 def instant_update(bank: MemoryBank, grad_v: np.ndarray, eta: float) -> MemoryBank:
     """Gradient step on every touched entry, then renormalize those rows."""
-    if bank.mode != "instant":
-        raise ValueError("instant_update requires an instant-mode bank")
     if eta == 0.0:
         return bank
     touched = np.flatnonzero(np.any(grad_v != 0.0, axis=1))
@@ -139,12 +127,10 @@ def instant_update(bank: MemoryBank, grad_v: np.ndarray, eta: float) -> MemoryBa
 
 
 def momentum_update(bank: MemoryBank, feats: np.ndarray,
-                    sample_indices: np.ndarray) -> MemoryBank:
+                    sample_indices: np.ndarray, tau: float) -> MemoryBank:
     """Blend batch features into their own slots: v <- tau*v + (1-tau)*f."""
-    if bank.mode != "momentum":
-        raise ValueError("momentum_update requires a momentum-mode bank")
     idx = np.asarray(sample_indices)
-    rows = bank.tau * bank.v[idx] + (1.0 - bank.tau) * np.asarray(feats, dtype=np.float64)
+    rows = tau * bank.v[idx] + (1.0 - tau) * np.asarray(feats, dtype=np.float64)
     norms = np.linalg.norm(rows, axis=1, keepdims=True)
     if np.any(norms == 0.0):
         raise BankDivergedError("momentum blend produced a zero entry")

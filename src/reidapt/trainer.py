@@ -273,7 +273,7 @@ def joint_loss_and_grads(state: EncoderState, bank: MemoryBank | None, x: np.nda
         if np.any(norms == 0.0):
             raise TrainingDivergedError("encoder produced a zero feature vector")
         feats_n = feats / norms
-        positives = positive_sets(bank, feats_n, sample_indices)
+        positives = positive_sets(bank, feats_n, sample_indices, cfg.k_pos)
         spread, g_feats_n, g_bank = spread_loss(feats_n, bank, positives,
                                                 cfg.spread_margin)
 
@@ -319,11 +319,11 @@ def online_iteration(state: EncoderState, bank: MemoryBank, raw: np.ndarray,
     adam_step(state, grads, lr, cfg.weight_decay)
     if not cfg.mu:
         return report
-    if bank.mode == "instant":
+    if cfg.bank_mode == "instant":
         # the bank descends the unweighted regularizer at the network rate
         instant_update(bank, g_bank, lr)
     else:
-        momentum_update(bank, feats_n, batch)
+        momentum_update(bank, feats_n, batch, cfg.bank_tau)
     return report
 
 
@@ -377,19 +377,13 @@ def adapt(state: EncoderState, raw: np.ndarray, cfg: TrainConfig,
     """Alternating adaptation; returns (state, per-epoch metrics, bank).
 
     ``truth`` feeds diagnostics only. ``bank``/``start_epoch`` support
-    resuming from a checkpointed run; a given bank's mode, tau and k_pos
-    must equal the config's. ``on_epoch`` is called with (EpochMetrics,
-    state, bank, iteration reports, PseudoLabelSet) after every epoch.
+    resuming from a checkpointed run. ``on_epoch`` is called with
+    (EpochMetrics, state, bank, iteration reports, PseudoLabelSet) after
+    every epoch.
     """
     cfg.validate()
     if bank is None:
-        bank = init_bank(forward(state, raw)[0], mode=cfg.bank_mode,
-                         tau=cfg.bank_tau, k_pos=cfg.k_pos)
-    for key, value in (("bank_mode", bank.mode), ("bank_tau", bank.tau),
-                       ("k_pos", bank.k_pos)):
-        if value != getattr(cfg, key):
-            raise ConfigError(f"config key {key!r} is {getattr(cfg, key)!r} but the "
-                              f"given bank has {value!r}")
+        bank = init_bank(forward(state, raw)[0])
     history = []
     for epoch in range(start_epoch, cfg.epochs):
         es = offline_epoch(state, raw, cfg, epoch, truth)

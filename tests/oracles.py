@@ -279,12 +279,12 @@ def batch_hard_triplet(features, labels, margin):
     return loss, grad / active_anchors
 
 
-def positive_sets(bank, feats, sample_indices):
+def positive_sets(bank, feats, sample_indices, k_pos):
     """Bank positives through a full stable argsort of every anchor's row."""
     feats = np.asarray(feats, dtype=np.float64)
     sample_indices = np.asarray(sample_indices)
     n = len(bank)
-    k = min(bank.k_pos, n - 1)
+    k = min(k_pos, n - 1)
     sims = feats @ bank.v.T
     rows = np.arange(len(feats))
     sims[rows, sample_indices] = -np.inf
@@ -393,7 +393,7 @@ def joint_loss_and_grads(state, bank, x, coarse, refined, sample_indices, cfg):
     tri_noisy, g_tri_noisy = _triplet_or_zero(feats, coarse, cfg.margin)
     tri_refined, g_tri_refined = _triplet_or_zero(feats, refined, cfg.margin)
 
-    sets = positive_sets(bank, feats_n, sample_indices)
+    sets = positive_sets(bank, feats_n, sample_indices, cfg.k_pos)
     spread, g_feats_n, g_bank = spread_loss(feats_n, bank, sets, cfg.spread_margin)
 
     cls_blend, tri_blend = blend_metric_losses(
@@ -425,10 +425,10 @@ def online_iteration(state, bank, raw, batch, labels, cfg, lr):
         state, bank, raw[batch], labels.coarse[batch], labels.refined[batch],
         batch, cfg)
     adam_step(state, grads, lr, cfg.weight_decay)
-    if bank.mode == "instant":
+    if cfg.bank_mode == "instant":
         instant_update(bank, g_bank, lr)
     else:
-        momentum_update(bank, feats_n, batch)
+        momentum_update(bank, feats_n, batch, cfg.bank_tau)
     return report
 
 

@@ -73,9 +73,9 @@ def _grad_fixture():
     coarse = rng.integers(0, classes, size=batch)
     refined = rng.integers(0, classes, size=batch)
     coarse[:2] = refined[:2] = np.array([0, 1])  # both labelings usable
-    bank = init_bank(rng.standard_normal((bank_n, d)), k_pos=3)
+    bank = init_bank(rng.standard_normal((bank_n, d)))
     idx = rng.choice(bank_n, size=batch, replace=False)
-    cfg = TrainConfig(seed=0)
+    cfg = TrainConfig(seed=0, k_pos=3)
     return state, bank, x, coarse, refined, idx, cfg
 
 
@@ -109,14 +109,14 @@ def test_criterion_gradient_suite():
 
     # Eq. 9 spread-out wrt anchors and every bank entry (both branches)
     v = l2_normalize(rng.standard_normal((16, 8)))
-    bank = MemoryBank(v=v.copy(), k_pos=3)
+    bank = MemoryBank(v=v.copy())
     anchors = l2_normalize(rng.standard_normal((8, 8)))
     idx = rng.choice(16, size=8, replace=False)
-    positives = positive_sets(bank, anchors, idx)
+    positives = positive_sets(bank, anchors, idx, 3)
     _, gf, gv = spread_loss(anchors, bank, positives, 0.35)
     num_f = central_diff(lambda f: spread_loss(f, bank, positives, 0.35)[0], anchors)
     num_v = central_diff(
-        lambda vv: spread_loss(anchors, MemoryBank(v=vv, k_pos=3), positives, 0.35)[0], v)
+        lambda vv: spread_loss(anchors, MemoryBank(v=vv), positives, 0.35)[0], v)
     inside = np.unique(positives)
     both_branches = len(inside) < 16 and np.any(gv[inside] != 0)
     sp_f_err = rel_error(gf, num_f)
@@ -145,7 +145,7 @@ def test_criterion_gradient_suite():
         t_n, _ = batch_hard_triplet(f, coarse, cfg.margin)
         t_r, _ = batch_hard_triplet(f, refined, cfg.margin)
         fn = l2_normalize(f)
-        sp, _, _ = spread_loss(fn, jbank, positive_sets(jbank, fn, jidx),
+        sp, _, _ = spread_loss(fn, jbank, positive_sets(jbank, fn, jidx, cfg.k_pos),
                                cfg.spread_margin)
         a = cfg.alpha
         return ((1 - a) * (c_n + t_n) + a * (c_r + t_r) + cfg.mu * sp)
@@ -153,7 +153,7 @@ def test_criterion_gradient_suite():
     feat_err = rel_error(report.grad_features, central_diff(total_of_feats, feats0))
 
     def total_of_bank(vv):
-        return _joint_total(state, MemoryBank(v=vv, k_pos=jbank.k_pos),
+        return _joint_total(state, MemoryBank(v=vv),
                             x, coarse, refined, jidx, cfg)
 
     bank_err = rel_error(cfg.mu * g_bank, central_diff(total_of_bank, jbank.v))
@@ -302,10 +302,10 @@ def test_criterion_oracle_suite():
 
         # positive sets against a sort oracle
         v = l2_normalize(rng.standard_normal((6, 3)))
-        bank = init_bank(v, k_pos=2)
+        bank = init_bank(v)
         anchors = l2_normalize(rng.standard_normal((3, 3)))
         idx = rng.choice(6, size=3, replace=False)
-        positives = positive_sets(bank, anchors, idx)
+        positives = positive_sets(bank, anchors, idx, 2)
         for b in range(3):
             sims = anchors[b] @ bank.v.T
             order = sorted((-sims[j], j) for j in range(6) if j != idx[b])
@@ -403,7 +403,7 @@ def test_criterion_bank_unit_norms_500_iterations():
     cfg = adapt_config(PANEL_SEEDS[0])
     state = pretrain_source(source.raw, source.identity, cfg)
     es = offline_epoch(state, train.raw, cfg, 0)
-    bank = init_bank(forward(state, train.raw)[0], k_pos=cfg.k_pos)
+    bank = init_bank(forward(state, train.raw)[0])
     rng = np.random.default_rng(0)
     worst = 0.0
     for _ in range(500):
@@ -481,7 +481,7 @@ def test_criterion_endpoint_reduction():
                       min_pts=4, seed=5)
     state = pretrain_source(source.raw, source.identity, cfg)
     es = offline_epoch(state, train.raw, cfg, 0)
-    bank = init_bank(forward(state, train.raw)[0], k_pos=cfg.k_pos)
+    bank = init_bank(forward(state, train.raw)[0])
     rng = np.random.default_rng(3)
     rows = []
     gaps = []

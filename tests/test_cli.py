@@ -177,6 +177,20 @@ class TestPipeline:
         assert doc["epochs_run"] == 1  # epoch 2 only
         assert (tmp_path / "runB" / "ckpt_epoch_002.drft").exists()
 
+    def test_resume_skips_stray_checkpoint_names(self, data_dir, tmp_path, capsys):
+        run = tmp_path / "runA"
+        run.mkdir()
+        rng = np.random.default_rng(0)
+        save_checkpoint(run / "ckpt_epoch_000", init_encoder(12, 24, 12, rng))
+        write_features(run / "bank_epoch_000.drft", l2_normalize(rng.standard_normal((80, 12))))
+        (run / "ckpt_epoch_000.bak.json").write_bytes((run / "ckpt_epoch_000.json").read_bytes())
+        code, stdout, _ = run_cli(capsys, "adapt", "--data", str(data_dir),
+                                  "--config", fast_config(tmp_path, epochs=2),
+                                  "--resume", str(run), "--out", str(tmp_path / "runB"))
+        assert code == 0
+        assert json.loads(stdout)["epochs_run"] == 1  # epoch 1 only
+        assert (tmp_path / "runB" / "ckpt_epoch_001.drft").exists()
+
 
     def test_csvs_keep_finished_epochs_on_exit_4(self, data_dir, tmp_path, capsys,
                                                  monkeypatch):
@@ -280,6 +294,29 @@ class TestValidation:
         code, _, err = run_cli(capsys, "pretrain", "--data", str(tmp_path / "nope"),
                                "--config", cfg, "--out", str(tmp_path / "run"))
         assert code == 3
+
+    def test_unwritable_output_is_io_error(self, data_dir, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        for argv in (gen_args(taken),
+                     ["pretrain", "--data", str(data_dir), "--config",
+                      fast_config(tmp_path), "--out", str(taken)],
+                     ["adapt", "--data", str(data_dir),
+                      "--config", fast_config(tmp_path, epochs=1),
+                      "--out", str(tmp_path / "run"),
+                      "--dump-bank", str(tmp_path / "missing" / "bank.drft")]):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 3
+            assert err.startswith("error:")
+
+    def test_all_outliers_exit_4_in_cluster_and_eval(self, data_dir, tmp_path, capsys):
+        save_checkpoint(tmp_path / "ckpt", init_encoder(12, 24, 12, np.random.default_rng(0)))
+        cfg = fast_config(tmp_path, min_pts=200)  # more than the 80 samples
+        for argv in (["cluster"], ["eval", "--cluster-stats"]):
+            code, _, err = run_cli(capsys, *argv, "--ckpt", str(tmp_path / "ckpt"),
+                                   "--data", str(data_dir), "--config", cfg)
+            assert code == 4
+            assert err.startswith("error:") and "outlier" in err
 
     def test_missing_checkpoint_is_io_error(self, data_dir, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "eval", "--ckpt", str(tmp_path / "ghost"),

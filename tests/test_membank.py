@@ -13,6 +13,7 @@ from reidapt.membank import (
     positive_sets,
     spread_loss,
 )
+from reidapt.trainer import TrainConfig
 
 
 def naive_spread(feats, v, indices, margin):
@@ -56,36 +57,41 @@ class TestInitBank:
             init_bank(np.zeros((2, 3)))
 
     def test_mode_validation(self):
-        v = np.eye(3)
+        # the bank's update rule, blend and k are the config's to check; the
+        # trainer validates it before a bank is built
+        for mode in ("instant", "momentum"):
+            TrainConfig(bank_mode=mode).validate()
         with pytest.raises(ValueError):
-            MemoryBank(v=v, mode="queue")
+            TrainConfig(bank_mode="queue").validate()
         with pytest.raises(ValueError):
-            MemoryBank(v=v, tau=1.0)
+            TrainConfig(bank_tau=1.0).validate()
+        with pytest.raises(ValueError):
+            TrainConfig(k_pos=-1).validate()
 
 
 class TestPositiveSets:
     def test_k_zero_is_self_only(self):
         rng = np.random.default_rng(2)
-        bank = init_bank(unit_rows(rng, 6, 4), k_pos=0)
-        positives = positive_sets(bank, bank.v[[1, 4]], np.array([1, 4]))
+        bank = init_bank(unit_rows(rng, 6, 4))
+        positives = positive_sets(bank, bank.v[[1, 4]], np.array([1, 4]), 0)
         assert positives.tolist() == [[1], [4]]
 
     def test_exact_copy_is_selected(self):
         rng = np.random.default_rng(3)
         v = unit_rows(rng, 6, 4)
         v[3] = v[0]
-        bank = init_bank(v, k_pos=1)
-        positives = positive_sets(bank, v[[0]], np.array([0]))
+        bank = init_bank(v)
+        positives = positive_sets(bank, v[[0]], np.array([0]), 1)
         assert positives.tolist() == [[0, 3]]
 
     def test_matches_brute_force_top_k(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
             v = unit_rows(rng, 6, 3)
-            bank = init_bank(v, k_pos=2)
+            bank = init_bank(v)
             feats = unit_rows(rng, 3, 3)
             idx = rng.choice(6, size=3, replace=False)
-            positives = positive_sets(bank, feats, idx)
+            positives = positive_sets(bank, feats, idx, 2)
             for b in range(3):
                 sims = feats[b] @ v.T
                 order = sorted((-sims[j], j) for j in range(6) if j != idx[b])
@@ -94,14 +100,14 @@ class TestPositiveSets:
 
     def test_k_clamped_to_bank_size(self):
         rng = np.random.default_rng(5)
-        bank = init_bank(unit_rows(rng, 4, 3), k_pos=10)
-        positives = positive_sets(bank, bank.v[[2]], np.array([2]))
+        bank = init_bank(unit_rows(rng, 4, 3))
+        positives = positive_sets(bank, bank.v[[2]], np.array([2]), 10)
         assert positives.tolist() == [[0, 1, 2, 3]]
 
 
-def assert_same_sets(bank, feats, idx):
-    got = positive_sets(bank, feats, idx)
-    want = oracles.positive_sets(bank, feats, idx)
+def assert_same_sets(bank, feats, idx, k_pos):
+    got = positive_sets(bank, feats, idx, k_pos)
+    want = oracles.positive_sets(bank, feats, idx, k_pos)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
 
@@ -116,10 +122,10 @@ class TestPositiveSetsAgainstArgsort:
             n = int(rng.integers(2, 60))
             k_pos = {"zero": 0, "one": 1, "n_minus_1": n - 1, "n": n,
                      "above_n": n + 7, "mid": max(1, n // 3)}[k_choice]
-            bank = init_bank(unit_rows(rng, n, 4), k_pos=k_pos)
+            bank = init_bank(unit_rows(rng, n, 4))
             b = int(rng.integers(1, 12))
             feats = unit_rows(rng, b, 4)
-            assert_same_sets(bank, feats, rng.integers(0, n, size=b))
+            assert_same_sets(bank, feats, rng.integers(0, n, size=b), k_pos)
 
     @pytest.mark.parametrize("k_pos", [0, 1, 3, 7, 19, 20, 25])
     def test_duplicate_rows_tie_at_the_kth_similarity(self, k_pos):
@@ -129,24 +135,24 @@ class TestPositiveSetsAgainstArgsort:
         for _ in range(40):
             pool = unit_rows(rng, int(rng.integers(1, 5)), 3)
             v = pool[rng.integers(0, len(pool), size=20)]
-            bank = init_bank(v, k_pos=k_pos)
+            bank = init_bank(v)
             idx = rng.integers(0, 20, size=8)
             # anchors are bank rows themselves or fresh directions
             feats = v[idx] if rng.random() < 0.5 else unit_rows(rng, 8, 3)
-            assert_same_sets(bank, feats, idx)
+            assert_same_sets(bank, feats, idx, k_pos)
 
     def test_single_entry_bank(self):
-        bank = init_bank(np.array([[1.0, 0.0]]), k_pos=6)
-        assert positive_sets(bank, bank.v, np.array([0])).tolist() == [[0]]
-        assert_same_sets(bank, bank.v, np.array([0]))
+        bank = init_bank(np.array([[1.0, 0.0]]))
+        assert positive_sets(bank, bank.v, np.array([0]), 6).tolist() == [[0]]
+        assert_same_sets(bank, bank.v, np.array([0]), 6)
 
 
 class TestSpreadLoss:
     def test_no_negatives_zero_loss(self):
         rng = np.random.default_rng(6)
         v = unit_rows(rng, 5, 4)
-        bank = init_bank(v, k_pos=4)  # K_i covers the whole bank
-        positives = positive_sets(bank, v[[0, 2]], np.array([0, 2]))
+        bank = init_bank(v)
+        positives = positive_sets(bank, v[[0, 2]], np.array([0, 2]), 4)  # the whole bank
         loss, gf, gv = spread_loss(v[[0, 2]], bank, positives, margin=0.35)
         assert loss == 0.0
         assert np.all(gf == 0.0)
@@ -155,9 +161,9 @@ class TestSpreadLoss:
     def test_equal_dots_counting_formula(self):
         # identical entries make every dot product equal; with margin zero the
         # per-anchor term is log(1 + |K|*(N - |K|))
-        n, k = 6, 2
+        n = 6
         v = np.tile([[1.0, 0.0]], (n, 1))
-        bank = MemoryBank(v=v.copy(), k_pos=k)
+        bank = MemoryBank(v=v.copy())
         feats = np.array([[1.0, 0.0]])
         positives = np.array([[0, 1, 2]])
         loss, _, _ = spread_loss(feats, bank, positives, margin=0.0)
@@ -167,10 +173,10 @@ class TestSpreadLoss:
         rng = np.random.default_rng(7)
         for _ in range(10):
             v = unit_rows(rng, 4, 3)
-            bank = init_bank(v.copy(), k_pos=1)
+            bank = init_bank(v.copy())
             feats = unit_rows(rng, 2, 3)
             idx = np.array([0, 3])
-            positives = positive_sets(bank, feats, idx)
+            positives = positive_sets(bank, feats, idx, 1)
             loss, _, _ = spread_loss(feats, bank, positives, margin=0.35)
             want = naive_spread(feats, v, positives, 0.35)
             assert loss == pytest.approx(want, rel=1e-12, abs=1e-12)
@@ -178,10 +184,10 @@ class TestSpreadLoss:
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(8)
         v = unit_rows(rng, 5, 3)
-        bank = init_bank(v.copy(), k_pos=1)
+        bank = init_bank(v.copy())
         feats = unit_rows(rng, 3, 3)
         idx = np.array([0, 2, 4])
-        positives = positive_sets(bank, feats, idx)
+        positives = positive_sets(bank, feats, idx, 1)
         loss, gf, gv = spread_loss(feats, bank, positives, margin=0.35)
         assert loss > 0
 
@@ -189,7 +195,7 @@ class TestSpreadLoss:
             return spread_loss(f, bank, positives, 0.35)[0]
 
         def loss_of_bank(vv):
-            trial = MemoryBank(v=vv, k_pos=1)
+            trial = MemoryBank(v=vv)
             return spread_loss(feats, trial, positives, 0.35)[0]
 
         # bank gradient covers both branches: entries inside some K_i and out
@@ -204,10 +210,10 @@ class TestSpreadLoss:
     def test_monotone_in_margin(self):
         rng = np.random.default_rng(9)
         v = unit_rows(rng, 6, 4)
-        bank = init_bank(v.copy(), k_pos=2)
+        bank = init_bank(v.copy())
         feats = unit_rows(rng, 3, 4)
         idx = np.array([0, 1, 2])
-        positives = positive_sets(bank, feats, idx)
+        positives = positive_sets(bank, feats, idx, 2)
         losses = [spread_loss(feats, bank, positives, m)[0] for m in (0.0, 0.2, 0.35, 1.0)]
         assert all(b >= a for a, b in zip(losses, losses[1:]))
 
@@ -240,11 +246,11 @@ class TestSpreadLossAgainstMasks:
             d = int(rng.integers(2, 9))
             k_pos = {"zero": 0, "one": 1, "mid": max(1, n // 4),
                      "n_minus_1": n - 1, "above_n": n + 3}[k_choice]
-            bank = init_bank(unit_rows(rng, n, d), k_pos=k_pos)
+            bank = init_bank(unit_rows(rng, n, d))
             b = int(rng.integers(1, 16))
             feats = unit_rows(rng, b, d)
             idx = rng.integers(0, n, size=b)
-            positives = positive_sets(bank, feats, idx)
+            positives = positive_sets(bank, feats, idx, k_pos)
             margin = float(rng.choice([0.0, 0.35, 1.0]))
             assert_same_spread(feats, bank, positives, margin)
 
@@ -254,26 +260,26 @@ class TestSpreadLossAgainstMasks:
         for _ in range(30):
             pool = unit_rows(rng, int(rng.integers(1, 5)), 3)
             v = pool[rng.integers(0, len(pool), size=20)]
-            bank = init_bank(v, k_pos=k_pos)
+            bank = init_bank(v)
             idx = rng.integers(0, 20, size=8)
             feats = v[idx] if rng.random() < 0.5 else unit_rows(rng, 8, 3)
-            assert_same_spread(feats, bank, positive_sets(bank, feats, idx))
+            assert_same_spread(feats, bank, positive_sets(bank, feats, idx, k_pos))
 
     def test_no_negatives_zeroes_the_gradient(self):
         # k_pos >= N - 1: every row covers the bank, so no row is live
         rng = np.random.default_rng(42)
-        bank = init_bank(unit_rows(rng, 9, 4), k_pos=8)
+        bank = init_bank(unit_rows(rng, 9, 4))
         feats = unit_rows(rng, 5, 4)
-        positives = positive_sets(bank, feats, np.arange(5))
+        positives = positive_sets(bank, feats, np.arange(5), 8)
         assert positives.shape == (5, 9)
         assert_same_spread(feats, bank, positives)
         _, gf, gv = spread_loss(feats, bank, positives, 0.35)
         assert not np.any(gf) and not np.any(gv)
 
     def test_single_entry_bank(self):
-        bank = init_bank(np.array([[0.6, 0.8]]), k_pos=6)
+        bank = init_bank(np.array([[0.6, 0.8]]))
         feats = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert_same_spread(feats, bank, positive_sets(bank, feats, np.array([0, 0])))
+        assert_same_spread(feats, bank, positive_sets(bank, feats, np.array([0, 0]), 6))
 
 
 class TestInstantUpdate:
@@ -308,57 +314,45 @@ class TestInstantUpdate:
     def test_descent_on_fixed_sets(self):
         rng = np.random.default_rng(13)
         v = unit_rows(rng, 8, 4)
-        bank = init_bank(v.copy(), k_pos=2)
+        bank = init_bank(v.copy())
         feats = unit_rows(rng, 4, 4)
         idx = np.array([0, 2, 4, 6])
-        positives = positive_sets(bank, feats, idx)
+        positives = positive_sets(bank, feats, idx, 2)
         before, _, gv = spread_loss(feats, bank, positives, 0.35)
         instant_update(bank, gv, eta=1e-3)
         after, _, _ = spread_loss(feats, bank, positives, 0.35)
         assert after <= before
         assert np.allclose(np.linalg.norm(bank.v, axis=1), 1.0, atol=1e-6)
 
-    def test_mode_guard(self):
-        rng = np.random.default_rng(14)
-        bank = init_bank(unit_rows(rng, 3, 2), mode="momentum")
-        with pytest.raises(ValueError):
-            instant_update(bank, np.zeros((3, 2)), eta=0.1)
-
 
 class TestMomentumUpdate:
     def test_tau_zero_overwrites(self):
         rng = np.random.default_rng(15)
-        bank = init_bank(unit_rows(rng, 4, 3), mode="momentum", tau=0.0)
+        bank = init_bank(unit_rows(rng, 4, 3))
         feats = unit_rows(rng, 2, 3)
-        momentum_update(bank, feats, np.array([1, 3]))
+        momentum_update(bank, feats, np.array([1, 3]), tau=0.0)
         assert np.allclose(bank.v[[1, 3]], feats, atol=1e-12)
 
     def test_tau_near_one_barely_moves(self):
         rng = np.random.default_rng(18)
-        bank = init_bank(unit_rows(rng, 3, 4), mode="momentum", tau=0.999)
+        bank = init_bank(unit_rows(rng, 3, 4))
         before = bank.v.copy()
-        momentum_update(bank, unit_rows(rng, 1, 4), np.array([1]))
+        momentum_update(bank, unit_rows(rng, 1, 4), np.array([1]), tau=0.999)
         assert np.linalg.norm(bank.v[1] - before[1]) < 5e-3
 
     def test_hand_computed_blend(self):
-        bank = init_bank(np.array([[1.0, 0.0], [0.0, 1.0]]), mode="momentum", tau=0.01)
+        bank = init_bank(np.array([[1.0, 0.0], [0.0, 1.0]]))
         feat = np.array([[0.0, 1.0]])
-        momentum_update(bank, feat, np.array([0]))
+        momentum_update(bank, feat, np.array([0]), tau=0.01)
         target = 0.01 * np.array([1.0, 0.0]) + 0.99 * np.array([0.0, 1.0])
         assert np.allclose(bank.v[0], target / np.linalg.norm(target), atol=1e-12)
         assert np.allclose(bank.v[1], [0.0, 1.0], atol=1e-15)
 
     def test_untouched_rows_stay(self):
         rng = np.random.default_rng(16)
-        bank = init_bank(unit_rows(rng, 5, 3), mode="momentum", tau=0.5)
+        bank = init_bank(unit_rows(rng, 5, 3))
         before = bank.v.copy()
-        momentum_update(bank, unit_rows(rng, 1, 3), np.array([2]))
+        momentum_update(bank, unit_rows(rng, 1, 3), np.array([2]), tau=0.5)
         keep = [0, 1, 3, 4]
         assert np.array_equal(bank.v[keep], before[keep])
         assert not np.array_equal(bank.v[2], before[2])
-
-    def test_mode_guard(self):
-        rng = np.random.default_rng(17)
-        bank = init_bank(unit_rows(rng, 3, 2))
-        with pytest.raises(ValueError):
-            momentum_update(bank, bank.v[[0]], np.array([0]))

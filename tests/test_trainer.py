@@ -1,5 +1,4 @@
 import copy
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +8,7 @@ import pytest
 from conftest import adapt_config, standard_fixture
 from reidapt.cluster import CoarseClusters
 from reidapt.data import OUTLIER, SynthSpec, generate_synthetic
-from reidapt.encoder import forward, init_encoder
+from reidapt.encoder import forward
 from reidapt.losses import batch_hard_triplet, cross_entropy
 from reidapt.membank import init_bank
 from reidapt.refine import PseudoLabelSet, refine_labels
@@ -63,7 +62,8 @@ class TestTrainConfig:
 
     def test_from_dict_rejects_out_of_range(self):
         for key, value in (("alpha", 1.3), ("alpha", -0.1), ("mu", -0.5),
-                           ("base_lr", -1e-4)):
+                           ("base_lr", -1e-4), ("bank_mode", "queue"),
+                           ("bank_tau", 1.0), ("k_pos", -1)):
             with pytest.raises(ConfigError) as err:
                 TrainConfig.from_dict({key: value})
             assert key in str(err.value)
@@ -277,7 +277,7 @@ def trained_setup():
     cfg = small_config()
     state = pretrain_source(source.raw, source.identity, cfg)
     es = offline_epoch(state, train.raw, cfg, 0)
-    bank = init_bank(forward(state, train.raw)[0], k_pos=cfg.k_pos)
+    bank = init_bank(forward(state, train.raw)[0])
     return state, bank, train, es, cfg
 
 
@@ -316,8 +316,7 @@ class TestOnlineIteration:
         state0, _, train, es, _ = trained_setup
         cfg = small_config(bank_mode="momentum")
         state = copy.deepcopy(state0)
-        bank = init_bank(forward(state, train.raw)[0], mode="momentum",
-                         tau=cfg.bank_tau, k_pos=cfg.k_pos)
+        bank = init_bank(forward(state, train.raw)[0])
         before = bank.v.copy()
         rng = np.random.default_rng(2)
         batch = pk_sample(es.labels, cfg.batch_p, cfg.batch_k, rng)
@@ -378,7 +377,7 @@ class TestZeroWeightBranches:
             monkeypatch.setattr(trainer, name, forbidden)
         seen = self.record_label_branches(monkeypatch)
         state = copy.deepcopy(state0)
-        bank = init_bank(forward(state, train.raw)[0], mode=mode, k_pos=cfg.k_pos)
+        bank = init_bank(forward(state, train.raw)[0])
         before = bank.v.copy()
         labels = relabeled(es.labels)
         rng = np.random.default_rng(4)
@@ -488,8 +487,7 @@ class TestAgainstTheAllBranchStep:
     def run(monkeypatch, step, cfg, pretrained, raw):
         import reidapt.trainer as trainer
         monkeypatch.setattr(trainer, "online_iteration", step)
-        bank0 = init_bank(forward(pretrained, raw)[0], mode=cfg.bank_mode,
-                          tau=cfg.bank_tau, k_pos=cfg.k_pos)
+        bank0 = init_bank(forward(pretrained, raw)[0])
         rows = []
         state, history, bank = adapt(
             copy.deepcopy(pretrained), raw, cfg, bank=copy.deepcopy(bank0),
@@ -550,28 +548,6 @@ class TestAdapt:
         assert history == []
         for k, v in before.items():
             assert np.array_equal(getattr(out, k), v)
-
-    def test_given_bank_must_match_the_config(self, monkeypatch):
-        import reidapt.trainer as trainer
-        _, train, _, _ = small_fixture()
-        cfg = small_config(bank_mode="instant")
-        state = init_encoder(train.raw.shape[1], cfg.hidden, cfg.feat_dim,
-                             np.random.default_rng(0))
-        feats = forward(state, train.raw)[0]
-
-        def forbidden(*args, **kw):
-            raise AssertionError("an epoch ran under a mismatched bank")
-
-        monkeypatch.setattr(trainer, "offline_epoch", forbidden)
-        settings = dict(mode=cfg.bank_mode, tau=cfg.bank_tau, k_pos=cfg.k_pos)
-        for key, change in (("bank_mode", dict(mode="momentum")),
-                            ("bank_tau", dict(tau=0.5)), ("k_pos", dict(k_pos=3))):
-            bank = init_bank(feats, **{**settings, **change})
-            with pytest.raises(ConfigError) as err:
-                adapt(state, train.raw, cfg, bank=bank)
-            assert key in str(err.value)
-        bank = init_bank(feats, **settings)
-        assert adapt(state, train.raw, replace(cfg, epochs=0), bank=bank)[2] is bank
 
     def test_metrics_deterministic_across_runs(self):
         source, train, _, _ = small_fixture()

@@ -190,9 +190,22 @@ def _find_resume_point(resume_dir: Path):
     return max(epochs)
 
 
+def _rows_through(path: Path, last: int) -> list[str]:
+    """A run's CSV rows of epochs 0 to ``last``; none without the file."""
+    done = {str(epoch) for epoch in range(last + 1)}
+    try:
+        return [row for row in path.read_text().splitlines()[1:]
+                if row.split(",", 1)[0] in done]
+    except FileNotFoundError:
+        return []
+
+
 def cmd_adapt(args):
     cfg = _load_config(args)
     raw, identity, _ = _load_split(args.data, "target_train")
+    # the final bank is written last, so its directory is checked first
+    if args.dump_bank and not Path(args.dump_bank).parent.is_dir():
+        raise CliError(f"cannot write {args.dump_bank}: no such directory", EXIT_IO)
     run_dir = _run_dir(args)
 
     start_epoch = 0
@@ -223,10 +236,12 @@ def cmd_adapt(args):
     metrics_csv, losses_csv = run_dir / "metrics.csv", run_dir / "losses.csv"
     _write_manifest(run_dir, cfg, "adapt", args.data,
                     {"final": final, "metrics": metrics_csv, "losses": losses_csv})
-    # headers now and rows as each epoch ends, so a run that stops early
-    # keeps the rows of the epochs it finished
-    metrics_csv.write_text(metrics_csv_lines([])[0] + "\n")
-    losses_csv.write_text(loss_csv_lines([])[0] + "\n")
+    # headers and a resumed run's rows now, and rows as each epoch ends, so a
+    # run that stops early keeps the rows of the epochs it finished
+    for path, lines in ((metrics_csv, metrics_csv_lines([])), (losses_csv, loss_csv_lines([]))):
+        if args.resume:
+            lines += _rows_through(Path(args.resume) / path.name, last)
+        path.write_text("\n".join(lines) + "\n")
 
     labels_dir = Path(args.dump_labels) if args.dump_labels else None
     if labels_dir:

@@ -17,22 +17,13 @@ from .graph import gram_sq_distances, screen_extremes
 class LossReport:
     """Per-iteration loss breakdown: ``cls`` and ``tri`` are the alpha blends
     of the coarse- and refined-label terms, and ``total`` adds mu times
-    ``spread``.
-
-    A term whose weight is exactly 0 is not computed and reads None: the
-    coarse-label pair at alpha=1, the refined-label pair at alpha=0, and
-    ``spread`` at mu=0.
+    ``spread``. ``spread`` reads None at mu = 0, where it is not computed.
     """
 
-    cls_noisy: float | None
-    cls_refined: float | None
-    tri_noisy: float | None
-    tri_refined: float | None
     cls: float
     tri: float
     spread: float | None
     total: float
-    grad_features: np.ndarray | None = None
 
 
 def cross_entropy(probs: np.ndarray, labels: np.ndarray):

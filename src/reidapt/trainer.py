@@ -253,18 +253,18 @@ def joint_loss_and_grads(state: EncoderState, bank: MemoryBank | None, x: np.nda
     """
     feats, cache = forward(state, x)
     probs = classifier_forward(state, feats)
-    cls_noisy = tri_noisy = cls_refined = tri_refined = None
+    cls_c = tri_c = cls_r = tri_r = 0.0  # a labeling weighted 0 is skipped: its terms stay 0
     weighted = []  # (weight, logit gradient, triplet gradient) per computed labeling
     if cfg.alpha < 1.0:
-        cls_noisy, g_logits = cross_entropy(probs, coarse)
-        tri_noisy, g_tri = batch_hard_triplet(feats, coarse, cfg.margin)
+        cls_c, g_logits = cross_entropy(probs, coarse)
+        tri_c, g_tri = batch_hard_triplet(feats, coarse, cfg.margin)
         weighted.append((1.0 - cfg.alpha, g_logits, g_tri))
     if cfg.alpha > 0.0:
-        if cls_noisy is not None and np.array_equal(refined, coarse):
-            cls_refined, tri_refined = cls_noisy, tri_noisy
+        if weighted and np.array_equal(refined, coarse):
+            cls_r, tri_r = cls_c, tri_c
         else:
-            cls_refined, g_logits = cross_entropy(probs, refined)
-            tri_refined, g_tri = batch_hard_triplet(feats, refined, cfg.margin)
+            cls_r, g_logits = cross_entropy(probs, refined)
+            tri_r, g_tri = batch_hard_triplet(feats, refined, cfg.margin)
         weighted.append((cfg.alpha, g_logits, g_tri))
 
     spread = g_bank = feats_n = None
@@ -277,11 +277,8 @@ def joint_loss_and_grads(state: EncoderState, bank: MemoryBank | None, x: np.nda
         spread, g_feats_n, g_bank = spread_loss(feats_n, bank, positives,
                                                 cfg.spread_margin)
 
-    # convex blend; a term that was not computed (its weight is 0) counts as 0
-    cn, tn, cr, tr = (0.0 if t is None else t
-                      for t in (cls_noisy, tri_noisy, cls_refined, tri_refined))
-    cls = (1.0 - cfg.alpha) * cn + cfg.alpha * cr
-    tri = (1.0 - cfg.alpha) * tn + cfg.alpha * tr
+    cls = (1.0 - cfg.alpha) * cls_c + cfg.alpha * cls_r
+    tri = (1.0 - cfg.alpha) * tri_c + cfg.alpha * tri_r
     total = cls + tri + cfg.mu * (0.0 if spread is None else spread)
     if not np.isfinite(total):
         raise TrainingDivergedError(
@@ -298,11 +295,7 @@ def joint_loss_and_grads(state: EncoderState, bank: MemoryBank | None, x: np.nda
 
     grads, _ = backward(state, cache, g_feats)
     grads.update(cls_grads)
-    report = LossReport(cls_noisy=cls_noisy, cls_refined=cls_refined,
-                        tri_noisy=tri_noisy, tri_refined=tri_refined,
-                        cls=cls, tri=tri, spread=spread, total=total,
-                        grad_features=g_feats)
-    return report, grads, g_bank, feats_n
+    return LossReport(cls=cls, tri=tri, spread=spread, total=total), grads, g_bank, feats_n
 
 
 def online_iteration(state: EncoderState, bank: MemoryBank, raw: np.ndarray,

@@ -15,6 +15,8 @@ reproduce their numbers bit for bit (same eps, same labels, same pair
 counts, same losses, weights, centers, bank and synthetic splits).
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from reidapt.data import (
@@ -36,7 +38,7 @@ from reidapt.encoder import (
     lr_at,
 )
 from reidapt.graph import SparseDistances
-from reidapt.losses import LossReport, cross_entropy
+from reidapt.losses import cross_entropy
 from reidapt.membank import instant_update, momentum_update
 from reidapt.refine import PseudoLabelSet
 from reidapt.trainer import _PRETRAIN_STREAM, TrainingDivergedError, _pk_iterations
@@ -379,8 +381,24 @@ def total_loss(cls: float, tri: float, spread: float, mu: float) -> float:
     return cls + tri + mu * spread
 
 
+@dataclass
+class StepTerms:
+    """Every term of the all-branch step: the loss under each labeling, their
+    alpha blends ``cls`` and ``tri``, the spread-out term and the total."""
+
+    cls_noisy: float
+    cls_refined: float
+    tri_noisy: float
+    tri_refined: float
+    cls: float
+    tri: float
+    spread: float
+    total: float
+
+
 def joint_loss_and_grads(state, bank, x, coarse, refined, sample_indices, cfg):
-    """The joint step with every branch computed, each then weighted."""
+    """The joint step with every branch computed, each then weighted; its
+    report is a ``StepTerms`` record."""
     feats, cache = forward(state, x)
     norms = np.linalg.norm(feats, axis=1, keepdims=True)
     if np.any(norms == 0.0):
@@ -412,10 +430,9 @@ def joint_loss_and_grads(state, bank, x, coarse, refined, sample_indices, cfg):
 
     grads, _ = backward(state, cache, g_feats)
     grads.update(cls_grads)
-    report = LossReport(cls_noisy=cls_noisy, cls_refined=cls_refined,
-                        tri_noisy=tri_noisy, tri_refined=tri_refined,
-                        cls=cls_blend, tri=tri_blend, spread=spread, total=total,
-                        grad_features=g_feats)
+    report = StepTerms(cls_noisy=cls_noisy, cls_refined=cls_refined,
+                       tri_noisy=tri_noisy, tri_refined=tri_refined,
+                       cls=cls_blend, tri=tri_blend, spread=spread, total=total)
     return report, grads, g_bank, feats_n
 
 

@@ -1,4 +1,5 @@
 import json
+import shutil
 from dataclasses import fields
 from pathlib import Path
 
@@ -191,6 +192,27 @@ class TestPipeline:
         assert json.loads(stdout)["epochs_run"] == 1  # epoch 1 only
         assert (tmp_path / "runB" / "ckpt_epoch_001.drft").exists()
 
+    def test_resume_keeps_earlier_epoch_rows(self, data_dir, tmp_path, capsys):
+        code, _, _ = run_cli(capsys, "adapt", "--data", str(data_dir), "--config",
+                             fast_config(tmp_path, epochs=2), "--out", str(tmp_path / "first"))
+        assert code == 0
+        first = {name: (tmp_path / "first" / name).read_bytes()
+                 for name in ("metrics.csv", "losses.csv")}
+        shutil.copytree(tmp_path / "first", tmp_path / "same")
+        cfg3 = fast_config(tmp_path, epochs=3)
+        # into the run directory itself, and into a directory of its own
+        for resume, out in (("same", "same"), ("first", "other")):
+            code, _, _ = run_cli(capsys, "adapt", "--data", str(data_dir), "--config", cfg3,
+                                 "--resume", str(tmp_path / resume),
+                                 "--out", str(tmp_path / out))
+            assert code == 0
+            for name, before in first.items():
+                after = (tmp_path / out / name).read_bytes()
+                # epochs 0-1 as the first run wrote them; epoch 2 may differ
+                # from an uninterrupted run (float32 checkpoints)
+                assert after.startswith(before)
+                epochs = [line.split(b",")[0] for line in after.splitlines()[1:]]
+                assert list(dict.fromkeys(epochs)) == [b"0", b"1", b"2"]
 
     def test_csvs_keep_finished_epochs_on_exit_4(self, data_dir, tmp_path, capsys,
                                                  monkeypatch):
@@ -308,6 +330,22 @@ class TestValidation:
             code, _, err = run_cli(capsys, *argv)
             assert code == 3
             assert err.startswith("error:")
+
+    def test_dump_bank_directory_checked_before_training(self, data_dir, tmp_path, capsys,
+                                                         monkeypatch):
+        import reidapt.cli as cli
+
+        def forbidden(*args, **kw):
+            raise AssertionError("training ran before the output path was checked")
+
+        monkeypatch.setattr(cli, "pretrain_source", forbidden)
+        monkeypatch.setattr(cli, "adapt", forbidden)
+        code, _, err = run_cli(capsys, "adapt", "--data", str(data_dir),
+                               "--config", fast_config(tmp_path, epochs=1),
+                               "--out", str(tmp_path / "run"),
+                               "--dump-bank", str(tmp_path / "missing" / "bank.drft"))
+        assert code == 3
+        assert err.startswith("error:") and "missing" in err
 
     def test_all_outliers_exit_4_in_cluster_and_eval(self, data_dir, tmp_path, capsys):
         save_checkpoint(tmp_path / "ckpt", init_encoder(12, 24, 12, np.random.default_rng(0)))

@@ -1,4 +1,5 @@
 import copy
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +10,7 @@ from conftest import adapt_config, standard_fixture
 from reidapt.cluster import CoarseClusters
 from reidapt.data import OUTLIER, SynthSpec, generate_synthetic
 from reidapt.encoder import forward
-from reidapt.losses import batch_hard_triplet, cross_entropy
+from reidapt.losses import LossReport, batch_hard_triplet, cross_entropy
 from reidapt.membank import init_bank
 from reidapt.refine import PseudoLabelSet, refine_labels
 from reidapt.trainer import (
@@ -294,6 +295,16 @@ class TestOnlineIteration:
         assert np.isfinite(report.total)
         assert report.total > 0
 
+    def test_reports_hold_the_four_loss_numbers_only(self, trained_setup):
+        state0, _, train, _, _ = trained_setup
+        reports = []
+        adapt(copy.deepcopy(state0), train.raw, small_config(epochs=1, iters_per_epoch=50),
+              on_epoch=lambda m, s, b, r, l: reports.extend(r))
+        assert len(reports) == 50
+        assert [f.name for f in fields(LossReport)] == ["cls", "tri", "spread", "total"]
+        assert not any(isinstance(value, np.ndarray)
+                       for r in reports for value in vars(r).values())
+
     def test_alpha_mu_zero_reduces_to_baseline(self, trained_setup):
         state0, bank0, train, es, _ = trained_setup
         cfg = small_config(alpha=0.0, mu=0.0)
@@ -386,7 +397,6 @@ class TestZeroWeightBranches:
             report = online_iteration(state, bank, train.raw, batch, labels, cfg,
                                       lr=cfg.base_lr)
             assert report.spread is None
-            assert report.cls_refined is None and report.tri_refined is None
             # alpha = 0: only the coarse labels reach the loss functions
             assert [name for name, _ in seen] == ["cross_entropy", "batch_hard_triplet"]
             assert all(np.array_equal(used, labels.coarse[batch]) for _, used in seen)
@@ -402,14 +412,13 @@ class TestZeroWeightBranches:
         batch = pk_sample(labels, cfg.batch_p, cfg.batch_k, np.random.default_rng(5))
         report = online_iteration(copy.deepcopy(state0), copy.deepcopy(bank0),
                                   train.raw, batch, labels, cfg, lr=cfg.base_lr)
-        assert report.cls_noisy is None and report.tri_noisy is None
         assert report.spread is not None
         assert len(seen) == 2
         assert all(np.array_equal(used, labels.refined[batch]) for _, used in seen)
 
     def test_equal_labelings_are_computed_once(self, trained_setup, monkeypatch):
         state0, bank0, train, es, _ = trained_setup
-        cfg = small_config(alpha=0.5)
+        cfg = small_config(alpha=0.5, margin=2.0)  # triplet terms not 0
         seen = self.record_label_branches(monkeypatch)
         labels = PseudoLabelSet(coarse=es.labels.coarse, refined=es.labels.coarse.copy(),
                                 num_clusters=es.labels.num_clusters)
@@ -417,8 +426,14 @@ class TestZeroWeightBranches:
         report = online_iteration(copy.deepcopy(state0), copy.deepcopy(bank0),
                                   train.raw, batch, labels, cfg, lr=cfg.base_lr)
         assert len(seen) == 2
-        assert report.cls_noisy == report.cls_refined
-        assert report.tri_noisy == report.tri_refined
+        # the reused terms blend as the all-branch step's two computed ones do
+        full = oracles.joint_loss_and_grads(
+            state0, bank0, train.raw[batch], labels.coarse[batch],
+            labels.refined[batch], batch, cfg)[0]
+        assert (bits(full.cls_noisy), bits(full.tri_noisy)) == (bits(full.cls_refined),
+                                                                bits(full.tri_refined))
+        for name in ("cls", "tri", "total"):
+            assert bits(getattr(report, name)) == bits(getattr(full, name))
 
 
 def bits(value):
@@ -429,53 +444,56 @@ class TestStepBlend:
     """The step blends its terms as the oracle blend and total do, bit for bit."""
 
     @staticmethod
-    def step(trained_setup, alpha, mu):
+    def step(trained_setup, monkeypatch, alpha, mu):
+        """The step's report, the all-branch step's record of every term, and
+        the labeling ("coarse" or "refined") of each loss call the step made."""
         state, bank, train, es, _ = trained_setup
-        cfg = small_config(alpha=alpha, mu=mu)
+        # at the default margin every triplet term of this batch is 0
+        cfg = small_config(alpha=alpha, mu=mu, margin=2.0)
         labels = relabeled(es.labels)
         batch = pk_sample(labels, cfg.batch_p, cfg.batch_k, np.random.default_rng(7))
         args = (state, bank, train.raw[batch], labels.coarse[batch],
                 labels.refined[batch], batch, cfg)
+        seen = TestZeroWeightBranches.record_label_branches(monkeypatch)
         report = joint_loss_and_grads(*args)[0]
-        # the all-branch step computes every term, so it reports them all
+        branches = ["coarse" if np.array_equal(used, labels.coarse[batch]) else "refined"
+                    for _, used in seen]
+        # the all-branch step computes every term, so it records them all
         full = oracles.joint_loss_and_grads(*args)[0]
-        cls, tri = oracles.blend_metric_losses((report.cls_noisy, report.tri_noisy),
-                                               (report.cls_refined, report.tri_refined),
-                                               alpha)
         spread = 0.0 if report.spread is None else report.spread
-        total = oracles.total_loss(cls, tri, spread, mu)
-        for got, want in ((report.cls, cls), (report.tri, tri), (report.total, total),
-                          (report.cls, full.cls), (report.tri, full.tri),
-                          (report.total, full.total)):
+        total = oracles.total_loss(report.cls, report.tri, spread, mu)
+        for got, want in ((report.total, total), (report.cls, full.cls),
+                          (report.tri, full.tri), (report.total, full.total)):
             assert bits(got) == bits(want)
-        return report, full
+        return report, full, branches
 
     @pytest.mark.parametrize("mu", [0.0, 0.1])
-    def test_alpha_zero_is_noisy_baseline(self, trained_setup, mu):
-        report, full = self.step(trained_setup, 0.0, mu)
-        assert report.cls_refined is None and report.tri_refined is None
+    def test_alpha_zero_is_noisy_baseline(self, trained_setup, monkeypatch, mu):
+        report, full, branches = self.step(trained_setup, monkeypatch, 0.0, mu)
+        assert branches == ["coarse", "coarse"]
         assert (bits(report.cls), bits(report.tri)) == (bits(full.cls_noisy),
                                                         bits(full.tri_noisy))
 
     @pytest.mark.parametrize("mu", [0.0, 0.1])
-    def test_alpha_one_is_refined(self, trained_setup, mu):
-        report, full = self.step(trained_setup, 1.0, mu)
-        assert report.cls_noisy is None and report.tri_noisy is None
+    def test_alpha_one_is_refined(self, trained_setup, monkeypatch, mu):
+        report, full, branches = self.step(trained_setup, monkeypatch, 1.0, mu)
+        assert branches == ["refined", "refined"]
         assert (bits(report.cls), bits(report.tri)) == (bits(full.cls_refined),
                                                         bits(full.tri_refined))
 
     @pytest.mark.parametrize("mu", [0.0, 0.1])
-    def test_alpha_half_is_mean(self, trained_setup, mu):
-        report, _ = self.step(trained_setup, 0.5, mu)
-        assert report.cls_noisy != report.cls_refined
-        assert report.cls == pytest.approx(0.5 * (report.cls_noisy + report.cls_refined))
-        assert report.tri == pytest.approx(0.5 * (report.tri_noisy + report.tri_refined))
+    def test_alpha_half_is_mean(self, trained_setup, monkeypatch, mu):
+        report, full, branches = self.step(trained_setup, monkeypatch, 0.5, mu)
+        assert branches == ["coarse", "coarse", "refined", "refined"]
+        assert full.cls_noisy != full.cls_refined
+        assert report.cls == pytest.approx(0.5 * (full.cls_noisy + full.cls_refined))
+        assert report.tri == pytest.approx(0.5 * (full.tri_noisy + full.tri_refined))
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
-    def test_total_composition(self, trained_setup, alpha):
-        report, full = self.step(trained_setup, alpha, 0.1)
+    def test_total_composition(self, trained_setup, monkeypatch, alpha):
+        report, _, _ = self.step(trained_setup, monkeypatch, alpha, 0.1)
         assert report.total == pytest.approx(report.cls + report.tri + 0.1 * report.spread)
-        report, _ = self.step(trained_setup, alpha, 0.0)
+        report, _, _ = self.step(trained_setup, monkeypatch, alpha, 0.0)
         assert report.spread is None
         assert bits(report.total) == bits(report.cls + report.tri)
 
@@ -658,9 +676,7 @@ class TestCsvFormatting:
         assert row[3] == "" and row[4] == ""
 
     def test_loss_lines(self):
-        from reidapt.losses import LossReport
-        rep = LossReport(cls_noisy=1.0, cls_refined=2.0, tri_noisy=3.0, tri_refined=4.0,
-                         cls=1.5, tri=3.5, spread=5.0, total=5.5)
+        rep = LossReport(cls=1.5, tri=3.5, spread=5.0, total=5.5)
         lines = loss_csv_lines([(0, 0, rep)])
         assert lines[0] == "epoch,iter,cls,tri,spread,total"
         assert lines[1].split(",")[:2] == ["0", "0"]

@@ -149,7 +149,8 @@ def _lloyd(points, centers, max_iter):
         new_assignment, best = _assign(points, centers)
         history.append(float(best.sum()))
         if np.array_equal(new_assignment, assignment):
-            break
+            # the centers were fit to this assignment: assigning again repeats it
+            return centers, new_assignment, history[-1], history
         assignment = new_assignment
         for c in range(r):
             mask = assignment == c

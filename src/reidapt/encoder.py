@@ -49,10 +49,6 @@ class EncoderState:
     def feat_dim(self) -> int:
         return self.w2.shape[1]
 
-    @property
-    def num_classes(self) -> int:
-        return 0 if self.wc is None else self.wc.shape[0]
-
     def params(self) -> dict:
         out = {name: getattr(self, name) for name in ENCODER_PARAMS}
         if self.wc is not None:
@@ -87,8 +83,9 @@ def forward(state: EncoderState, x: np.ndarray):
     return feats, (x, a1)
 
 
-def backward(state: EncoderState, cache, grad_feats: np.ndarray):
-    """Exact gradients of the encoder parameters and the batch inputs."""
+def backward(state: EncoderState, cache, grad_feats: np.ndarray) -> dict:
+    """Exact gradients of the encoder parameters, by name. The inputs are
+    data, not parameters, so no gradient is taken with respect to them."""
     x, a1 = cache
     grad_feats = np.asarray(grad_feats, dtype=np.float64)
     if grad_feats.shape != (len(x), state.feat_dim):
@@ -97,13 +94,12 @@ def backward(state: EncoderState, cache, grad_feats: np.ndarray):
     g_b2 = grad_feats.sum(axis=0)
     g_a1 = grad_feats @ state.w2.T
     g_z1 = g_a1 * (1.0 - a1 * a1)
-    grads = {
+    return {
         "w1": x.T @ g_z1,
         "b1": g_z1.sum(axis=0),
         "w2": g_w2,
         "b2": g_b2,
     }
-    return grads, g_z1 @ state.w1.T
 
 
 def classifier_forward(state: EncoderState, feats: np.ndarray) -> np.ndarray:

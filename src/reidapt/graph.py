@@ -66,13 +66,16 @@ class DistanceGraph:
                                values=self.d_j, fill=1.0)
 
 
-def smallest_k(values: np.ndarray, k: int) -> np.ndarray:
+def smallest_k(values: np.ndarray, k: int, work: np.ndarray) -> np.ndarray:
     """Boolean mask of the k smallest entries of each row, 1 <= k <= width.
 
-    A partial sort finds each row's k-th value; among entries tied at it the
-    lowest indices win, as in a stable full sort.
+    A partial sort of a copy of ``values`` made into ``work``, an array of
+    the same shape that is overwritten, finds each row's k-th value; among
+    entries tied at it the lowest indices win, as in a stable full sort.
     """
-    kth = np.partition(values, k - 1, axis=1)[:, k - 1:k]
+    np.copyto(work, values)
+    work.partition(k - 1, axis=1)
+    kth = work[:, k - 1:k]
     keep = values <= kth
     over = np.flatnonzero(np.count_nonzero(keep, axis=1) > k)
     if len(over):  # ties at the k-th value: keep the lowest indices
@@ -161,7 +164,7 @@ def nearest_neighbors(features: np.ndarray, k: int):
         np.maximum(d, 0.0, out=d)
         np.sqrt(d, out=d)
         d[local, start + local] = np.inf
-        rows, cols = np.nonzero(smallest_k(d, k))
+        rows, cols = np.nonzero(smallest_k(d, k, gram))  # the Gram block is spent
         neighbors[start:stop] = cols.reshape(-1, k)
         dist[start:stop] = d[rows, cols].reshape(-1, k)
     return neighbors, dist

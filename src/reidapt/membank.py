@@ -3,8 +3,10 @@
 The bank keeps one unit-norm entry per target-train sample and nothing else.
 Each anchor treats its k nearest bank entries (plus its own slot) as
 positives and every other entry as a negative; the regularizer is a
-softplus-of-sums ranking loss over those pairs. An anchor's positives travel
-as one row of bank indices, never as a mask over the bank. The instant rule
+softplus-of-sums ranking loss over those pairs (the spread-out loss of Zhang
+et al. 2017, taken over the bank). Both sides come from one anchor-to-bank
+similarity product per step, and an anchor's positives travel as one row of
+bank indices, never as a mask over the bank. The instant rule
 gives the entries analytic gradients and a descent step every iteration; the
 momentum rule blends in batch features instead, for ablation. The functions
 here take k and tau as plain arguments: which rule runs, and with which
@@ -38,24 +40,25 @@ def init_bank(features: np.ndarray) -> MemoryBank:
     return MemoryBank(v=l2_normalize(features))
 
 
-def positive_sets(bank: MemoryBank, feats: np.ndarray,
-                  sample_indices: np.ndarray, k_pos: int) -> np.ndarray:
+def positive_sets(sims: np.ndarray, sample_indices: np.ndarray,
+                  k_pos: int) -> np.ndarray:
     """Each anchor's positive bank indices, (B, min(k_pos + 1, N)) int64.
 
-    Row b holds the k largest dot products against the bank (excluding the
-    anchor's own slot) plus the slot itself, in ascending index order;
-    similarity ties go to the lower index."""
-    feats = np.asarray(feats, dtype=np.float64)
+    ``sims`` is the (B, N) anchor-to-bank similarity matrix; it is not
+    modified. Row b holds the k largest similarities of anchor b (excluding
+    its own slot) plus the slot itself, in ascending index order; similarity
+    ties go to the lower index."""
     sample_indices = np.asarray(sample_indices, dtype=np.int64)
-    k = min(k_pos, len(bank) - 1)
+    b, n = sims.shape
+    k = min(k_pos, n - 1)
     if k == 0:
         return sample_indices[:, None].copy()
-    rows = np.arange(len(feats))
-    neg_sims = -(feats @ bank.v.T)
+    rows = np.arange(b)
+    neg_sims = -sims
     neg_sims[rows, sample_indices] = np.inf
-    keep = smallest_k(neg_sims, k)
+    keep = smallest_k(neg_sims, k, np.empty_like(neg_sims))
     keep[rows, sample_indices] = True
-    return np.nonzero(keep)[1].reshape(len(feats), k + 1).astype(np.int64)
+    return np.nonzero(keep)[1].reshape(b, k + 1).astype(np.int64)
 
 
 def _logsumexp(x):
@@ -67,13 +70,14 @@ def _logsumexp(x):
         return np.where(sums > 0.0, shift + np.log(sums), -np.inf)
 
 
-def spread_loss(feats: np.ndarray, bank: MemoryBank, positives: np.ndarray,
-                margin: float):
+def spread_loss(feats: np.ndarray, bank: MemoryBank, sample_indices: np.ndarray,
+                k_pos: int, margin: float):
     """Spread-out loss averaged over batch anchors, with gradients.
 
     Per anchor i: log[1 + sum_{k in K_i} sum_{n not in K_i}
-    exp(f_i.v_n - f_i.v_k + margin)], with K_i the bank indices in row i of
-    ``positives`` (as ``positive_sets`` returns them). The double sum
+    exp(f_i.v_n - f_i.v_k + margin)], with K_i the positives
+    ``positive_sets`` picks for anchor i, whose bank slot is
+    ``sample_indices[i]``, from the same similarity matrix. The double sum
     factorizes into independent log-sum-exps over positives and negatives,
     so both the value and the gradients are computed in max-shifted form.
     Each log-sum-exp runs over a full bank-wide row with the other side's
@@ -87,6 +91,7 @@ def spread_loss(feats: np.ndarray, bank: MemoryBank, positives: np.ndarray,
     rows = np.arange(b)[:, None]
 
     sims = feats @ bank.v.T
+    positives = positive_sets(sims, sample_indices, k_pos)
     pos_sims = sims[rows, positives]
     sims[rows, positives] = -np.inf            # negatives only from here on
     pos_row = np.full((b, n), -np.inf)

@@ -30,7 +30,7 @@ from .encoder import (
 from .evaluate import pairwise_fscore
 from .graph import SparseDistances, build_distance_graph, offdiag_percentile
 from .losses import LossReport, batch_hard_triplet, cross_entropy
-from .membank import MemoryBank, init_bank, instant_update, momentum_update, positive_sets, spread_loss
+from .membank import MemoryBank, init_bank, instant_update, momentum_update, spread_loss
 from .refine import PseudoLabelSet, refine_labels
 
 # sub-stream tags so every stage draws from its own deterministic generator
@@ -82,8 +82,7 @@ class TrainConfig:
     adapt_decay_epochs: tuple = (20,)
     decay_factor: float = 10.0
     weight_decay: float = 5e-4
-    feat_dim: int = 32
-    hidden_dim: int = 0            # 0 = twice feat_dim
+    feat_dim: int = 32             # embedding width; the hidden layer is twice as wide
     bank_mode: str = "instant"
     bank_tau: float = 0.01
     seed: int = 0
@@ -121,7 +120,6 @@ class TrainConfig:
             ("decay_factor", self.decay_factor > 1.0),
             ("weight_decay", self.weight_decay >= 0.0),
             ("feat_dim", self.feat_dim >= 1),
-            ("hidden_dim", self.hidden_dim >= 0),
             ("bank_mode", self.bank_mode in ("instant", "momentum")),
             ("bank_tau", 0.0 <= self.bank_tau < 1.0),
             ("seed", self.seed >= 0),
@@ -134,10 +132,6 @@ class TrainConfig:
     @property
     def batch_size(self) -> int:
         return self.batch_p * self.batch_k
-
-    @property
-    def hidden(self) -> int:
-        return self.hidden_dim or 2 * self.feat_dim
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
@@ -273,9 +267,8 @@ def joint_loss_and_grads(state: EncoderState, bank: MemoryBank | None, x: np.nda
         if np.any(norms == 0.0):
             raise TrainingDivergedError("encoder produced a zero feature vector")
         feats_n = feats / norms
-        positives = positive_sets(bank, feats_n, sample_indices, cfg.k_pos)
-        spread, g_feats_n, g_bank = spread_loss(feats_n, bank, positives,
-                                                cfg.spread_margin)
+        spread, g_feats_n, g_bank = spread_loss(feats_n, bank, sample_indices,
+                                                cfg.k_pos, cfg.spread_margin)
 
     cls = (1.0 - cfg.alpha) * cls_c + cfg.alpha * cls_r
     tri = (1.0 - cfg.alpha) * tri_c + cfg.alpha * tri_r
@@ -293,7 +286,7 @@ def joint_loss_and_grads(state: EncoderState, bank: MemoryBank | None, x: np.nda
         inner = np.sum(g_feats_n * feats_n, axis=1, keepdims=True)
         g_feats = g_feats + cfg.mu * (g_feats_n - inner * feats_n) / norms
 
-    grads, _ = backward(state, cache, g_feats)
+    grads = backward(state, cache, g_feats)
     grads.update(cls_grads)
     return LossReport(cls=cls, tri=tri, spread=spread, total=total), grads, g_bank, feats_n
 
@@ -336,7 +329,7 @@ def pretrain_source(raw: np.ndarray, identities: np.ndarray,
     cfg.validate()
     rng = np.random.default_rng((cfg.seed, _PRETRAIN_STREAM))
     classes, ids = np.unique(identities, return_inverse=True)
-    state = init_encoder(raw.shape[1], cfg.hidden, cfg.feat_dim, rng)
+    state = init_encoder(raw.shape[1], 2 * cfg.feat_dim, cfg.feat_dim, rng)
     init_classifier(state, len(classes), rng)
     labels = PseudoLabelSet(coarse=ids.astype(np.int64),
                             refined=ids.astype(np.int64),

@@ -428,7 +428,7 @@ def joint_loss_and_grads(state, bank, x, coarse, refined, sample_indices, cfg):
         inner = np.sum(g_feats_n * feats_n, axis=1, keepdims=True)
         g_feats = g_feats + cfg.mu * (g_feats_n - inner * feats_n) / norms
 
-    grads, _ = backward(state, cache, g_feats)
+    grads = backward(state, cache, g_feats)
     grads.update(cls_grads)
     report = StepTerms(cls_noisy=cls_noisy, cls_refined=cls_refined,
                        tri_noisy=tri_noisy, tri_refined=tri_refined,
@@ -455,7 +455,7 @@ def pretrain_source(raw, identities, cfg):
     cfg.validate()
     rng = np.random.default_rng((cfg.seed, _PRETRAIN_STREAM))
     classes, ids = np.unique(identities, return_inverse=True)
-    state = init_encoder(raw.shape[1], cfg.hidden, cfg.feat_dim, rng)
+    state = init_encoder(raw.shape[1], 2 * cfg.feat_dim, cfg.feat_dim, rng)
     init_classifier(state, len(classes), rng)
     labels = PseudoLabelSet(coarse=ids.astype(np.int64),
                             refined=ids.astype(np.int64),
@@ -476,7 +476,7 @@ def pretrain_source(raw, identities, cfg):
             if not np.isfinite(cls + tri):
                 raise TrainingDivergedError("non-finite pretraining loss")
             cls_grads, g_feats = classifier_backward(state, feats, g_logits)
-            grads, _ = backward(state, cache, g_feats + g_tri)
+            grads = backward(state, cache, g_feats + g_tri)
             grads.update(cls_grads)
             adam_step(state, grads, lr, cfg.weight_decay)
     return state

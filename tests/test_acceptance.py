@@ -112,11 +112,12 @@ def test_criterion_gradient_suite(monkeypatch):
     bank = MemoryBank(v=v.copy())
     anchors = l2_normalize(rng.standard_normal((8, 8)))
     idx = rng.choice(16, size=8, replace=False)
-    positives = positive_sets(bank, anchors, idx, 3)
-    _, gf, gv = spread_loss(anchors, bank, positives, 0.35)
-    num_f = central_diff(lambda f: spread_loss(f, bank, positives, 0.35)[0], anchors)
+    # (the positives are picked again at every perturbation, as in a step)
+    positives = positive_sets(anchors @ bank.v.T, idx, 3)
+    _, gf, gv = spread_loss(anchors, bank, idx, 3, 0.35)
+    num_f = central_diff(lambda f: spread_loss(f, bank, idx, 3, 0.35)[0], anchors)
     num_v = central_diff(
-        lambda vv: spread_loss(anchors, MemoryBank(v=vv), positives, 0.35)[0], v)
+        lambda vv: spread_loss(anchors, MemoryBank(v=vv), idx, 3, 0.35)[0], v)
     inside = np.unique(positives)
     both_branches = len(inside) < 16 and np.any(gv[inside] != 0)
     sp_f_err = rel_error(gf, num_f)
@@ -155,8 +156,7 @@ def test_criterion_gradient_suite(monkeypatch):
         t_n, _ = batch_hard_triplet(f, coarse, cfg.margin)
         t_r, _ = batch_hard_triplet(f, refined, cfg.margin)
         fn = l2_normalize(f)
-        sp, _, _ = spread_loss(fn, jbank, positive_sets(jbank, fn, jidx, cfg.k_pos),
-                               cfg.spread_margin)
+        sp, _, _ = spread_loss(fn, jbank, jidx, cfg.k_pos, cfg.spread_margin)
         a = cfg.alpha
         return ((1 - a) * (c_n + t_n) + a * (c_r + t_r) + cfg.mu * sp)
 
@@ -315,7 +315,7 @@ def test_criterion_oracle_suite():
         bank = init_bank(v)
         anchors = l2_normalize(rng.standard_normal((3, 3)))
         idx = rng.choice(6, size=3, replace=False)
-        positives = positive_sets(bank, anchors, idx, 2)
+        positives = positive_sets(anchors @ bank.v.T, idx, 2)
         for b in range(3):
             sims = anchors[b] @ bank.v.T
             order = sorted((-sims[j], j) for j in range(6) if j != idx[b])

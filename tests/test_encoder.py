@@ -59,9 +59,8 @@ class TestBackward:
         rng = np.random.default_rng(3)
         state = random_state(rng)
         _, cache = forward(state, rng.standard_normal((4, 5)))
-        grads, gx = backward(state, cache, np.zeros((4, 4)))
+        grads = backward(state, cache, np.zeros((4, 4)))
         assert all(np.all(g == 0.0) for g in grads.values())
-        assert np.all(gx == 0.0)
 
     def test_single_linear_layer_sum_loss(self):
         # with w1 = 0 every hidden unit sits at tanh'(0) = 1, so with w2 = I
@@ -70,7 +69,7 @@ class TestBackward:
         state = EncoderState(np.zeros((d, d)), np.zeros(d), np.eye(d), np.zeros(d))
         x = np.random.default_rng(4).standard_normal((6, d))
         _, cache = forward(state, x)
-        grads, _ = backward(state, cache, np.ones((6, d)))
+        grads = backward(state, cache, np.ones((6, d)))
         assert np.allclose(grads["w1"], x.sum(axis=0)[:, None] * np.ones((d, d)), atol=1e-12)
         assert np.allclose(grads["b2"], 6.0 * np.ones(d), atol=1e-12)
 
@@ -87,12 +86,11 @@ class TestBackward:
             return float(np.sum(feats * w))
 
         feats, cache = forward(state, x)
-        grads, gx = backward(state, cache, w)
+        grads = backward(state, cache, w)
+        assert sorted(grads) == ["b1", "b2", "w1", "w2"]
         for name in ("w1", "b1", "w2", "b2"):
             num = central_diff(lambda v, n=name: loss_with(n, v), getattr(state, name))
             assert rel_error(grads[name], num) <= 1e-6
-        num_x = central_diff(lambda v: float(np.sum(forward(state, v)[0] * w)), x)
-        assert rel_error(gx, num_x) <= 1e-6
 
     def test_stale_cache_rejected(self):
         rng = np.random.default_rng(6)
@@ -150,7 +148,8 @@ class TestClassifier:
         state = random_state(rng, classes=4)
         before = {k: getattr(state, k).copy() for k in ("w1", "b1", "w2", "b2")}
         init_classifier(state, 9, rng)
-        assert state.num_classes == 9
+        assert state.wc.shape == (9, state.feat_dim)
+        assert state.bc.shape == (9,)
         for k, v in before.items():
             assert np.array_equal(getattr(state, k), v)
 

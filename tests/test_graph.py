@@ -395,6 +395,22 @@ class TestMemory:
         block = 8 * int(np.max(np.diff(graph._row_blocks(n, graph._BLOCK_ENTRIES)))) * n
         assert peak < 2 * block, f"peak {peak} bytes, one block {block} bytes"
 
+    @pytest.mark.parametrize("n", [1280, 5120])
+    def test_nearest_neighbors_peak_near_two_blocks(self, n):
+        # one Gram and one distance block, reused; the partial sort works in
+        # the spent Gram block, so only a boolean mask and the outputs come on
+        # top. A partition copy of the distances would be a third block.
+        f = np.random.default_rng(21).standard_normal((n, 32))
+        nearest_neighbors(f[:50], 5)  # warm up the imports
+        tracemalloc.start()
+        try:
+            nearest_neighbors(f, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = 8 * int(np.max(np.diff(graph._row_blocks(n, graph._BLOCK_ENTRIES)))) * n
+        assert peak < 2.5 * block, f"peak {peak} bytes, one block {block} bytes"
+
     def test_graph_and_dbscan_at_5120_stay_under_512_mb(self):
         # The dense chain held five N x N float64 arrays: about 1.4 GB here.
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -73,7 +73,7 @@ class TestPositiveSets:
     def test_k_zero_is_self_only(self):
         rng = np.random.default_rng(2)
         bank = init_bank(unit_rows(rng, 6, 4))
-        positives = positive_sets(bank, bank.v[[1, 4]], np.array([1, 4]), 0)
+        positives = positive_sets(bank.v[[1, 4]] @ bank.v.T, np.array([1, 4]), 0)
         assert positives.tolist() == [[1], [4]]
 
     def test_exact_copy_is_selected(self):
@@ -81,7 +81,7 @@ class TestPositiveSets:
         v = unit_rows(rng, 6, 4)
         v[3] = v[0]
         bank = init_bank(v)
-        positives = positive_sets(bank, v[[0]], np.array([0]), 1)
+        positives = positive_sets(v[[0]] @ bank.v.T, np.array([0]), 1)
         assert positives.tolist() == [[0, 3]]
 
     def test_matches_brute_force_top_k(self):
@@ -91,7 +91,7 @@ class TestPositiveSets:
             bank = init_bank(v)
             feats = unit_rows(rng, 3, 3)
             idx = rng.choice(6, size=3, replace=False)
-            positives = positive_sets(bank, feats, idx, 2)
+            positives = positive_sets(feats @ bank.v.T, idx, 2)
             for b in range(3):
                 sims = feats[b] @ v.T
                 order = sorted((-sims[j], j) for j in range(6) if j != idx[b])
@@ -101,15 +101,18 @@ class TestPositiveSets:
     def test_k_clamped_to_bank_size(self):
         rng = np.random.default_rng(5)
         bank = init_bank(unit_rows(rng, 4, 3))
-        positives = positive_sets(bank, bank.v[[2]], np.array([2]), 10)
+        positives = positive_sets(bank.v[[2]] @ bank.v.T, np.array([2]), 10)
         assert positives.tolist() == [[0, 1, 2, 3]]
 
 
 def assert_same_sets(bank, feats, idx, k_pos):
-    got = positive_sets(bank, feats, idx, k_pos)
+    sims = feats @ bank.v.T
+    before = sims.copy()
+    got = positive_sets(sims, idx, k_pos)
     want = oracles.positive_sets(bank, feats, idx, k_pos)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
+    assert sims.tobytes() == before.tobytes()  # spread_loss reads it afterwards
 
 
 class TestPositiveSetsAgainstArgsort:
@@ -143,7 +146,7 @@ class TestPositiveSetsAgainstArgsort:
 
     def test_single_entry_bank(self):
         bank = init_bank(np.array([[1.0, 0.0]]))
-        assert positive_sets(bank, bank.v, np.array([0]), 6).tolist() == [[0]]
+        assert positive_sets(bank.v @ bank.v.T, np.array([0]), 6).tolist() == [[0]]
         assert_same_sets(bank, bank.v, np.array([0]), 6)
 
 
@@ -152,8 +155,8 @@ class TestSpreadLoss:
         rng = np.random.default_rng(6)
         v = unit_rows(rng, 5, 4)
         bank = init_bank(v)
-        positives = positive_sets(bank, v[[0, 2]], np.array([0, 2]), 4)  # the whole bank
-        loss, gf, gv = spread_loss(v[[0, 2]], bank, positives, margin=0.35)
+        # k_pos = 4 makes the whole bank positive
+        loss, gf, gv = spread_loss(v[[0, 2]], bank, np.array([0, 2]), 4, margin=0.35)
         assert loss == 0.0
         assert np.all(gf == 0.0)
         assert np.all(gv == 0.0)
@@ -165,8 +168,9 @@ class TestSpreadLoss:
         v = np.tile([[1.0, 0.0]], (n, 1))
         bank = MemoryBank(v=v.copy())
         feats = np.array([[1.0, 0.0]])
-        positives = np.array([[0, 1, 2]])
-        loss, _, _ = spread_loss(feats, bank, positives, margin=0.0)
+        # every similarity ties, so slots 1 and 2 join the anchor's own slot 0
+        assert positive_sets(feats @ bank.v.T, np.array([0]), 2).tolist() == [[0, 1, 2]]
+        loss, _, _ = spread_loss(feats, bank, np.array([0]), 2, margin=0.0)
         assert loss == pytest.approx(np.log(1 + 3 * 3), rel=1e-12)
 
     def test_matches_double_loop_oracle(self):
@@ -176,8 +180,8 @@ class TestSpreadLoss:
             bank = init_bank(v.copy())
             feats = unit_rows(rng, 2, 3)
             idx = np.array([0, 3])
-            positives = positive_sets(bank, feats, idx, 1)
-            loss, _, _ = spread_loss(feats, bank, positives, margin=0.35)
+            positives = positive_sets(feats @ bank.v.T, idx, 1)
+            loss, _, _ = spread_loss(feats, bank, idx, 1, margin=0.35)
             want = naive_spread(feats, v, positives, 0.35)
             assert loss == pytest.approx(want, rel=1e-12, abs=1e-12)
 
@@ -187,16 +191,17 @@ class TestSpreadLoss:
         bank = init_bank(v.copy())
         feats = unit_rows(rng, 3, 3)
         idx = np.array([0, 2, 4])
-        positives = positive_sets(bank, feats, idx, 1)
-        loss, gf, gv = spread_loss(feats, bank, positives, margin=0.35)
+        positives = positive_sets(feats @ bank.v.T, idx, 1)
+        loss, gf, gv = spread_loss(feats, bank, idx, 1, margin=0.35)
         assert loss > 0
 
+        # the positives are picked again at every perturbation, as in a step
         def loss_of_feats(f):
-            return spread_loss(f, bank, positives, 0.35)[0]
+            return spread_loss(f, bank, idx, 1, 0.35)[0]
 
         def loss_of_bank(vv):
             trial = MemoryBank(v=vv)
-            return spread_loss(feats, trial, positives, 0.35)[0]
+            return spread_loss(feats, trial, idx, 1, 0.35)[0]
 
         # bank gradient covers both branches: entries inside some K_i and out
         assert rel_error(gf, central_diff(loss_of_feats, feats)) <= 1e-5
@@ -213,21 +218,20 @@ class TestSpreadLoss:
         bank = init_bank(v.copy())
         feats = unit_rows(rng, 3, 4)
         idx = np.array([0, 1, 2])
-        positives = positive_sets(bank, feats, idx, 2)
-        losses = [spread_loss(feats, bank, positives, m)[0] for m in (0.0, 0.2, 0.35, 1.0)]
+        losses = [spread_loss(feats, bank, idx, 2, m)[0] for m in (0.0, 0.2, 0.35, 1.0)]
         assert all(b >= a for a, b in zip(losses, losses[1:]))
 
     def test_rejects_negative_margin(self):
         rng = np.random.default_rng(10)
         bank = init_bank(unit_rows(rng, 4, 3))
-        positives = np.array([[0]])
         with pytest.raises(ValueError):
-            spread_loss(bank.v[[0]], bank, positives, margin=-0.1)
+            spread_loss(bank.v[[0]], bank, np.array([0]), 0, margin=-0.1)
 
 
-def assert_same_spread(feats, bank, positives, margin=0.35):
-    got = spread_loss(feats, bank, positives, margin)
-    want = oracles.spread_loss(feats, bank, positives, margin)
+def assert_same_spread(feats, bank, idx, k_pos, margin=0.35):
+    got = spread_loss(feats, bank, idx, k_pos, margin)
+    want = oracles.spread_loss(feats, bank, positive_sets(feats @ bank.v.T, idx, k_pos),
+                               margin)
     assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
     for g, w in zip(got[1:], want[1:]):
         assert g.dtype == w.dtype and g.shape == w.shape
@@ -250,9 +254,8 @@ class TestSpreadLossAgainstMasks:
             b = int(rng.integers(1, 16))
             feats = unit_rows(rng, b, d)
             idx = rng.integers(0, n, size=b)
-            positives = positive_sets(bank, feats, idx, k_pos)
             margin = float(rng.choice([0.0, 0.35, 1.0]))
-            assert_same_spread(feats, bank, positives, margin)
+            assert_same_spread(feats, bank, idx, k_pos, margin)
 
     @pytest.mark.parametrize("k_pos", [0, 2, 7, 19, 25])
     def test_duplicate_rows_tie_at_the_kth_similarity(self, k_pos):
@@ -263,23 +266,23 @@ class TestSpreadLossAgainstMasks:
             bank = init_bank(v)
             idx = rng.integers(0, 20, size=8)
             feats = v[idx] if rng.random() < 0.5 else unit_rows(rng, 8, 3)
-            assert_same_spread(feats, bank, positive_sets(bank, feats, idx, k_pos))
+            assert_same_spread(feats, bank, idx, k_pos)
 
     def test_no_negatives_zeroes_the_gradient(self):
         # k_pos >= N - 1: every row covers the bank, so no row is live
         rng = np.random.default_rng(42)
         bank = init_bank(unit_rows(rng, 9, 4))
         feats = unit_rows(rng, 5, 4)
-        positives = positive_sets(bank, feats, np.arange(5), 8)
+        positives = positive_sets(feats @ bank.v.T, np.arange(5), 8)
         assert positives.shape == (5, 9)
-        assert_same_spread(feats, bank, positives)
-        _, gf, gv = spread_loss(feats, bank, positives, 0.35)
+        assert_same_spread(feats, bank, np.arange(5), 8)
+        _, gf, gv = spread_loss(feats, bank, np.arange(5), 8, 0.35)
         assert not np.any(gf) and not np.any(gv)
 
     def test_single_entry_bank(self):
         bank = init_bank(np.array([[0.6, 0.8]]))
         feats = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert_same_spread(feats, bank, positive_sets(bank, feats, np.array([0, 0]), 6))
+        assert_same_spread(feats, bank, np.array([0, 0]), 6)
 
 
 class TestInstantUpdate:
@@ -317,10 +320,11 @@ class TestInstantUpdate:
         bank = init_bank(v.copy())
         feats = unit_rows(rng, 4, 4)
         idx = np.array([0, 2, 4, 6])
-        positives = positive_sets(bank, feats, idx, 2)
-        before, _, gv = spread_loss(feats, bank, positives, 0.35)
+        positives = positive_sets(feats @ bank.v.T, idx, 2)
+        before, _, gv = spread_loss(feats, bank, idx, 2, 0.35)
         instant_update(bank, gv, eta=1e-3)
-        after, _, _ = spread_loss(feats, bank, positives, 0.35)
+        assert np.array_equal(positive_sets(feats @ bank.v.T, idx, 2), positives)
+        after, _, _ = spread_loss(feats, bank, idx, 2, 0.35)
         assert after <= before
         assert np.allclose(np.linalg.norm(bank.v, axis=1), 1.0, atol=1e-6)
 

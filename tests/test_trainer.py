@@ -11,7 +11,7 @@ from reidapt.cluster import CoarseClusters
 from reidapt.data import OUTLIER, SynthSpec, generate_synthetic
 from reidapt.encoder import forward
 from reidapt.losses import LossReport, batch_hard_triplet, cross_entropy
-from reidapt.membank import init_bank
+from reidapt.membank import MemoryBank, init_bank
 from reidapt.refine import PseudoLabelSet, refine_labels
 from reidapt.trainer import (
     _ADAPT_STREAM,
@@ -358,6 +358,21 @@ def relabeled(labels):
                           num_clusters=labels.num_clusters)
 
 
+def split_in_batch(labels, batch):
+    """Refined labels that split the first coarse cluster of ``batch``: every
+    other member of it in the batch moves to a label the batch does not hold.
+
+    Renamed clusters (``relabeled``) leave the batch-hard triplet unchanged,
+    which ignores label names; a split cluster changes its positives."""
+    coarse = labels.coarse
+    members = np.unique(batch[coarse[batch] == coarse[batch[0]]])
+    spare = np.setdiff1d(np.arange(labels.num_clusters), coarse[batch])[0]
+    refined = coarse.copy()
+    refined[members[1::2]] = spare
+    return PseudoLabelSet(coarse=coarse, refined=refined,
+                          num_clusters=labels.num_clusters)
+
+
 class TestZeroWeightBranches:
     """A term whose weight is exactly 0 is never computed."""
 
@@ -377,6 +392,7 @@ class TestZeroWeightBranches:
 
     @pytest.mark.parametrize("mode", ["instant", "momentum"])
     def test_mu_zero_never_touches_the_bank(self, trained_setup, monkeypatch, mode):
+        import reidapt.membank as membank
         import reidapt.trainer as trainer
         state0, _, train, es, _ = trained_setup
         cfg = small_config(alpha=0.0, mu=0.0, bank_mode=mode)
@@ -384,8 +400,10 @@ class TestZeroWeightBranches:
         def forbidden(*args, **kw):
             raise AssertionError("a zero-weight bank branch was computed")
 
-        for name in ("positive_sets", "spread_loss", "instant_update", "momentum_update"):
+        for name in ("spread_loss", "instant_update", "momentum_update"):
             monkeypatch.setattr(trainer, name, forbidden)
+        # spread_loss, the caller of positive_sets, reaches it through membank
+        monkeypatch.setattr(membank, "positive_sets", forbidden)
         seen = self.record_label_branches(monkeypatch)
         state = copy.deepcopy(state0)
         bank = init_bank(forward(state, train.raw)[0])
@@ -436,6 +454,36 @@ class TestZeroWeightBranches:
             assert bits(getattr(report, name)) == bits(getattr(full, name))
 
 
+class CountedRows(np.ndarray):
+    """Bank rows that count the matrix products which read them (a transpose
+    is a view of the same type, so it counts too)."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul and method == "__call__":
+            CountedRows.products += 1
+        inputs = tuple(np.asarray(x) if isinstance(x, CountedRows) else x
+                       for x in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+class TestBankProducts:
+    @pytest.mark.parametrize("k_pos", [0, 6])
+    def test_one_similarity_product_per_step(self, trained_setup, monkeypatch, k_pos):
+        # the positives and the spread-out loss share one anchor-to-bank
+        # product; the other product is the feature gradient, coef @ v
+        state, bank0, train, es, _ = trained_setup
+        cfg = small_config(mu=0.1, k_pos=k_pos)
+        bank = MemoryBank(v=bank0.v.copy().view(CountedRows))
+        batch = pk_sample(es.labels, cfg.batch_p, cfg.batch_k, np.random.default_rng(8))
+        monkeypatch.setattr(CountedRows, "products", 0)
+        report = joint_loss_and_grads(state, bank, train.raw[batch], es.labels.coarse[batch],
+                                      es.labels.refined[batch], batch, cfg)[0]
+        assert report.spread is not None
+        assert CountedRows.products == 2
+
+
 def bits(value):
     return np.float64(value).tobytes()
 
@@ -444,14 +492,18 @@ class TestStepBlend:
     """The step blends its terms as the oracle blend and total do, bit for bit."""
 
     @staticmethod
-    def step(trained_setup, monkeypatch, alpha, mu):
+    def step(trained_setup, monkeypatch, alpha, mu, split=False):
         """The step's report, the all-branch step's record of every term, and
-        the labeling ("coarse" or "refined") of each loss call the step made."""
+        the labeling ("coarse" or "refined") of each loss call the step made.
+
+        The refined labels rename every coarse cluster, or with ``split``
+        split one cluster of the batch."""
         state, bank, train, es, _ = trained_setup
         # at the default margin every triplet term of this batch is 0
         cfg = small_config(alpha=alpha, mu=mu, margin=2.0)
-        labels = relabeled(es.labels)
-        batch = pk_sample(labels, cfg.batch_p, cfg.batch_k, np.random.default_rng(7))
+        # the batch follows the coarse labels, which both labelings share
+        batch = pk_sample(es.labels, cfg.batch_p, cfg.batch_k, np.random.default_rng(7))
+        labels = split_in_batch(es.labels, batch) if split else relabeled(es.labels)
         args = (state, bank, train.raw[batch], labels.coarse[batch],
                 labels.refined[batch], batch, cfg)
         seen = TestZeroWeightBranches.record_label_branches(monkeypatch)
@@ -488,6 +540,16 @@ class TestStepBlend:
         assert full.cls_noisy != full.cls_refined
         assert report.cls == pytest.approx(0.5 * (full.cls_noisy + full.cls_refined))
         assert report.tri == pytest.approx(0.5 * (full.tri_noisy + full.tri_refined))
+
+    @pytest.mark.parametrize("mu", [0.0, 0.1])
+    def test_alpha_half_blends_a_split_cluster(self, trained_setup, monkeypatch, mu):
+        # renamed clusters give equal triplet terms, so only a split shows
+        # that each labeling's triplet term gets its own weight
+        report, full, branches = self.step(trained_setup, monkeypatch, 0.5, mu, split=True)
+        assert branches == ["coarse", "coarse", "refined", "refined"]
+        assert full.tri_noisy != full.tri_refined
+        assert bits(report.tri) == bits(full.tri)
+        assert bits(report.cls) == bits(full.cls)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
     def test_total_composition(self, trained_setup, monkeypatch, alpha):

@@ -290,8 +290,7 @@ def cmd_cluster(args):
     state = _load_ckpt(args.ckpt)
     raw, identity, _ = _load_split(args.data, "target_train")
     _check_width(state, raw, "target_train")
-    es = offline_epoch(state, raw, cfg, epoch=0, truth=identity,
-                       keep_graph=bool(args.dump_jaccard))
+    es = offline_epoch(state, raw, cfg, epoch=0, keep_graph=bool(args.dump_jaccard))
     doc = {
         "N": len(raw),
         "N_outlier": es.outliers,
@@ -302,7 +301,8 @@ def cmd_cluster(args):
     labels = es.labels
     precision, recall, fscore, _ = pairwise_fscore(labels.refined, identity)
     doc.update(precision=precision, recall=recall, fscore=fscore,
-               fscore_coarse=es.fscore_coarse, fscore_refined=es.fscore_refined)
+               fscore_coarse=pairwise_fscore(labels.coarse, identity)[2],
+               fscore_refined=fscore)
     if args.dump_labels:
         dump_dir = Path(args.dump_labels)
         dump_dir.mkdir(parents=True, exist_ok=True)
@@ -330,7 +330,7 @@ def cmd_eval(args):
            "num_queries": len(q_raw), "num_gallery": len(g_raw)}
     if args.cluster_stats:
         raw, identity, _ = _load_split(args.data, "target_train")
-        es = offline_epoch(state, raw, cfg, epoch=0, truth=identity)
+        es = offline_epoch(state, raw, cfg, epoch=0)
         precision, recall, fscore, _ = pairwise_fscore(es.labels.refined, identity)
         doc.update(precision=precision, recall=recall, fscore=fscore,
                    N=len(raw), N_outlier=es.outliers)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import OUTLIER
-from .graph import SparseDistances, gram_sq_distances, screen_extremes
+from .graph import SparseDistances
 
 LLOYD_MAX_ITER = 100  # Lloyd iterations per k-means call, at most
 
@@ -123,22 +123,13 @@ def _kmeans_pp_init(points, r, rng):
 
 def _assign(points, centers):
     """Each point's nearest center, the lowest index on ties, and its squared
-    distance ``np.sum((point - center)**2)``.
-
-    The nearest center is screened on the Gram form; only points with more
-    than one candidate center are recomputed in the difference form, which
-    gives the same assignment as the difference form over every center.
-    """
-    d2, tol = gram_sq_distances(points, centers)
-    candidates = screen_extremes(d2, tol)
-    assignment = np.argmin(d2, axis=1)  # the one candidate of every other point
-    tied = np.flatnonzero(np.count_nonzero(candidates, axis=1) > 1)
-    if len(tied):
-        rows, cols = np.nonzero(candidates[tied])
-        exact = np.full((len(tied), len(centers)), np.inf)
-        exact[rows, cols] = np.sum((points[tied[rows]] - centers[cols]) ** 2, axis=1)
-        assignment[tied] = np.argmin(exact, axis=1)
-    return assignment, np.sum((points - centers[assignment]) ** 2, axis=1)
+    distance ``np.sum((point - center)**2)``: the difference form, filled in
+    one center at a time, so no (m, r, d) tensor is formed."""
+    d2 = np.empty((len(points), len(centers)))
+    for c, center in enumerate(centers):
+        d2[:, c] = np.sum((points - center) ** 2, axis=1)
+    assignment = np.argmin(d2, axis=1)
+    return assignment, d2[np.arange(len(points)), assignment]
 
 
 def _lloyd(points, centers, max_iter):

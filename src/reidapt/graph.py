@@ -11,10 +11,6 @@ scattered into one reused dense buffer; d_J is stored only for the pairs
 that share a reciprocal member. Every other off-diagonal pair has a min-sum
 of zero and therefore a Jaccard distance of exactly 1.0 (Zhong et al. 2017,
 arXiv:1701.08398; Ge et al. 2020, arXiv:2006.02713).
-
-The module also holds the Gram-form screen with which the triplet loss and
-k-means find each row's nearest or farthest rows without a difference
-tensor, and still exactly as the difference form would.
 """
 
 from __future__ import annotations
@@ -26,9 +22,6 @@ import numpy as np
 # Rows per block of distances or of dense similarity rows are chosen so that
 # one block holds about this many float64 entries (16 MB).
 _BLOCK_ENTRIES = 1 << 21
-
-# unit roundoff of float64
-_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 @dataclass
@@ -84,47 +77,6 @@ def smallest_k(values: np.ndarray, k: int, work: np.ndarray) -> np.ndarray:
         need = k - np.count_nonzero(sub < at, axis=1)
         keep[over] = (sub < at) | (tied & (np.cumsum(tied, axis=1) <= need[:, None]))
     return keep
-
-
-def gram_sq_distances(a: np.ndarray, b: np.ndarray):
-    """Squared Euclidean distances between the rows of ``a`` and ``b`` in the
-    Gram form |a|^2 + |b|^2 - 2 a.b, and for each entry a bound ``tol`` on how
-    far it can lie from the difference form ``np.sum((a_i - b_j)**2)``.
-
-    Each form is within about (2d + 4) u (|a|^2 + |b|^2) of the exact value
-    (u = 2^-53), whatever order its sums are taken in, so the two are within
-    half of tol = 8 (d + 4) u (|a|^2 + |b|^2) of each other. The other half
-    keeps every entry that ``screen_extremes`` leaves out so far beyond the
-    kept extreme that their square roots still differ after rounding. The
-    ``tiny`` term covers products that underflow.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    norms = np.add.outer(np.sum(a * a, axis=1), np.sum(b * b, axis=1))
-    d2 = norms - 2.0 * (a @ b.T)
-    tol = 8.0 * (a.shape[1] + 4) * _UNIT_ROUNDOFF * (norms + np.finfo(np.float64).tiny)
-    return d2, tol
-
-
-def screen_extremes(d2: np.ndarray, tol: np.ndarray, allowed: np.ndarray | None = None,
-                    largest: bool = False) -> np.ndarray:
-    """Mask of the entries that may hold their row's smallest (``largest``:
-    largest) allowed squared distance in the difference form.
-
-    ``d2`` and ``tol`` come from ``gram_sq_distances``. An entry is left out
-    only if its difference-form value lies strictly beyond that of the row's
-    Gram-form extreme, which is always kept, even after a square root rounds
-    both; so an exact recompute over the kept entries finds the same extreme,
-    and the same lowest index among ties, as one over every allowed entry.
-    A row without an allowed entry keeps none.
-    """
-    masked = d2 if allowed is None else np.where(allowed, d2, -np.inf if largest else np.inf)
-    at = np.argmax(masked, axis=1) if largest else np.argmin(masked, axis=1)
-    rows = np.arange(len(d2))
-    edge = masked[rows, at][:, None]
-    reach = tol + tol[rows, at][:, None]
-    near = masked >= edge - reach if largest else masked <= edge + reach
-    return near if allowed is None else allowed & near
 
 
 def _row_blocks(n: int, entries: int) -> np.ndarray:

@@ -363,13 +363,17 @@ def adapt(state: EncoderState, raw: np.ndarray, cfg: TrainConfig,
     """Alternating adaptation; returns (state, per-epoch metrics, bank).
 
     ``truth`` feeds diagnostics only. ``bank``/``start_epoch`` support
-    resuming from a checkpointed run. ``on_epoch`` is called with
+    resuming from a checkpointed run; a given bank holds one row per sample
+    of ``raw``, ``state.feat_dim`` wide. ``on_epoch`` is called with
     (EpochMetrics, state, bank, iteration reports, PseudoLabelSet) after
     every epoch.
     """
     cfg.validate()
     if bank is None:
         bank = init_bank(forward(state, raw)[0])
+    elif bank.v.shape != (len(raw), state.feat_dim):
+        raise ValueError(f"bank has shape {bank.v.shape}, the samples need "
+                         f"{(len(raw), state.feat_dim)}")
     history = []
     for epoch in range(start_epoch, cfg.epochs):
         es = offline_epoch(state, raw, cfg, epoch, truth)

@@ -10,6 +10,7 @@ import pytest
 from reidapt.cli import main
 from reidapt.data import l2_normalize, read_features, write_features
 from reidapt.encoder import init_encoder, load_checkpoint, save_checkpoint
+from reidapt.evaluate import pairwise_fscore
 from reidapt.trainer import TrainConfig, extract_features
 
 
@@ -164,6 +165,29 @@ class TestPipeline:
         doc = json.loads(stdout)
         assert {"mAP", "R1", "R5", "R10", "precision", "recall", "fscore",
                 "N", "N_outlier"} <= set(doc)
+
+    def test_each_labeling_scored_once(self, data_dir, tmp_path, capsys, monkeypatch):
+        import reidapt.cli as cli
+        import reidapt.trainer as trainer
+        cfg = fast_config(tmp_path)
+        _, stdout, _ = run_cli(capsys, "pretrain", "--data", str(data_dir),
+                               "--config", cfg, "--out", str(tmp_path / "pre"))
+        ckpt = json.loads(stdout)["checkpoint"]
+        calls = []
+
+        def counted(pseudo, truth):
+            calls.append(pseudo)
+            return pairwise_fscore(pseudo, truth)
+
+        for module in (cli, trainer):
+            monkeypatch.setattr(module, "pairwise_fscore", counted)
+        # the coarse and the refined labels once each; eval reads the refined only
+        for argv, want in ((["cluster"], 2), (["eval", "--cluster-stats"], 1)):
+            calls.clear()
+            code, _, _ = run_cli(capsys, *argv, "--ckpt", ckpt,
+                                 "--data", str(data_dir), "--config", cfg)
+            assert code == 0
+            assert len(calls) == want, argv
 
     def test_resume_continues_epochs(self, data_dir, tmp_path, capsys):
         cfg2 = fast_config(tmp_path, epochs=2)

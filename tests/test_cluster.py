@@ -403,3 +403,17 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 5120 * 5 * 32 * 8, f"peak {peak} bytes, one (m, r, d) tensor"
+
+    def test_kmeans_peak_below_two_point_arrays(self):
+        # the (m, r) distances are filled one center at a time, from one
+        # (m, d) difference at a time
+        rng = np.random.default_rng(36)
+        points = rng.standard_normal((5120, 32))
+        kmeans(points[:50], 5, seed=0)  # warm up the imports
+        tracemalloc.start()
+        try:
+            kmeans(points, 5, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * points.nbytes, f"peak {peak} bytes, two (m, d) arrays"

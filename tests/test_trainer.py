@@ -9,7 +9,7 @@ import pytest
 from conftest import adapt_config, standard_fixture
 from reidapt.cluster import CoarseClusters
 from reidapt.data import OUTLIER, SynthSpec, generate_synthetic
-from reidapt.encoder import forward
+from reidapt.encoder import forward, init_encoder
 from reidapt.losses import LossReport, batch_hard_triplet, cross_entropy
 from reidapt.membank import MemoryBank, init_bank
 from reidapt.refine import PseudoLabelSet, refine_labels
@@ -683,6 +683,23 @@ class TestAdapt:
         assert labels[0].relabel_fraction() > 0.0
         for alpha in (1e-9, 0.5, 1.0):
             assert np.array_equal(draws[alpha], draws[0.0])
+
+    @pytest.mark.parametrize("rows, cols", [(5, 0), (-5, 0), (0, 1)])
+    def test_rejects_bank_of_other_shape(self, rows, cols, monkeypatch):
+        import reidapt.trainer as trainer
+        _, train, _, _ = small_fixture()
+        cfg = small_config(epochs=1)
+        state = init_encoder(train.raw.shape[1], 2 * cfg.feat_dim, cfg.feat_dim,
+                             np.random.default_rng(0))
+        n, d = len(train.raw), cfg.feat_dim
+        bank = init_bank(np.random.default_rng(1).standard_normal((n + rows, d + cols)))
+
+        def forbidden(*args, **kw):
+            raise AssertionError("an epoch started")
+
+        monkeypatch.setattr(trainer, "offline_epoch", forbidden)
+        with pytest.raises(ValueError, match=rf"\({n}, {d}\)"):
+            adapt(state, train.raw, cfg, bank=bank)
 
     def test_epoch_callback_sees_every_epoch(self):
         source, train, _, _ = small_fixture()

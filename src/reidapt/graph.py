@@ -59,24 +59,39 @@ class DistanceGraph:
                                values=self.d_j, fill=1.0)
 
 
+def _lowest_k(flat: np.ndarray, keys: np.ndarray, k: int, width: int) -> np.ndarray:
+    """Positions in ``flat`` of each row's k candidates of lowest key.
+
+    ``flat`` holds ascending flat indices into an array of rows of ``width``
+    entries, at least k of them in every row, and ``keys`` their ranking
+    values. Among equal keys the lower index wins, as in a stable full sort;
+    the positions come out ascending, so each row's picks keep column order.
+    Only the rows with more than k candidates are ranked.
+    """
+    picks = np.arange(len(flat))
+    rows = flat // width
+    if len(flat) == (rows[-1] + 1) * k:  # every row holds exactly its k
+        return picks
+    crowded = picks[np.bincount(rows)[rows] > k]
+    order = crowded[np.lexsort((keys[crowded], rows[crowded]))]  # stable: ties keep index order
+    ranked = rows[order]
+    surplus = order[np.arange(len(order)) - np.searchsorted(ranked, ranked) >= k]
+    return np.delete(picks, surplus)
+
+
 def smallest_k(values: np.ndarray, k: int, work: np.ndarray) -> np.ndarray:
-    """Boolean mask of the k smallest entries of each row, 1 <= k <= width.
+    """Column indices of the k smallest entries of each row, (rows, k),
+    ascending within a row, for 1 <= k <= width.
 
     A partial sort of a copy of ``values`` made into ``work``, an array of
     the same shape that is overwritten, finds each row's k-th value; among
     entries tied at it the lowest indices win, as in a stable full sort.
     """
+    width = values.shape[1]
     np.copyto(work, values)
     work.partition(k - 1, axis=1)
-    kth = work[:, k - 1:k]
-    keep = values <= kth
-    over = np.flatnonzero(np.count_nonzero(keep, axis=1) > k)
-    if len(over):  # ties at the k-th value: keep the lowest indices
-        sub, at = values[over], kth[over]
-        tied = sub == at
-        need = k - np.count_nonzero(sub < at, axis=1)
-        keep[over] = (sub < at) | (tied & (np.cumsum(tied, axis=1) <= need[:, None]))
-    return keep
+    flat = np.flatnonzero(values <= work[:, k - 1:k])
+    return (flat[_lowest_k(flat, values.ravel()[flat], k, width)] % width).reshape(-1, k)
 
 
 def _row_blocks(n: int, entries: int) -> np.ndarray:
@@ -92,10 +107,15 @@ def nearest_neighbors(features: np.ndarray, k: int):
     """Each row's k nearest other rows under Euclidean distance.
 
     Returns (neighbors, dist), both (N, k), neighbors ascending within a row.
-    Distance ties break to the lower index. Distances come from the GEMM
-    identity |a|^2 + |b|^2 - 2 a.b, a block of rows at a time; up to about
-    1400 rows that is one block, the same Gram product a dense N x N
-    computation makes.
+    Distance ties break to the lower index. Squared distances come from the
+    GEMM identity |a|^2 + |b|^2 - 2 a.b, a block of rows at a time; up to
+    about 1400 rows that is one block, the same Gram product a dense N x N
+    computation makes. Each block is ranked on its squared distances: a
+    partial sort of a copy finds the k-th one, and only the entries whose
+    distance sqrt(max(d^2, 0)) can round to the k-th distance or below are
+    taken as candidates, by flat index. The distances are computed for those
+    alone, and the candidates are ranked on them only in rows that hold more
+    than k.
     """
     f = np.asarray(features, dtype=np.float64)
     n = len(f)
@@ -111,14 +131,21 @@ def nearest_neighbors(features: np.ndarray, k: int):
         local = np.arange(stop - start)
         gram = np.matmul(f[start:stop], f.T, out=gram_buf[:stop - start])
         gram *= 2.0
-        d = np.add.outer(sq[start:stop], sq, out=d_buf[:stop - start])
-        d -= gram
-        np.maximum(d, 0.0, out=d)
-        np.sqrt(d, out=d)
-        d[local, start + local] = np.inf
-        rows, cols = np.nonzero(smallest_k(d, k, gram))  # the Gram block is spent
-        neighbors[start:stop] = cols.reshape(-1, k)
-        dist[start:stop] = d[rows, cols].reshape(-1, k)
+        d2 = np.add.outer(sq[start:stop], sq, out=d_buf[:stop - start])
+        d2 -= gram
+        d2[local, start + local] = np.inf
+        np.copyto(gram, d2)  # the Gram block is spent
+        gram.partition(k - 1, axis=1)
+        kth = np.maximum(gram[:, k - 1], 0.0)
+        # A squared distance whose rounded square root equals that of kth is
+        # below kth (1 + 2^-51), or within the smallest normal of kth; reach
+        # stays above both after its own roundings.
+        reach = kth * (1.0 + 2.0 ** -50) + np.finfo(np.float64).tiny
+        flat = np.flatnonzero(d2 <= reach[:, None])
+        d = np.sqrt(np.maximum(d2.ravel()[flat], 0.0))
+        picks = _lowest_k(flat, d, k, n)
+        neighbors[start:stop] = (flat[picks] % n).reshape(-1, k)
+        dist[start:stop] = d[picks].reshape(-1, k)
     return neighbors, dist
 
 

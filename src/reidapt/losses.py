@@ -84,11 +84,13 @@ def batch_hard_triplet(features: np.ndarray, labels: np.ndarray, margin: float):
     d_p, d_n = d_pos[hit, None], d_neg[hit, None]
     u = np.divide(f[i] - f[p], d_p, out=np.zeros((len(i), f.shape[1])), where=d_p > 0)
     w = np.divide(f[i] - f[n], d_n, out=np.zeros((len(i), f.shape[1])), where=d_n > 0)
-    # rows (i, p, i, n) per contribution, applied in anchor order
+    # rows (i, p, i, n) per contribution; bincount adds each entry's terms in
+    # anchor order, from 0.0
+    d = f.shape[1]
     targets = np.stack([i, p, i, n], axis=1).ravel()
-    terms = np.stack([u, -u, -w, w], axis=1).reshape(-1, f.shape[1])
-    grad = np.zeros_like(f)
-    np.add.at(grad, targets, terms)
+    terms = np.stack([u, -u, -w, w], axis=1)
+    grad = np.bincount((targets[:, None] * d + np.arange(d)).ravel(),
+                       weights=terms.ravel(), minlength=b * d).reshape(b, d)
     return loss, grad / active_anchors
 
 

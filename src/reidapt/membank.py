@@ -47,18 +47,13 @@ def positive_sets(sims: np.ndarray, sample_indices: np.ndarray,
     ``sims`` is the (B, N) anchor-to-bank similarity matrix; it is not
     modified. Row b holds the k largest similarities of anchor b (excluding
     its own slot) plus the slot itself, in ascending index order; similarity
-    ties go to the lower index."""
+    ties go to the lower index. The slot is ranked first by giving it an
+    infinite similarity, so one selection of k + 1 entries finds both."""
     sample_indices = np.asarray(sample_indices, dtype=np.int64)
     b, n = sims.shape
-    k = min(k_pos, n - 1)
-    if k == 0:
-        return sample_indices[:, None].copy()
-    rows = np.arange(b)
     neg_sims = -sims
-    neg_sims[rows, sample_indices] = np.inf
-    keep = smallest_k(neg_sims, k, np.empty_like(neg_sims))
-    keep[rows, sample_indices] = True
-    return np.nonzero(keep)[1].reshape(b, k + 1).astype(np.int64)
+    neg_sims[np.arange(b), sample_indices] = -np.inf
+    return smallest_k(neg_sims, min(k_pos, n - 1) + 1, np.empty_like(neg_sims))
 
 
 def _logsumexp(x):

@@ -1,8 +1,11 @@
 """Reference implementations the library used before it was optimised.
 
 The off-line oracles are the dense N x N labeling chain the library used
-before it went k-NN-sparse, and the Lloyd iterations on an (m, r, d)
-difference tensor it used before its Gram-form screen. The on-line oracles
+before it went k-NN-sparse, the blocked k-NN that took the square root of
+every distance and selected through a (rows, N) mask before it ranked on
+squared distances by flat index, and the Lloyd iterations on an (m, r, d)
+difference tensor it used before it filled its distances one center at a
+time. The on-line oracles
 are the per-anchor loop triplet on a (B, B, d) difference tensor, the
 full-argsort bank positives, the spread-out loss through boolean masks over
 the bank, the per-label scan sampler, and the joint step that computes
@@ -37,6 +40,7 @@ from reidapt.encoder import (
     init_encoder,
     lr_at,
 )
+from reidapt import graph
 from reidapt.graph import SparseDistances
 from reidapt.losses import cross_entropy
 from reidapt.membank import instant_update, momentum_update
@@ -204,6 +208,60 @@ def csr_to_dense(indptr, indices, values, n):
     rows = np.repeat(np.arange(n), np.diff(indptr))
     out[rows, indices] = values
     return out
+
+
+def smallest_k(values, k, work):
+    """Boolean mask of the k smallest entries of each row, 1 <= k <= width.
+
+    A partial sort of a copy of ``values`` made into ``work``, an array of
+    the same shape that is overwritten, finds each row's k-th value; among
+    entries tied at it the lowest indices win, as in a stable full sort.
+    """
+    np.copyto(work, values)
+    work.partition(k - 1, axis=1)
+    kth = work[:, k - 1:k]
+    keep = values <= kth
+    over = np.flatnonzero(np.count_nonzero(keep, axis=1) > k)
+    if len(over):  # ties at the k-th value: keep the lowest indices
+        sub, at = values[over], kth[over]
+        tied = sub == at
+        need = k - np.count_nonzero(sub < at, axis=1)
+        keep[over] = (sub < at) | (tied & (np.cumsum(tied, axis=1) <= need[:, None]))
+    return keep
+
+
+def nearest_neighbors(features, k):
+    """Each row's k nearest other rows under Euclidean distance.
+
+    Returns (neighbors, dist), both (N, k), neighbors ascending within a row.
+    Distance ties break to the lower index. Distances come from the GEMM
+    identity |a|^2 + |b|^2 - 2 a.b, a block of rows at a time (the library's
+    block bounds); each block is square-rooted whole and selected through
+    a (rows, N) mask.
+    """
+    f = np.asarray(features, dtype=np.float64)
+    n = len(f)
+    if not 1 <= k < n:
+        raise ValueError(f"k must be in [1, {n - 1}], got {k}")
+    sq = np.sum(f * f, axis=1)
+    neighbors = np.empty((n, k), dtype=np.int64)
+    dist = np.empty((n, k))
+    bounds = graph._row_blocks(n, graph._BLOCK_ENTRIES)
+    # one Gram and one distance buffer serve every block
+    gram_buf, d_buf = np.empty((2, int(np.max(np.diff(bounds))), n))
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        local = np.arange(stop - start)
+        gram = np.matmul(f[start:stop], f.T, out=gram_buf[:stop - start])
+        gram *= 2.0
+        d = np.add.outer(sq[start:stop], sq, out=d_buf[:stop - start])
+        d -= gram
+        np.maximum(d, 0.0, out=d)
+        np.sqrt(d, out=d)
+        d[local, start + local] = np.inf
+        rows, cols = np.nonzero(smallest_k(d, k, gram))  # the Gram block is spent
+        neighbors[start:stop] = cols.reshape(-1, k)
+        dist[start:stop] = d[rows, cols].reshape(-1, k)
+    return neighbors, dist
 
 
 def lloyd(points, centers, max_iter):

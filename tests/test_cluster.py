@@ -330,8 +330,9 @@ def assert_same_lloyd(points, centers, max_iter=100):
 
 
 class TestLloydAgainstDifferenceTensor:
-    """The Gram-screened Lloyd iterations reproduce the (m, r, d) difference
-    tensor bit for bit: centers, assignment, inertia and history."""
+    """The Lloyd iterations, which fill their distances one center at a
+    time, reproduce the (m, r, d) difference tensor bit for bit: centers,
+    assignment, inertia and history."""
 
     @staticmethod
     def starts(rng, points, r):
@@ -364,8 +365,8 @@ class TestLloydAgainstDifferenceTensor:
             assert_same_lloyd(points, self.starts(rng, points, r))
 
     def test_cancellation_regime(self):
-        # far from the origin and close together: the Gram form loses most
-        # of its digits, so the assignment rests on the exact recompute
+        # far from the origin and close together: the differences cancel
+        # most of the digits, so near-ties must break as the tensor breaks them
         rng = np.random.default_rng(33)
         for trial in range(300):
             m, d = int(rng.integers(2, 120)), int(rng.integers(1, 40))

@@ -140,6 +140,57 @@ class TestNearestNeighbors:
         assert np.allclose(whole[1], blocked[1], rtol=0, atol=1e-12)
 
 
+def assert_same_knn(f, k):
+    got, want = nearest_neighbors(f, k), oracles.nearest_neighbors(f, k)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+class TestNearestNeighborsAgainstMaskOracle:
+    """Ranking on squared distances by flat index picks the neighbors and
+    distances of the square-rooted blocks selected through a mask, bit for
+    bit."""
+
+    def test_several_blocks(self, monkeypatch):
+        rng = np.random.default_rng(40)
+        f = l2_normalize(rng.standard_normal((300, 8)))
+        monkeypatch.setattr(graph, "_BLOCK_ENTRIES", 300 * 37)
+        assert len(graph._row_blocks(300, graph._BLOCK_ENTRIES)) > 3
+        for k in (1, 7, 299):
+            assert_same_knn(f, k)
+
+    def test_duplicate_rows(self):
+        rng = np.random.default_rng(41)
+        for _ in range(60):
+            pool = rng.standard_normal((int(rng.integers(1, 8)), int(rng.integers(1, 10))))
+            f = pool[rng.integers(0, len(pool), size=int(rng.integers(3, 80)))]
+            assert_same_knn(f, int(rng.integers(1, len(f))))
+
+    def test_integer_grids(self):
+        rng = np.random.default_rng(42)
+        for _ in range(60):
+            n, d = int(rng.integers(3, 80)), int(rng.integers(1, 5))
+            f = rng.integers(-2, 3, size=(n, d)).astype(float)
+            assert_same_knn(f, int(rng.integers(1, n)))
+
+    def test_cancellation_regime(self):
+        # far from the origin and close together: Gram-form squared
+        # distances lose every digit and many go negative
+        rng = np.random.default_rng(43)
+        for _ in range(60):
+            n, d = int(rng.integers(3, 80)), int(rng.integers(1, 12))
+            f = 1e4 + 1e-5 * rng.standard_normal((n, d))
+            assert_same_knn(f, int(rng.integers(1, n)))
+
+    def test_k_of_one_and_all_others(self):
+        rng = np.random.default_rng(44)
+        for _ in range(30):
+            n, d = int(rng.integers(2, 60)), int(rng.integers(1, 8))
+            f = rng.standard_normal((n, d))
+            for k in (1, n - 1):
+                assert_same_knn(f, k)
+
+
 class TestReciprocalSets:
     def test_isolated_mutual_pairs(self):
         # two tight pairs far apart; with self-inclusion each set is {i, partner}
@@ -397,9 +448,10 @@ class TestMemory:
 
     @pytest.mark.parametrize("n", [1280, 5120])
     def test_nearest_neighbors_peak_near_two_blocks(self, n):
-        # one Gram and one distance block, reused; the partial sort works in
-        # the spent Gram block, so only a boolean mask and the outputs come on
-        # top. A partition copy of the distances would be a third block.
+        # one Gram and one squared-distance block, reused; the partial sort
+        # works in the spent Gram block, so only a boolean mask, the
+        # candidates' flat indices and distances, and the outputs come on top.
+        # A partition copy of the distances would be a third block.
         f = np.random.default_rng(21).standard_normal((n, 32))
         nearest_neighbors(f[:50], 5)  # warm up the imports
         tracemalloc.start()

@@ -185,7 +185,8 @@ def write_features(path, m: np.ndarray):
 
 
 def read_features(path) -> np.ndarray:
-    """Read a DRFT container back as a float64 (N, d) matrix."""
+    """Read a DRFT container back as a float64 (N, d) matrix; a payload with
+    a NaN or infinite entry is rejected."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != MAGIC:
@@ -199,6 +200,8 @@ def read_features(path) -> np.ndarray:
     if len(blob) > expected:
         raise DimensionMismatchError(f"{path}: {len(blob) - expected} trailing bytes")
     payload = np.frombuffer(blob, dtype="<f4", offset=12)
+    if not np.all(np.isfinite(payload)):
+        raise FeatureFileError(f"{path}: payload holds a NaN or infinite value")
     return payload.reshape(n, d).astype(np.float64)
 
 

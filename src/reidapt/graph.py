@@ -121,6 +121,8 @@ def nearest_neighbors(features: np.ndarray, k: int):
     n = len(f)
     if not 1 <= k < n:
         raise ValueError(f"k must be in [1, {n - 1}], got {k}")
+    if not np.all(np.isfinite(f)):
+        raise ValueError("features must be finite (no NaN or inf)")
     sq = np.sum(f * f, axis=1)
     neighbors = np.empty((n, k), dtype=np.int64)
     dist = np.empty((n, k))
@@ -197,46 +199,44 @@ def _dense_row_sums(indptr: np.ndarray, indices: np.ndarray, values: np.ndarray)
     return sums
 
 
+def _pair_terms(indptr: np.ndarray, indices: np.ndarray, d_s: np.ndarray):
+    """Pair keys i * n + j and min-sum terms, CSR row after CSR row."""
+    entries = np.arange(len(indices))
+    later = np.repeat(indptr[1:], np.diff(indptr)) - entries - 1
+    a = np.repeat(entries, later)  # each entry with every later one of its row
+    b = np.arange(len(a)) + np.repeat(entries + 1 - np.cumsum(later) + later, later)
+    key = indices[a] * (len(indptr) - 1) + indices[b]
+    term = d_s[a]
+    np.minimum(term, d_s[b], out=term)
+    return key, term
+
+
 def jaccard_distance(indptr: np.ndarray, indices: np.ndarray, d_s: np.ndarray):
     """1 - min-sum / max-sum of similarity row pairs, for the pairs that share
     a nonzero column.
 
     ``d_s`` is a symmetric nonnegative CSR matrix, so column k's nonzero rows
     are row k's members. Each k contributes min(d_s[i, k], d_s[j, k]) to every
-    pair (i, j) of its members, and each pair's min-sum adds its
-    contributions in ascending k; max-sum is rowsum_i + rowsum_j - min-sum.
-    Returns (pairs, d_j) with pairs (E, 2), i < j, in row-major order. Every
-    other off-diagonal pair has a min-sum of zero and a distance of 1.0.
+    pair (i, j) of its members; max-sum is rowsum_i + rowsum_j - min-sum. The
+    terms are emitted in ascending k and sorted stably on the pair key, so
+    each min-sum adds its terms in ascending k. Returns (pairs, d_j), pairs
+    (E, 2) with i < j in row-major order; every other pair is at 1.0.
     """
     d_s = np.asarray(d_s, dtype=np.float64)
     if np.any(d_s < 0):
         raise ValueError("similarity matrix must be nonnegative")
-    n = len(indptr) - 1
-    sizes = np.diff(indptr)
-    first, second, via, contrib = [], [], [], []
-    for size in np.unique(sizes[sizes >= 2]):
-        owners = np.flatnonzero(sizes == size)
-        at = indptr[owners, None] + np.arange(size)
-        members, sims = indices[at], d_s[at]
-        a, b = np.triu_indices(size, k=1)
-        first.append(members[:, a].ravel())
-        second.append(members[:, b].ravel())
-        via.append(np.repeat(owners, len(a)))
-        contrib.append(np.minimum(sims[:, a], sims[:, b]).ravel())
-    if not first:
+    key, term = _pair_terms(indptr, indices, d_s)
+    if len(key) == 0:
         return np.empty((0, 2), dtype=np.int64), np.empty(0)
-    key = np.concatenate(first) * n + np.concatenate(second)
-    order = np.lexsort((np.concatenate(via), key))
-    key = key[order]
+    order = np.argsort(key, kind="stable")
+    key, term = key[order], term[order]
     first_of_pair = np.concatenate([[True], key[1:] != key[:-1]])
     # bincount adds in input order, so each min-sum accumulates in ascending k
-    min_sum = np.bincount(np.cumsum(first_of_pair) - 1,
-                          weights=np.concatenate(contrib)[order])
-    i, j = np.divmod(key[first_of_pair], n)
+    min_sum = np.bincount(np.cumsum(first_of_pair) - 1, weights=term)
+    i, j = np.divmod(key[first_of_pair], len(indptr) - 1)
 
     rowsum = _dense_row_sums(indptr, indices, d_s)
-    max_sum = rowsum[i] + rowsum[j] - min_sum
-    d_j = np.clip(1.0 - min_sum / max_sum, 0.0, 1.0)
+    d_j = np.clip(1.0 - min_sum / (rowsum[i] + rowsum[j] - min_sum), 0.0, 1.0)
     return np.stack([i, j], axis=1), d_j
 
 

@@ -424,6 +424,20 @@ class TestValidation:
         assert code == 3
         assert "relu" in err
 
+    @pytest.mark.parametrize("argv", [["cluster"], ["eval"], ["eval", "--cluster-stats"],
+                                      ["adapt", "--out", "run"]])
+    def test_non_finite_checkpoint_is_io_error(self, data_dir, tmp_path, capsys, argv):
+        # one NaN weight makes every feature NaN; without the file check the
+        # labeling pass crashed inside the k-NN and plain eval scored NaNs
+        state = init_encoder(12, 24, 12, np.random.default_rng(0))
+        state.w1[3, 5] = np.nan
+        save_checkpoint(tmp_path / "ckpt", state)
+        argv = [str(tmp_path / a) if a == "run" else a for a in argv]
+        code, _, err = run_cli(capsys, *argv, "--ckpt", str(tmp_path / "ckpt"),
+                               "--data", str(data_dir), "--config", fast_config(tmp_path))
+        assert code == 3
+        assert "ckpt.drft" in err and "NaN or infinite" in err
+
     def test_stdout_always_json(self, data_dir, tmp_path, capsys):
         cfg = fast_config(tmp_path)
         for argv in (gen_args(tmp_path / "d2", seed=9),

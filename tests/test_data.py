@@ -6,6 +6,7 @@ from reidapt.data import (
     BadMagicError,
     DimensionMismatchError,
     DuplicateIndexError,
+    FeatureFileError,
     FieldError,
     SchemaError,
     SynthSpec,
@@ -151,6 +152,15 @@ class TestFeatureFiles:
         write_features(path, np.ones((2, 2)))
         path.write_bytes(path.read_bytes() + b"\x00\x00\x00\x00")
         with pytest.raises(DimensionMismatchError):
+            read_features(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_rejected(self, tmp_path, bad):
+        path = tmp_path / "nan.drft"
+        m = np.ones((3, 4))
+        m[2, 1] = bad
+        write_features(path, m)
+        with pytest.raises(FeatureFileError, match="nan.drft.*NaN or infinite"):
             read_features(path)
 
     def test_write_rejects_non_matrix(self, tmp_path):

@@ -139,6 +139,13 @@ class TestNearestNeighbors:
         assert np.array_equal(whole[0], blocked[0])
         assert np.allclose(whole[1], blocked[1], rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_features(self, bad):
+        f = np.random.default_rng(12).standard_normal((30, 4))
+        f[7, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            nearest_neighbors(f, 5)
+
 
 def assert_same_knn(f, k):
     got, want = nearest_neighbors(f, k), oracles.nearest_neighbors(f, k)
@@ -325,6 +332,62 @@ class TestJaccardDistance:
         assert d_j[same & off].mean() < d_j[~same].mean()
 
 
+def assert_jaccard_matches_oracle(d_s):
+    """The sparse Jaccard of a dense symmetric d_S, byte for byte against the
+    dense oracle; the stored pairs are exactly those that share a column."""
+    pairs, d_j = jaccard_distance(*csr_of(d_s))
+    got = to_dense(SparseDistances(n=len(d_s), pairs=pairs, values=d_j))
+    assert got.tobytes() == oracles.jaccard_distance(d_s).tobytes()
+    support = (d_s > 0).astype(np.int64)
+    assert pairs.tolist() == np.argwhere(np.triu(support @ support.T, k=1) > 0).tolist()
+    return pairs, d_j
+
+
+def symmetric_similarity(rng, member):
+    """Random similarities in (0, 1] on a symmetric boolean support."""
+    d_s = np.triu(rng.uniform(0.05, 1.0, member.shape) * member)
+    return d_s + np.triu(d_s, k=1).T
+
+
+class TestJaccardEdgeCases:
+    """Hand-built CSR inputs that the random k-NN chain rarely produces."""
+
+    @pytest.mark.parametrize("n", [1, 2, 9])
+    def test_every_set_a_singleton(self, n):
+        d_s = np.diag(np.random.default_rng(30).uniform(0.05, 1.0, n))
+        pairs, d_j = assert_jaccard_matches_oracle(d_s)
+        assert pairs.shape == (0, 2) and pairs.dtype == np.int64
+        assert d_j.shape == (0,) and d_j.dtype == np.float64
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 130])
+    def test_one_set_holds_every_sample(self, n):
+        rng = np.random.default_rng(31 + n)
+        star = np.eye(n, dtype=bool)
+        star[0] = star[:, 0] = True  # row 0 holds all n, every other row {0, j}
+        assert_jaccard_matches_oracle(symmetric_similarity(rng, star))
+        assert_jaccard_matches_oracle(symmetric_similarity(rng, np.ones((n, n), dtype=bool)))
+
+    def test_rows_of_size_one_two_and_all_together(self):
+        # row 0 holds all n samples, so every other row holds 0: row j is
+        # {0} alone (size 1, no self-similarity), {0, j} (size 2), or {0, j}
+        # plus part of a clique
+        rng = np.random.default_rng(32)
+        for _ in range(20):
+            n = int(rng.integers(6, 40))
+            kind = np.concatenate([[-1, 0, 1, 2, 2], rng.integers(0, 3, size=n - 5)])
+            member = np.zeros((n, n), dtype=bool)
+            member[0] = member[:, 0] = True
+            paired = np.flatnonzero(kind >= 1)
+            member[paired, paired] = True
+            clique = np.flatnonzero(kind == 2)
+            links = rng.random((len(clique), len(clique))) < 0.5
+            member[np.ix_(clique, clique)] |= links | links.T
+            d_s = symmetric_similarity(rng, member)
+            sizes = np.count_nonzero(d_s, axis=1)
+            assert sizes[0] == n and set(sizes[kind == 0]) == {1} and set(sizes[kind == 1]) == {2}
+            assert_jaccard_matches_oracle(d_s)
+
+
 class TestSparseChainAgainstDense:
     """The k-NN-sparse chain reproduces the dense chain bit for bit."""
 
@@ -462,6 +525,28 @@ class TestMemory:
             tracemalloc.stop()
         block = 8 * int(np.max(np.diff(graph._row_blocks(n, graph._BLOCK_ENTRIES)))) * n
         assert peak < 2.5 * block, f"peak {peak} bytes, one block {block} bytes"
+
+    def test_jaccard_peak_at_5120_near_five_term_arrays(self):
+        # The _MEMORY_PROBE instance: C min-sum terms, each pair key and term
+        # 8 bytes. Keys, terms, the sort order and the two sorted copies are
+        # five term-sized arrays; a two-key sort over concatenated per-size
+        # lists with an owner array peaks near nine.
+        rng = np.random.default_rng(0)
+        centers = rng.standard_normal((256, 32))
+        f = np.repeat(centers, 20, axis=0) + 0.6 * rng.standard_normal((5120, 32))
+        f /= np.linalg.norm(f, axis=1, keepdims=True)
+        sets = reciprocal_sets(f, 20)
+        d_s = np.exp(-sets.dist)
+        sizes = np.diff(sets.indptr)
+        terms = int(np.sum(sizes * (sizes - 1) // 2))
+        jaccard_distance(*csr_of(np.eye(3)))  # warm up the imports
+        tracemalloc.start()
+        try:
+            jaccard_distance(sets.indptr, sets.indices, d_s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.5 * 8 * terms, f"peak {peak} bytes, {terms} terms"
 
     def test_graph_and_dbscan_at_5120_stay_under_512_mb(self):
         # The dense chain held five N x N float64 arrays: about 1.4 GB here.

@@ -87,13 +87,13 @@ def retrieval_eval(query_feats, query_ids, query_cams,
 
     q2 = np.sum(qf * qf, axis=1)
     g2 = np.sum(gf * gf, axis=1)
-    dist = np.sqrt(np.maximum(q2[:, None] + g2[None, :] - 2.0 * qf @ gf.T, 0.0))
-
-    num_g = len(gf)
+    dist = (2.0 * qf) @ gf.T  # the only (Q, G) array; each row becomes distances
     aps = np.empty(len(qf))
-    hits = np.zeros((len(qf), num_g))
-    for qi in range(len(qf)):
-        order = np.argsort(dist[qi], kind="stable")
+    first_hit = np.empty(len(qf), dtype=np.int64)
+    for qi, row in enumerate(dist):
+        np.subtract(q2[qi] + g2, row, out=row)
+        np.sqrt(np.maximum(row, 0.0, out=row), out=row)
+        order = np.argsort(row, kind="stable")
         junk = (gallery_ids[order] == query_ids[qi]) & (gallery_cams[order] == query_cams[qi])
         order = order[~junk]
         good = gallery_ids[order] == query_ids[qi]
@@ -102,8 +102,8 @@ def retrieval_eval(query_feats, query_ids, query_cams,
         ranks = np.flatnonzero(good)
         precision_at_hit = (np.arange(len(ranks)) + 1.0) / (ranks + 1.0)
         aps[qi] = precision_at_hit.mean()
-        # rank-r hit indicator over the junk-filtered list, saturating past it
-        hits[qi, ranks[0]:] = 1.0
-        hits[qi, len(good):] = 1.0
-    cmc = hits.mean(axis=0)
+        first_hit[qi] = ranks[0]
+    # rank-r accuracy: the share of queries whose first hit is at rank r or
+    # better over the junk-filtered list; the counts are exact
+    cmc = np.cumsum(np.bincount(first_hit, minlength=len(gf))) / len(qf)
     return RetrievalResult(map=float(aps.mean()), cmc=cmc)

@@ -4,13 +4,16 @@ The similarity between two samples is exp(-euclidean distance) restricted to
 the k-reciprocal neighborhood, and the Jaccard distance compares the sparse
 similarity rows of two samples by their elementwise min/max sums.
 
-Nothing here is N x N. Distances are computed a block of rows at a time and
-only each row's k nearest neighbors are kept; the similarity d_S is stored as
-CSR rows, and ``np.sum`` takes its row sums over the same row blocks,
-scattered into one reused dense buffer; d_J is stored only for the pairs
-that share a reciprocal member. Every other off-diagonal pair has a min-sum
-of zero and therefore a Jaccard distance of exactly 1.0 (Zhong et al. 2017,
-arXiv:1701.08398; Ge et al. 2020, arXiv:2006.02713).
+Nothing here is N x N, and one Gram block of (rows, N) is the largest
+buffer. The k-NN takes one Gram product per block of rows and ranks it a
+small chunk of rows at a time, keeping only each row's k nearest
+neighbors; the similarity d_S is stored as CSR rows, and ``np.sum`` takes
+its row sums over chunks of rows scattered into one small reused dense
+buffer; d_J is stored only for the pairs that share a reciprocal member, and
+their min-sum terms are enumerated a block of rows at a time. Every other
+off-diagonal pair has a min-sum of zero and therefore a Jaccard distance of
+exactly 1.0 (Zhong et al. 2017, arXiv:1701.08398; Ge et al. 2020,
+arXiv:2006.02713).
 """
 
 from __future__ import annotations
@@ -19,9 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Rows per block of distances or of dense similarity rows are chosen so that
-# one block holds about this many float64 entries (16 MB).
+# Rows per block of the k-NN's Gram product are chosen so that one block
+# holds about this many float64 entries (16 MB).
 _BLOCK_ENTRIES = 1 << 21
+# Everything else the off-line graph computes runs in chunks of about this
+# many entries (512 KB of float64): the k-NN's rows within a Gram block, the
+# dense similarity rows of the row sums, and the Jaccard min-sum terms.
+_CHUNK_ENTRIES = _BLOCK_ENTRIES >> 5
 
 
 @dataclass
@@ -108,14 +115,15 @@ def nearest_neighbors(features: np.ndarray, k: int):
 
     Returns (neighbors, dist), both (N, k), neighbors ascending within a row.
     Distance ties break to the lower index. Squared distances come from the
-    GEMM identity |a|^2 + |b|^2 - 2 a.b, a block of rows at a time; up to
-    about 1400 rows that is one block, the same Gram product a dense N x N
-    computation makes. Each block is ranked on its squared distances: a
-    partial sort of a copy finds the k-th one, and only the entries whose
-    distance sqrt(max(d^2, 0)) can round to the k-th distance or below are
-    taken as candidates, by flat index. The distances are computed for those
-    alone, and the candidates are ranked on them only in rows that hold more
-    than k.
+    GEMM identity |a|^2 + |b|^2 - 2 a.b, one Gram product per block of rows;
+    up to about 1400 rows that is one block, the same Gram product a dense
+    N x N computation makes. The rest runs a chunk of rows at a time in one
+    small scratch buffer: the chunk's squared distances, and a partial sort
+    of a copy of them in the chunk's spent Gram rows, which finds the k-th
+    one. Only the entries whose distance sqrt(max(d^2, 0)) can round to the
+    k-th distance or below are taken as candidates, by flat index. The
+    distances are computed for those alone, and the candidates are ranked on
+    them only in rows that hold more than k.
     """
     f = np.asarray(features, dtype=np.float64)
     n = len(f)
@@ -127,27 +135,32 @@ def nearest_neighbors(features: np.ndarray, k: int):
     neighbors = np.empty((n, k), dtype=np.int64)
     dist = np.empty((n, k))
     bounds = _row_blocks(n, _BLOCK_ENTRIES)
-    # one Gram and one distance buffer serve every block
-    gram_buf, d_buf = np.empty((2, int(np.max(np.diff(bounds))), n))
+    # one Gram block and one chunk of squared distances serve every block
+    gram_buf = np.empty((int(np.max(np.diff(bounds))), n))
+    step = max(1, _CHUNK_ENTRIES // n)
+    d_buf = np.empty((min(step, len(gram_buf)), n))
     for start, stop in zip(bounds[:-1], bounds[1:]):
-        local = np.arange(stop - start)
-        gram = np.matmul(f[start:stop], f.T, out=gram_buf[:stop - start])
-        gram *= 2.0
-        d2 = np.add.outer(sq[start:stop], sq, out=d_buf[:stop - start])
-        d2 -= gram
-        d2[local, start + local] = np.inf
-        np.copyto(gram, d2)  # the Gram block is spent
-        gram.partition(k - 1, axis=1)
-        kth = np.maximum(gram[:, k - 1], 0.0)
-        # A squared distance whose rounded square root equals that of kth is
-        # below kth (1 + 2^-51), or within the smallest normal of kth; reach
-        # stays above both after its own roundings.
-        reach = kth * (1.0 + 2.0 ** -50) + np.finfo(np.float64).tiny
-        flat = np.flatnonzero(d2 <= reach[:, None])
-        d = np.sqrt(np.maximum(d2.ravel()[flat], 0.0))
-        picks = _lowest_k(flat, d, k, n)
-        neighbors[start:stop] = (flat[picks] % n).reshape(-1, k)
-        dist[start:stop] = d[picks].reshape(-1, k)
+        gram_block = np.matmul(f[start:stop], f.T, out=gram_buf[:stop - start])
+        for lo in range(start, stop, step):
+            hi = min(lo + step, stop)
+            local = np.arange(hi - lo)
+            gram = gram_block[lo - start:hi - start]
+            gram *= 2.0
+            d2 = np.add.outer(sq[lo:hi], sq, out=d_buf[:hi - lo])
+            d2 -= gram
+            d2[local, lo + local] = np.inf
+            np.copyto(gram, d2)  # the chunk's Gram rows are spent
+            gram.partition(k - 1, axis=1)
+            kth = np.maximum(gram[:, k - 1], 0.0)
+            # A squared distance whose rounded square root equals that of kth
+            # is below kth (1 + 2^-51), or within the smallest normal of kth;
+            # reach stays above both after its own roundings.
+            reach = kth * (1.0 + 2.0 ** -50) + np.finfo(np.float64).tiny
+            flat = np.flatnonzero(d2 <= reach[:, None])
+            d = np.sqrt(np.maximum(d2.ravel()[flat], 0.0))
+            picks = _lowest_k(flat, d, k, n)
+            neighbors[lo:hi] = (flat[picks] % n).reshape(-1, k)
+            dist[lo:hi] = d[picks].reshape(-1, k)
     return neighbors, dist
 
 
@@ -183,57 +196,81 @@ def reciprocal_sets(features: np.ndarray, k_rr: int) -> ReciprocalSets:
 
 def _dense_row_sums(indptr: np.ndarray, indices: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Row sums of a CSR matrix, bitwise equal to ``np.sum`` over its dense
-    rows, since numpy computes them: each block of rows is scattered into one
-    reused dense buffer, summed, and its stored entries are zeroed again."""
+    rows, since numpy computes them: each chunk of rows is scattered into one
+    reused dense buffer of about ``_CHUNK_ENTRIES`` entries, summed, and its
+    stored entries are zeroed again."""
     n = len(indptr) - 1
-    bounds = _row_blocks(n, _BLOCK_ENTRIES)
-    buf = np.zeros((int(np.max(np.diff(bounds))), n))
-    rows = np.repeat(np.arange(n), np.diff(indptr))
+    step = max(1, _CHUNK_ENTRIES // n)
+    buf = np.zeros((min(step, n), n))
     sums = np.empty(n)
-    for start, stop in zip(bounds[:-1], bounds[1:]):
+    for start in range(0, n, step):
+        stop = min(start + step, n)
         at = slice(indptr[start], indptr[stop])
-        block, stored = buf[:stop - start], (rows[at] - start, indices[at])
+        rows = np.repeat(np.arange(stop - start), np.diff(indptr[start:stop + 1]))
+        block, stored = buf[:stop - start], (rows, indices[at])
         block[stored] = values[at]
         np.sum(block, axis=1, out=sums[start:stop])
         block[stored] = 0.0
     return sums
 
 
-def _pair_terms(indptr: np.ndarray, indices: np.ndarray, d_s: np.ndarray):
-    """Pair keys i * n + j and min-sum terms, CSR row after CSR row."""
-    entries = np.arange(len(indices))
-    later = np.repeat(indptr[1:], np.diff(indptr)) - entries - 1
-    a = np.repeat(entries, later)  # each entry with every later one of its row
-    b = np.arange(len(a)) + np.repeat(entries + 1 - np.cumsum(later) + later, later)
-    key = indices[a] * (len(indptr) - 1) + indices[b]
-    term = d_s[a]
-    np.minimum(term, d_s[b], out=term)
-    return key, term
+def _min_sums(indptr: np.ndarray, indices: np.ndarray, d_s: np.ndarray):
+    """Ascending pair keys i * n + j of the pairs i < j that share a member,
+    and their min-sums (see ``jaccard_distance``).
+
+    A pair is enumerated from its first member: each stored (i, k) meets the
+    entries (k, j) of row k after (k, i), and adds the term
+    min(d_s[k, i], d_s[k, j]). Whole rows i are taken a block of about
+    ``_CHUNK_ENTRIES`` terms at a time. Within a row the terms come in
+    ascending k, and a stable sort on the pair key keeps that order, so each
+    min-sum adds its terms in ascending k.
+    """
+    n = len(indptr) - 1
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    mirror = np.searchsorted(rows * n + indices, indices * n + rows)  # (k, i) of each (i, k)
+    later = indptr[indices + 1] - mirror - 1
+    before = np.concatenate([[0], np.cumsum(later)])[indptr]  # terms before each row
+    keys, min_sums = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    start = 0
+    while start < n:
+        stop = max(start + 1, int(np.searchsorted(
+            before, before[start] + _CHUNK_ENTRIES, side="right")) - 1)
+        at = slice(indptr[start], indptr[stop])
+        start = stop
+        count = later[at]
+        if not count.any():
+            continue
+        b = np.arange(np.sum(count)) + np.repeat(mirror[at] + 1 - np.cumsum(count) + count, count)
+        term = d_s[np.repeat(mirror[at], count)]
+        np.minimum(term, d_s[b], out=term)
+        key = np.repeat(rows[at] * n, count) + indices[b]
+        order = np.argsort(key, kind="stable")
+        key, term = key[order], term[order]
+        first_of_pair = np.concatenate([[True], key[1:] != key[:-1]])
+        keys.append(key[first_of_pair])
+        # bincount adds in input order, so each min-sum accumulates in ascending k
+        min_sums.append(np.bincount(np.cumsum(first_of_pair) - 1, weights=term))
+    return np.concatenate(keys), np.concatenate(min_sums)
 
 
 def jaccard_distance(indptr: np.ndarray, indices: np.ndarray, d_s: np.ndarray):
     """1 - min-sum / max-sum of similarity row pairs, for the pairs that share
     a nonzero column.
 
-    ``d_s`` is a symmetric nonnegative CSR matrix, so column k's nonzero rows
-    are row k's members. Each k contributes min(d_s[i, k], d_s[j, k]) to every
-    pair (i, j) of its members; max-sum is rowsum_i + rowsum_j - min-sum. The
-    terms are emitted in ascending k and sorted stably on the pair key, so
-    each min-sum adds its terms in ascending k. Returns (pairs, d_j), pairs
-    (E, 2) with i < j in row-major order; every other pair is at 1.0.
+    ``d_s`` is a symmetric nonnegative CSR matrix with ascending columns in
+    each row, so column k's nonzero rows are row k's members. Each k
+    contributes min(d_s[k, i], d_s[k, j]) to every pair i < j of its members,
+    in ascending k; max-sum is rowsum_i + rowsum_j - min-sum. Returns
+    (pairs, d_j), pairs (E, 2) with i < j in row-major order; every other
+    pair is at 1.0.
     """
     d_s = np.asarray(d_s, dtype=np.float64)
     if np.any(d_s < 0):
         raise ValueError("similarity matrix must be nonnegative")
-    key, term = _pair_terms(indptr, indices, d_s)
+    key, min_sum = _min_sums(indptr, indices, d_s)
     if len(key) == 0:
         return np.empty((0, 2), dtype=np.int64), np.empty(0)
-    order = np.argsort(key, kind="stable")
-    key, term = key[order], term[order]
-    first_of_pair = np.concatenate([[True], key[1:] != key[:-1]])
-    # bincount adds in input order, so each min-sum accumulates in ascending k
-    min_sum = np.bincount(np.cumsum(first_of_pair) - 1, weights=term)
-    i, j = np.divmod(key[first_of_pair], len(indptr) - 1)
+    i, j = np.divmod(key, len(indptr) - 1)
 
     rowsum = _dense_row_sums(indptr, indices, d_s)
     d_j = np.clip(1.0 - min_sum / (rowsum[i] + rowsum[j] - min_sum), 0.0, 1.0)

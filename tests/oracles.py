@@ -5,7 +5,8 @@ before it went k-NN-sparse, the blocked k-NN that took the square root of
 every distance and selected through a (rows, N) mask before it ranked on
 squared distances by flat index, and the Lloyd iterations on an (m, r, d)
 difference tensor it used before it filled its distances one center at a
-time. The on-line oracles
+time. The retrieval oracle scores mAP and CMC from a dense (Q, G) distance
+matrix and a dense (Q, G) hit matrix. The on-line oracles
 are the per-anchor loop triplet on a (B, B, d) difference tensor, the
 full-argsort bank positives, the spread-out loss through boolean masks over
 the bank, the per-label scan sampler, and the joint step that computes
@@ -41,6 +42,7 @@ from reidapt.encoder import (
     lr_at,
 )
 from reidapt import graph
+from reidapt.evaluate import RetrievalResult
 from reidapt.graph import SparseDistances
 from reidapt.losses import cross_entropy
 from reidapt.membank import instant_update, momentum_update
@@ -175,6 +177,41 @@ def pair_counts(pseudo, truth):
     fp = int(np.sum(same_pseudo & ~same_truth & upper))
     fn = int(np.sum(~same_pseudo & same_truth & upper))
     return tp, fp, fn
+
+
+def retrieval_eval(query_feats, query_ids, query_cams,
+                   gallery_feats, gallery_ids, gallery_cams) -> RetrievalResult:
+    """mAP and CMC from a dense (Q, G) distance matrix and a dense (Q, G)
+    rank-r hit matrix, one stable argsort per query."""
+    qf = np.asarray(query_feats, dtype=np.float64)
+    gf = np.asarray(gallery_feats, dtype=np.float64)
+    query_ids = np.asarray(query_ids)
+    query_cams = np.asarray(query_cams)
+    gallery_ids = np.asarray(gallery_ids)
+    gallery_cams = np.asarray(gallery_cams)
+
+    q2 = np.sum(qf * qf, axis=1)
+    g2 = np.sum(gf * gf, axis=1)
+    dist = np.sqrt(np.maximum(q2[:, None] + g2[None, :] - 2.0 * qf @ gf.T, 0.0))
+
+    num_g = len(gf)
+    aps = np.empty(len(qf))
+    hits = np.zeros((len(qf), num_g))
+    for qi in range(len(qf)):
+        order = np.argsort(dist[qi], kind="stable")
+        junk = (gallery_ids[order] == query_ids[qi]) & (gallery_cams[order] == query_cams[qi])
+        order = order[~junk]
+        good = gallery_ids[order] == query_ids[qi]
+        if not good.any():
+            raise ValueError(f"query {qi} has no valid cross-camera match")
+        ranks = np.flatnonzero(good)
+        precision_at_hit = (np.arange(len(ranks)) + 1.0) / (ranks + 1.0)
+        aps[qi] = precision_at_hit.mean()
+        # rank-r hit indicator over the junk-filtered list, saturating past it
+        hits[qi, ranks[0]:] = 1.0
+        hits[qi, len(good):] = 1.0
+    cmc = hits.mean(axis=0)
+    return RetrievalResult(map=float(aps.mean()), cmc=cmc)
 
 
 # ------------------------------------------------------------------ converters

@@ -194,3 +194,35 @@ class TestRetrievalEval:
         assert res_a.map == pytest.approx(0.5)  # junk-free tie: index 0 first
         res_b = retrieval_eval(qf, [1], [0], gf, [1, 9], [1, 1])
         assert res_b.map == pytest.approx(1.0)
+
+
+class TestRetrievalEvalAgainstDenseOracle:
+    """One (Q, G) distance array and a histogram of first-hit ranks give the
+    mAP and CMC of the dense loop with its (Q, G) hit matrix, bit for bit."""
+
+    def test_random_splits_with_ties_and_junk(self):
+        rng = np.random.default_rng(5)
+        for trial in range(40):
+            ng, d = int(rng.integers(2, 60)), int(rng.integers(1, 5))
+            # an integer grid repeats distances; few ids and cameras make junk
+            gf = rng.integers(-2, 3, size=(ng, d)).astype(float)
+            qf = rng.integers(-2, 3, size=(int(rng.integers(1, 30)), d)).astype(float)
+            if trial % 2:
+                gf, qf = gf + 0.1 * rng.standard_normal(gf.shape), l2_normalize(qf + 0.1)
+            ids, cams = int(rng.integers(1, 5)), int(rng.integers(2, 4))
+            gids, gcams = rng.integers(0, ids, size=ng), rng.integers(0, cams, size=ng)
+            qids, qcams = rng.integers(0, ids, size=len(qf)), rng.integers(0, cams, size=len(qf))
+            matched = ((gids == qids[:, None]) & (gcams != qcams[:, None])).any(axis=1)
+            if not matched.any():
+                continue
+            split = (qf[matched], qids[matched], qcams[matched], gf, gids, gcams)
+            got, want = retrieval_eval(*split), oracles.retrieval_eval(*split)
+            assert np.float64(got.map).tobytes() == np.float64(want.map).tobytes()
+            assert got.cmc.dtype == want.cmc.dtype and got.cmc.tobytes() == want.cmc.tobytes()
+
+    def test_query_without_match_raises_like_the_oracle(self):
+        qf = np.array([[1.0, 0.0], [0.0, 1.0]])
+        gf = np.array([[1.0, 0.0], [0.0, 1.0]])
+        for evaluate in (retrieval_eval, oracles.retrieval_eval):
+            with pytest.raises(ValueError, match="query 1"):
+                evaluate(qf, [5, 9], [0, 0], gf, [5, 9], [1, 0])

@@ -475,6 +475,36 @@ class TestSparseChainAgainstDense:
             offdiag_percentile(two, 101.0)
 
 
+class _SmallChunks:
+    """Reruns a test class with ``_CHUNK_ENTRIES`` at 1 and at an odd 2047.
+
+    At 1 every k-NN chunk, dense row-sum chunk and Jaccard term block holds a
+    single row, and rows with no later member form blocks of their own; at
+    2047 chunks end inside Gram blocks, one-row chunks close them, and a row
+    with more terms than the chunk holds makes a block alone.
+    """
+
+    @pytest.fixture(autouse=True, params=[1, 2047], ids=["chunk1", "chunk2047"])
+    def _small_chunks(self, request, monkeypatch):
+        monkeypatch.setattr(graph, "_CHUNK_ENTRIES", request.param)
+
+
+class TestNearestNeighborsInSmallChunks(_SmallChunks, TestNearestNeighbors):
+    pass
+
+
+class TestMaskOracleInSmallChunks(_SmallChunks, TestNearestNeighborsAgainstMaskOracle):
+    pass
+
+
+class TestJaccardEdgeCasesInSmallChunks(_SmallChunks, TestJaccardEdgeCases):
+    pass
+
+
+class TestSparseChainInSmallChunks(_SmallChunks, TestSparseChainAgainstDense):
+    pass
+
+
 _MEMORY_PROBE = """
 import resource
 import numpy as np
@@ -490,6 +520,26 @@ res = dbscan(d_j, max(offdiag_percentile(d_j, 0.7), 1e-12), 6)
 assert len(res.assignment) == 5120
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
 """
+
+
+def traced_peak(fn, *args):
+    """Peak bytes that tracemalloc sees during ``fn(*args)``."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def probe_sets():
+    """The reciprocal sets and d_S of the _MEMORY_PROBE instance."""
+    rng = np.random.default_rng(0)
+    centers = rng.standard_normal((256, 32))
+    f = np.repeat(centers, 20, axis=0) + 0.6 * rng.standard_normal((5120, 32))
+    f /= np.linalg.norm(f, axis=1, keepdims=True)
+    sets = reciprocal_sets(f, 20)
+    return sets, np.exp(-sets.dist)
 
 
 class TestMemory:
@@ -511,10 +561,11 @@ class TestMemory:
 
     @pytest.mark.parametrize("n", [1280, 5120])
     def test_nearest_neighbors_peak_near_two_blocks(self, n):
-        # one Gram and one squared-distance block, reused; the partial sort
-        # works in the spent Gram block, so only a boolean mask, the
-        # candidates' flat indices and distances, and the outputs come on top.
-        # A partition copy of the distances would be a third block.
+        # one Gram block, reused; the squared distances, their partition
+        # copy (in the spent Gram rows), the candidate mask and the ranking
+        # work one chunk of rows at a time, so only that chunk and the
+        # outputs come on top. test_nearest_neighbors_peak_near_one_block
+        # holds the tighter bound.
         f = np.random.default_rng(21).standard_normal((n, 32))
         nearest_neighbors(f[:50], 5)  # warm up the imports
         tracemalloc.start()
@@ -528,15 +579,10 @@ class TestMemory:
 
     def test_jaccard_peak_at_5120_near_five_term_arrays(self):
         # The _MEMORY_PROBE instance: C min-sum terms, each pair key and term
-        # 8 bytes. Keys, terms, the sort order and the two sorted copies are
-        # five term-sized arrays; a two-key sort over concatenated per-size
-        # lists with an owner array peaks near nine.
-        rng = np.random.default_rng(0)
-        centers = rng.standard_normal((256, 32))
-        f = np.repeat(centers, 20, axis=0) + 0.6 * rng.standard_normal((5120, 32))
-        f /= np.linalg.norm(f, axis=1, keepdims=True)
-        sets = reciprocal_sets(f, 20)
-        d_s = np.exp(-sets.dist)
+        # 8 bytes. Sorting all C keys and terms at once takes five
+        # term-sized arrays; test_jaccard_peak_at_5120_bounded_without_terms
+        # holds the bound for one block of terms at a time.
+        sets, d_s = probe_sets()
         sizes = np.diff(sets.indptr)
         terms = int(np.sum(sizes * (sizes - 1) // 2))
         jaccard_distance(*csr_of(np.eye(3)))  # warm up the imports
@@ -547,6 +593,40 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 6.5 * 8 * terms, f"peak {peak} bytes, {terms} terms"
+
+    def test_row_sums_peak_near_one_chunk(self):
+        # one reused dense chunk of rows; only the output and each chunk's
+        # scatter indices come on top
+        n = 5120
+        indptr = np.arange(n + 1) * 20
+        indices = np.sort((np.arange(n)[:, None] + 256 * np.arange(20)) % n, axis=1).ravel()
+        values = np.random.default_rng(20).random(n * 20)
+        graph._dense_row_sums(indptr, indices, values)  # warm up the imports
+        peak = traced_peak(graph._dense_row_sums, indptr, indices, values)
+        chunk = 8 * graph._CHUNK_ENTRIES
+        assert peak < chunk + 2 * 8 * n, f"peak {peak} bytes, one chunk {chunk} bytes"
+
+    @pytest.mark.parametrize("n", [1280, 5120])
+    def test_nearest_neighbors_peak_near_one_block(self, n):
+        # the Gram block is the only (rows, N) buffer; squared distances, the
+        # candidate mask and the ranking take one chunk of rows at a time
+        f = np.random.default_rng(21).standard_normal((n, 32))
+        nearest_neighbors(f[:50], 5)  # warm up the imports
+        peak = traced_peak(nearest_neighbors, f, 20)
+        block = 8 * int(np.max(np.diff(graph._row_blocks(n, graph._BLOCK_ENTRIES)))) * n
+        assert peak < 1.25 * block, f"peak {peak} bytes, one block {block} bytes"
+
+    def test_jaccard_peak_at_5120_bounded_without_terms(self):
+        # Index arrays the size of the nnz stored entries, arrays the size of
+        # the E pairs, and one block of about _CHUNK_ENTRIES terms: nothing
+        # the size of all C terms (974,662 here, 8 MB per term array).
+        sets, d_s = probe_sets()
+        nnz = len(sets.indices)
+        jaccard_distance(*csr_of(np.eye(3)))  # warm up the imports
+        pairs = len(jaccard_distance(sets.indptr, sets.indices, d_s)[1])
+        peak = traced_peak(jaccard_distance, sets.indptr, sets.indices, d_s)
+        bound = 8 * (4 * nnz + 8 * pairs + 8 * graph._CHUNK_ENTRIES)
+        assert peak < bound, f"peak {peak} bytes, {nnz} entries, {pairs} pairs"
 
     def test_graph_and_dbscan_at_5120_stay_under_512_mb(self):
         # The dense chain held five N x N float64 arrays: about 1.4 GB here.

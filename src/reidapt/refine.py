@@ -1,5 +1,12 @@
 """Pseudo-label refinement: per-cluster prototype selection and reassignment
-by average prototype similarity."""
+by average prototype similarity.
+
+A sample's score against coarse cluster l is its mean dot product with l's
+R_l prototypes. The dot product is linear, so that mean equals one dot
+product with the prototypes' mean:
+(1/R_l) sum_r <f, p_r> = <f, (1/R_l) sum_r p_r>. Scoring is therefore one
+(N, d) x (d, L) product against the L stacked prototype means.
+"""
 
 from __future__ import annotations
 
@@ -19,6 +26,9 @@ class PseudoLabelSet:
     num_clusters: int
 
     def __post_init__(self):
+        if self.coarse.ndim != 1 or self.coarse.shape != self.refined.shape:
+            raise ValueError(f"coarse {self.coarse.shape} and refined "
+                             f"{self.refined.shape} must be 1-D and the same length")
         if not np.array_equal(self.coarse == OUTLIER, self.refined == OUTLIER):
             raise ValueError("refined must be OUTLIER exactly where coarse is")
         top = max(self.coarse.max(initial=OUTLIER), self.refined.max(initial=OUTLIER))
@@ -67,26 +77,35 @@ def select_prototypes(features: np.ndarray, coarse: CoarseClusters, r: int,
 
 def refined_similarity(features: np.ndarray, prototypes: list[np.ndarray]) -> np.ndarray:
     """Score matrix s[i, l]: mean dot product of sample i against cluster l's
-    prototypes. Features must be L2-normalized."""
+    prototypes, which by linearity is its dot product with their mean, so
+    one product with the (L, d) stack of means. Features must be
+    L2-normalized."""
     features = np.asarray(features, dtype=np.float64)
-    scores = np.empty((len(features), len(prototypes)))
-    for label, cents in enumerate(prototypes):
-        scores[:, label] = (features @ cents.T).mean(axis=1)
-    return scores
+    # reshape keeps the (0, d) shape when there are no clusters
+    means = np.array([cents.mean(axis=0) for cents in prototypes]).reshape(
+        len(prototypes), features.shape[1])
+    return features @ means.T
 
 
 def assign_refined_labels(scores: np.ndarray, coarse: CoarseClusters) -> PseudoLabelSet:
-    """argmax over refined scores, one column per coarse cluster, for
-    non-outliers; ties go to the lowest cluster index and outliers stay
-    outliers."""
+    """argmax over refined scores, one row per sample and one column per
+    coarse cluster, for non-outliers; ties go to the lowest cluster index
+    and outliers stay outliers. With no clusters every sample is an
+    outlier."""
+    if len(scores) != len(coarse.assignment):
+        raise ValueError(f"scores have {len(scores)} rows for "
+                         f"{len(coarse.assignment)} samples")
     if scores.shape[1] != coarse.num_clusters:
         raise ValueError(f"scores have {scores.shape[1]} columns for "
                          f"{coarse.num_clusters} clusters")
-    if not np.all(np.isfinite(scores)):
-        raise ValueError("scores must be finite")
-    refined = np.full(len(scores), OUTLIER, dtype=np.int64)
-    keep = coarse.assignment != OUTLIER
-    refined[keep] = np.argmax(scores[keep], axis=1)
+    if scores.size == 0:
+        refined = np.full(len(scores), OUTLIER, dtype=np.int64)
+    else:
+        # min and max are NaN or infinite iff some entry is, with no (N, L) mask
+        if not (np.isfinite(scores.min()) and np.isfinite(scores.max())):
+            raise ValueError("scores must be finite")
+        refined = np.where(coarse.assignment == OUTLIER, OUTLIER,
+                           np.argmax(scores, axis=1))
     return PseudoLabelSet(coarse=coarse.assignment.copy(), refined=refined,
                           num_clusters=coarse.num_clusters)
 

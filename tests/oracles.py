@@ -3,20 +3,22 @@
 The off-line oracles are the dense N x N labeling chain the library used
 before it went k-NN-sparse, the blocked k-NN that took the square root of
 every distance and selected through a (rows, N) mask before it ranked on
-squared distances by flat index, and the Lloyd iterations on an (m, r, d)
+squared distances by flat index, the Lloyd iterations on an (m, r, d)
 difference tensor it used before it filled its distances one center at a
-time. The retrieval oracle scores mAP and CMC from a dense (Q, G) distance
-matrix and a dense (Q, G) hit matrix. The on-line oracles
-are the per-anchor loop triplet on a (B, B, d) difference tensor, the
-full-argsort bank positives, the spread-out loss through boolean masks over
-the bank, the per-label scan sampler, and the joint step that computes
-every loss branch whatever its weight and weights them with the blend and
-total helpers the library used before its step did that arithmetic itself
-(plus the pretraining loop with its own inline copy of the step). The
-synthetic generator fills each split a row at a time through per-row
-camera callbacks. They stay here, unchanged, as oracles: the library must
-reproduce their numbers bit for bit (same eps, same labels, same pair
-counts, same losses, weights, centers, bank and synthetic splits).
+time, and the refinement scores averaged from one (N, R_l) product per
+cluster before they became one product with the prototype means (those agree
+within rounding, not bit for bit). The retrieval oracle scores mAP and CMC
+from a dense (Q, G) distance matrix and a dense (Q, G) hit matrix. The
+on-line oracles are the per-anchor loop triplet on a (B, B, d) difference
+tensor, the full-argsort bank positives, the spread-out loss through boolean
+masks over the bank, the per-label scan sampler, and the joint step that
+computes every loss branch whatever its weight and weights them with the
+blend and total helpers the library used before its step did that arithmetic
+itself (plus the pretraining loop with its own inline copy of the step). The
+synthetic generator fills each split a row at a time through per-row camera
+callbacks. They stay here, unchanged, as oracles: the library must reproduce
+their numbers bit for bit (same eps, same labels, same pair counts, same
+losses, weights, centers, bank and synthetic splits).
 """
 
 from dataclasses import dataclass
@@ -326,6 +328,16 @@ def lloyd(points, centers, max_iter):
     assignment = np.argmin(d2, axis=1)
     inertia = float(d2[np.arange(m), assignment].sum())
     return centers, assignment, inertia, history
+
+
+def refined_similarity(features, prototypes):
+    """Score matrix s[i, l]: the mean of sample i's dot products with each of
+    cluster l's prototypes, one (N, R_l) product per cluster."""
+    features = np.asarray(features, dtype=np.float64)
+    scores = np.empty((len(features), len(prototypes)))
+    for label, cents in enumerate(prototypes):
+        scores[:, label] = (features @ cents.T).mean(axis=1)
+    return scores
 
 
 # ------------------------------------------------------------------ on-line

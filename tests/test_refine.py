@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import oracles
 from reidapt.cluster import CoarseClusters, kmeans
 from reidapt.data import OUTLIER, l2_normalize
 from reidapt.refine import (
@@ -117,6 +120,31 @@ class TestAssignRefinedLabels:
         with pytest.raises(ValueError, match="columns"):
             assign_refined_labels(np.zeros((3, 1)), coarse([0, 1, 1]))
 
+    def test_score_rows_must_match_samples(self):
+        # one row would broadcast over all three samples; four name a sample
+        # that does not exist
+        for rows in (1, 4):
+            with pytest.raises(ValueError, match="rows"):
+                assign_refined_labels(np.zeros((rows, 2)), coarse([0, 1, 1]))
+
+    def test_infinite_scores_rejected(self):
+        for bad in (np.inf, -np.inf):
+            s = np.zeros((2, 2))
+            s[1, 0] = bad
+            with pytest.raises(ValueError, match="finite"):
+                assign_refined_labels(s, coarse([0, 1]))
+
+    def test_all_outliers(self):
+        every = CoarseClusters(np.array([OUTLIER, OUTLIER, OUTLIER]), 0)
+        labels = assign_refined_labels(np.zeros((3, 0)), every)
+        assert labels.refined.tolist() == [OUTLIER] * 3
+        assert labels.num_clusters == 0
+        feats = np.random.default_rng(7).standard_normal((3, 4))
+        labels, protos = refine_labels(feats, every, r=2, seed=0)
+        assert labels.refined.tolist() == [OUTLIER] * 3
+        assert labels.num_clusters == 0
+        assert protos == []
+
 
 class TestPseudoLabelSet:
     def test_labels_must_lie_below_num_clusters(self):
@@ -130,6 +158,14 @@ class TestPseudoLabelSet:
         labels = PseudoLabelSet(np.array([OUTLIER, 1, 0]), np.array([OUTLIER, 0, 1]), 2)
         assert labels.num_clusters == 2
         assert PseudoLabelSet(np.array([OUTLIER]), np.array([OUTLIER]), 0).num_clusters == 0
+
+    def test_labelings_must_be_1d_and_the_same_length(self):
+        for coarse_labels, refined_labels in (
+                ([0, 0], [0]),          # refined too short
+                ([0], [0, 0]),          # refined too long
+                ([[0, 0]], [[0, 0]])):  # not 1-D
+            with pytest.raises(ValueError, match="same length"):
+                PseudoLabelSet(np.array(coarse_labels), np.array(refined_labels), 1)
 
 
 class TestRefineLabelsPipeline:
@@ -167,3 +203,53 @@ class TestRefineLabelsPipeline:
         s = np.array([[0.9, 0.1], [0.1, 0.9], [0.8, 0.2], [0.2, 0.8]])
         labels = assign_refined_labels(s, coarse([0, 0, 1, 1]))
         assert labels.relabel_fraction() == pytest.approx(0.5)
+
+
+def ragged_prototypes(rng, num_clusters, r, d):
+    """Unit prototype sets of random sizes 1..r, one per cluster."""
+    return [l2_normalize(rng.standard_normal((int(rng.integers(1, r + 1)), d)))
+            for _ in range(num_clusters)]
+
+
+class TestRefinedSimilarityAgainstLoopOracle:
+    @pytest.mark.parametrize("num_clusters, r", [(1, 1), (1, 5), (7, 1), (12, 4), (40, 8)])
+    def test_scores_and_labels_match_the_per_cluster_loop(self, num_clusters, r):
+        rng = np.random.default_rng(num_clusters * 100 + r)
+        for _ in range(10):
+            n, d = int(rng.integers(1, 60)), int(rng.integers(1, 9))
+            feats = l2_normalize(rng.standard_normal((n, d)))
+            protos = ragged_prototypes(rng, num_clusters, r, d)
+            want = oracles.refined_similarity(feats, protos)
+            got = refined_similarity(feats, protos)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) < 1e-12
+            assignment = rng.integers(0, num_clusters, size=n)
+            assignment[rng.random(n) < 0.2] = OUTLIER
+            labels = assign_refined_labels(got, CoarseClusters(assignment, num_clusters))
+            ordered = np.sort(want, axis=1)
+            gap = ordered[:, -1] - ordered[:, -2] if num_clusters > 1 else np.inf
+            clear = (assignment != OUTLIER) & (gap > 1e-9)
+            assert np.array_equal(labels.refined[clear], np.argmax(want, axis=1)[clear])
+            assert np.all(labels.refined[assignment == OUTLIER] == OUTLIER)
+
+
+class TestMemory:
+    def test_scoring_and_assignment_peak_near_one_score_matrix(self):
+        # the (N, L) scores are the only large array: no per-cluster (N, R_l)
+        # products, finiteness mask or copy of the non-outlier rows
+        n, num_clusters, d = 5120, 256, 32
+        rng = np.random.default_rng(22)
+        feats = l2_normalize(rng.standard_normal((n, d)))
+        protos = [l2_normalize(rng.standard_normal((20, d))) for _ in range(num_clusters)]
+        assignment = np.repeat(np.arange(num_clusters), n // num_clusters)
+        clusters = CoarseClusters(assignment, num_clusters)
+        assign_refined_labels(refined_similarity(feats[:num_clusters], protos),
+                              CoarseClusters(np.arange(num_clusters), num_clusters))
+        tracemalloc.start()
+        try:
+            assign_refined_labels(refined_similarity(feats, protos), clusters)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        scores = 8 * n * num_clusters
+        assert peak < 1.25 * scores, f"peak {peak} bytes, one score matrix {scores} bytes"

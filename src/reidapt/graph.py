@@ -4,9 +4,9 @@ The similarity between two samples is exp(-euclidean distance) restricted to
 the k-reciprocal neighborhood, and the Jaccard distance compares the sparse
 similarity rows of two samples by their elementwise min/max sums.
 
-Nothing here is N x N, and one Gram block of (rows, N) is the largest
-buffer. The k-NN takes one Gram product per block of rows and ranks it a
-small chunk of rows at a time, keeping only each row's k nearest
+Nothing here is N x N, and one Gram block of (rows, N), capped at 4 MB, is
+the largest buffer. The k-NN takes one Gram product per block of rows and
+ranks it a small chunk of rows at a time, keeping only each row's k nearest
 neighbors; the similarity d_S is stored as CSR rows, and ``np.sum`` takes
 its row sums over chunks of rows scattered into one small reused dense
 buffer; d_J is stored only for the pairs that share a reciprocal member, and
@@ -22,13 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Rows per block of the k-NN's Gram product are chosen so that one block
-# holds about this many float64 entries (16 MB).
-_BLOCK_ENTRIES = 1 << 21
+# Rows per block of the k-NN's Gram product, and of the query-by-gallery
+# distances of ``evaluate.retrieval_eval``, are chosen so that one block holds
+# about this many float64 entries (4 MB).
+_BLOCK_ENTRIES = 1 << 19
 # Everything else the off-line graph computes runs in chunks of about this
 # many entries (512 KB of float64): the k-NN's rows within a Gram block, the
 # dense similarity rows of the row sums, and the Jaccard min-sum terms.
-_CHUNK_ENTRIES = _BLOCK_ENTRIES >> 5
+_CHUNK_ENTRIES = 1 << 16
 
 
 @dataclass
@@ -101,13 +102,13 @@ def smallest_k(values: np.ndarray, k: int, work: np.ndarray) -> np.ndarray:
     return (flat[_lowest_k(flat, values.ravel()[flat], k, width)] % width).reshape(-1, k)
 
 
-def _row_blocks(n: int, entries: int) -> np.ndarray:
-    """Bounds of the row blocks of an (n, n) array, each of about ``entries``
-    entries and at least one row. The blocks are of near-equal size: a block
-    of one row would go through a matrix-vector product, whose dot products
-    can differ in the last bit."""
-    blocks = -(-n // max(1, entries // n))
-    return np.arange(blocks + 1) * n // blocks
+def _row_blocks(rows: int, width: int, entries: int) -> np.ndarray:
+    """Bounds of the row blocks of a (rows, width) array, both at least 1,
+    each block of about ``entries`` entries and at least one row. The blocks
+    are of near-equal size: a block of one row would go through a
+    matrix-vector product, whose dot products can differ in the last bit."""
+    blocks = -(-rows // max(1, entries // width))
+    return np.arange(blocks + 1) * rows // blocks
 
 
 def nearest_neighbors(features: np.ndarray, k: int):
@@ -116,7 +117,7 @@ def nearest_neighbors(features: np.ndarray, k: int):
     Returns (neighbors, dist), both (N, k), neighbors ascending within a row.
     Distance ties break to the lower index. Squared distances come from the
     GEMM identity |a|^2 + |b|^2 - 2 a.b, one Gram product per block of rows;
-    up to about 1400 rows that is one block, the same Gram product a dense
+    up to about 724 rows that is one block, the same Gram product a dense
     N x N computation makes. The rest runs a chunk of rows at a time in one
     small scratch buffer: the chunk's squared distances, and a partial sort
     of a copy of them in the chunk's spent Gram rows, which finds the k-th
@@ -134,7 +135,7 @@ def nearest_neighbors(features: np.ndarray, k: int):
     sq = np.sum(f * f, axis=1)
     neighbors = np.empty((n, k), dtype=np.int64)
     dist = np.empty((n, k))
-    bounds = _row_blocks(n, _BLOCK_ENTRIES)
+    bounds = _row_blocks(n, n, _BLOCK_ENTRIES)
     # one Gram block and one chunk of squared distances serve every block
     gram_buf = np.empty((int(np.max(np.diff(bounds))), n))
     step = max(1, _CHUNK_ENTRIES // n)

@@ -285,7 +285,7 @@ def nearest_neighbors(features, k):
     sq = np.sum(f * f, axis=1)
     neighbors = np.empty((n, k), dtype=np.int64)
     dist = np.empty((n, k))
-    bounds = graph._row_blocks(n, graph._BLOCK_ENTRIES)
+    bounds = graph._row_blocks(n, n, graph._BLOCK_ENTRIES)
     # one Gram and one distance buffer serve every block
     gram_buf, d_buf = np.empty((2, int(np.max(np.diff(bounds))), n))
     for start, stop in zip(bounds[:-1], bounds[1:]):

@@ -8,7 +8,7 @@ import oracles
 import pytest
 
 from reidapt.cli import main
-from reidapt.data import l2_normalize, read_features, write_features
+from reidapt.data import l2_normalize, read_features, write_features, write_labels
 from reidapt.encoder import init_encoder, load_checkpoint, save_checkpoint
 from reidapt.evaluate import pairwise_fscore
 from reidapt.trainer import TrainConfig, extract_features
@@ -414,6 +414,16 @@ class TestValidation:
                                "--out", str(tmp_path / "runB"))
         assert code == 3
         assert "(59, 12)" in err and "(80, 12)" in err
+
+    def test_eval_of_empty_query_split_is_io_error(self, data_dir, tmp_path, capsys):
+        # the split is refused as it loads, so stdout holds no "mAP": NaN
+        save_checkpoint(tmp_path / "ckpt", init_encoder(12, 24, 12, np.random.default_rng(0)))
+        write_features(data_dir / "target_query.drft", np.empty((0, 12)))
+        write_labels(data_dir / "target_query.csv", [], [])
+        code, stdout, err = run_cli(capsys, "eval", "--ckpt", str(tmp_path / "ckpt"),
+                                    "--data", str(data_dir))
+        assert code == 3 and stdout == ""
+        assert err.startswith("error:") and "target_query" in err
 
     def test_eval_rejects_unknown_activation(self, data_dir, tmp_path, capsys):
         save_checkpoint(tmp_path / "ckpt", init_encoder(12, 24, 12, np.random.default_rng(0)))

@@ -1,9 +1,11 @@
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import oracles
 import pytest
 
+from reidapt import graph
 from reidapt.data import OUTLIER, l2_normalize
 from reidapt.evaluate import pairwise_fscore, retrieval_eval
 
@@ -187,6 +189,24 @@ class TestRetrievalEval:
         with pytest.raises(ValueError):
             retrieval_eval(qf, [5], [0], gf, [5, 9], [0, 0])  # only junk shares id
 
+    @pytest.mark.parametrize("queries, gallery", [(0, 3), (2, 0)])
+    def test_empty_query_set_or_gallery_raises(self, queries, gallery):
+        # an empty query set scored mAP NaN and an all-NaN CMC
+        qf, gf = np.ones((queries, 2)), np.ones((gallery, 2))
+        with pytest.raises(ValueError, match="at least one query and one gallery"):
+            retrieval_eval(qf, np.zeros(queries, int), np.zeros(queries, int),
+                           gf, np.zeros(gallery, int), np.ones(gallery, int))
+
+    @pytest.mark.parametrize("surplus", [-1, 1], ids=["short", "long"])
+    @pytest.mark.parametrize("at", [1, 2, 4, 5],
+                             ids=["query_ids", "query_cams", "gallery_ids", "gallery_cams"])
+    def test_labels_must_match_feature_rows(self, at, surplus):
+        # a short array raised IndexError mid-loop; a long one was ignored
+        args = [np.eye(3), [0, 1, 2], [0, 0, 0], np.eye(3), [0, 1, 2], [1, 1, 1]]
+        args[at] = list(range(3 + surplus))
+        with pytest.raises(ValueError, match="one per feature row"):
+            retrieval_eval(*args)
+
     def test_distance_ties_break_by_gallery_index(self):
         qf = np.array([[1.0, 0.0]])
         gf = np.array([[0.0, 1.0], [0.0, 1.0]])  # equidistant pair
@@ -196,29 +216,65 @@ class TestRetrievalEval:
         assert res_b.map == pytest.approx(1.0)
 
 
+def random_splits(rng, trials):
+    """Query/gallery splits whose every query has a cross-camera match. An
+    integer grid repeats distances, and few ids and cameras make junk."""
+    for trial in range(trials):
+        ng, d = int(rng.integers(2, 60)), int(rng.integers(1, 5))
+        gf = rng.integers(-2, 3, size=(ng, d)).astype(float)
+        qf = rng.integers(-2, 3, size=(int(rng.integers(1, 30)), d)).astype(float)
+        if trial % 2:
+            gf, qf = gf + 0.1 * rng.standard_normal(gf.shape), l2_normalize(qf + 0.1)
+        ids, cams = int(rng.integers(1, 5)), int(rng.integers(2, 4))
+        gids, gcams = rng.integers(0, ids, size=ng), rng.integers(0, cams, size=ng)
+        qids, qcams = rng.integers(0, ids, size=len(qf)), rng.integers(0, cams, size=len(qf))
+        matched = ((gids == qids[:, None]) & (gcams != qcams[:, None])).any(axis=1)
+        if matched.any():
+            yield qf[matched], qids[matched], qcams[matched], gf, gids, gcams
+
+
+def unit_split(queries, gallery, d=32):
+    """Random unit rows; queries in camera 0, gallery in camera 1, and every
+    one of queries // 4 ids in the gallery."""
+    rng = np.random.default_rng(queries)
+    ids = max(1, queries // 4)
+    gids = np.concatenate([np.arange(ids), rng.integers(0, ids, size=gallery - ids)])
+    return (l2_normalize(rng.standard_normal((queries, d))), np.arange(queries) % ids,
+            np.zeros(queries, dtype=int), l2_normalize(rng.standard_normal((gallery, d))),
+            gids, np.ones(gallery, dtype=int))
+
+
+def assert_same_as_oracle(split):
+    got, want = retrieval_eval(*split), oracles.retrieval_eval(*split)
+    assert np.float64(got.map).tobytes() == np.float64(want.map).tobytes()
+    assert got.cmc.dtype == want.cmc.dtype and got.cmc.tobytes() == want.cmc.tobytes()
+
+
 class TestRetrievalEvalAgainstDenseOracle:
-    """One (Q, G) distance array and a histogram of first-hit ranks give the
-    mAP and CMC of the dense loop with its (Q, G) hit matrix, bit for bit."""
+    """Query blocks of (rows, G) distances and a histogram of first-hit
+    ranks give the mAP and CMC of the dense loop with its (Q, G) distance and
+    hit matrices, bit for bit."""
 
     def test_random_splits_with_ties_and_junk(self):
-        rng = np.random.default_rng(5)
-        for trial in range(40):
-            ng, d = int(rng.integers(2, 60)), int(rng.integers(1, 5))
-            # an integer grid repeats distances; few ids and cameras make junk
-            gf = rng.integers(-2, 3, size=(ng, d)).astype(float)
-            qf = rng.integers(-2, 3, size=(int(rng.integers(1, 30)), d)).astype(float)
-            if trial % 2:
-                gf, qf = gf + 0.1 * rng.standard_normal(gf.shape), l2_normalize(qf + 0.1)
-            ids, cams = int(rng.integers(1, 5)), int(rng.integers(2, 4))
-            gids, gcams = rng.integers(0, ids, size=ng), rng.integers(0, cams, size=ng)
-            qids, qcams = rng.integers(0, ids, size=len(qf)), rng.integers(0, cams, size=len(qf))
-            matched = ((gids == qids[:, None]) & (gcams != qcams[:, None])).any(axis=1)
-            if not matched.any():
-                continue
-            split = (qf[matched], qids[matched], qcams[matched], gf, gids, gcams)
-            got, want = retrieval_eval(*split), oracles.retrieval_eval(*split)
-            assert np.float64(got.map).tobytes() == np.float64(want.map).tobytes()
-            assert got.cmc.dtype == want.cmc.dtype and got.cmc.tobytes() == want.cmc.tobytes()
+        for split in random_splits(np.random.default_rng(5), 40):
+            assert_same_as_oracle(split)
+
+    def test_small_odd_sized_query_blocks(self, monkeypatch):
+        # at least 3 rows per block keep every near-equal block at 2 rows or
+        # more; a block of one row would take a matrix-vector product
+        rng = np.random.default_rng(6)
+        for split in random_splits(rng, 40):
+            queries, gallery = len(split[0]), len(split[3])
+            rows = int(rng.choice([3, 5, 7]))
+            entries = rows * gallery + int(rng.integers(0, gallery))
+            monkeypatch.setattr(graph, "_BLOCK_ENTRIES", entries)
+            assert queries <= rows or len(graph._row_blocks(queries, gallery, entries)) > 2
+            assert_same_as_oracle(split)
+
+    def test_default_query_blocks(self):
+        split = unit_split(768, 1536)
+        assert len(graph._row_blocks(768, 1536, graph._BLOCK_ENTRIES)) > 2
+        assert_same_as_oracle(split)
 
     def test_query_without_match_raises_like_the_oracle(self):
         qf = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -226,3 +282,23 @@ class TestRetrievalEvalAgainstDenseOracle:
         for evaluate in (retrieval_eval, oracles.retrieval_eval):
             with pytest.raises(ValueError, match="query 1"):
                 evaluate(qf, [5, 9], [0, 0], gf, [5, 9], [1, 0])
+
+
+class TestMemory:
+    def test_retrieval_eval_peak_near_one_query_block(self):
+        # one (rows, G) block of distances, reused, instead of the (Q, G)
+        # array (9.4 MB here). On top: the doubled queries, the per-query
+        # outputs, and a few gallery-length arrays while one query is ranked.
+        queries, gallery, d = 768, 1536, 32
+        split = unit_split(queries, gallery, d)
+        retrieval_eval(*unit_split(8, 16, d))  # warm up the imports
+        tracemalloc.start()
+        try:
+            retrieval_eval(*split)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = int(np.max(np.diff(graph._row_blocks(queries, gallery, graph._BLOCK_ENTRIES))))
+        block = 8 * rows * gallery
+        bound = block + 8 * queries * (d + 4) + 16 * 8 * gallery
+        assert peak < bound, f"peak {peak} bytes, one block {block} bytes"

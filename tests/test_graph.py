@@ -147,6 +147,28 @@ class TestNearestNeighbors:
             nearest_neighbors(f, 5)
 
 
+class TestGramRowBlocks:
+    """Splitting the Gram product into the default row blocks keeps every bit
+    of the one-block run, whose product is the dense N x N one."""
+
+    @pytest.mark.parametrize("n", [1280, 2560])
+    @pytest.mark.parametrize("kind", ["probe", "random"])
+    def test_default_blocks_match_one_block_bytes(self, monkeypatch, n, kind):
+        rng = np.random.default_rng(n)
+        if kind == "probe":  # clusters of 20 noisy unit rows, as in _MEMORY_PROBE
+            centers = rng.standard_normal((n // 20, 32))
+            f = np.repeat(centers, 20, axis=0) + 0.6 * rng.standard_normal((n, 32))
+        else:
+            f = rng.standard_normal((n, 32))
+        f = l2_normalize(f)
+        assert len(graph._row_blocks(n, n, graph._BLOCK_ENTRIES)) > 2
+        blocked = nearest_neighbors(f, 20)
+        monkeypatch.setattr(graph, "_BLOCK_ENTRIES", n * n)
+        whole = nearest_neighbors(f, 20)
+        assert blocked[0].tobytes() == whole[0].tobytes()
+        assert blocked[1].tobytes() == whole[1].tobytes()
+
+
 def assert_same_knn(f, k):
     got, want = nearest_neighbors(f, k), oracles.nearest_neighbors(f, k)
     assert got[0].tobytes() == want[0].tobytes()
@@ -162,7 +184,7 @@ class TestNearestNeighborsAgainstMaskOracle:
         rng = np.random.default_rng(40)
         f = l2_normalize(rng.standard_normal((300, 8)))
         monkeypatch.setattr(graph, "_BLOCK_ENTRIES", 300 * 37)
-        assert len(graph._row_blocks(300, graph._BLOCK_ENTRIES)) > 3
+        assert len(graph._row_blocks(300, 300, graph._BLOCK_ENTRIES)) > 3
         for k in (1, 7, 299):
             assert_same_knn(f, k)
 
@@ -416,19 +438,19 @@ class TestSparseChainAgainstDense:
     def test_row_sums_over_several_blocks(self, monkeypatch, entries):
         # wide-ranging values make the sum depend on its order; about a third
         # of the rows are empty, and N=1 is a single block of one row
-        monkeypatch.setattr(graph, "_BLOCK_ENTRIES", entries)
+        monkeypatch.setattr(graph, "_CHUNK_ENTRIES", entries)
         rng = np.random.default_rng(18)
         for n in (1, 2, 7, 130, 1031):
             dense = np.zeros((n, n))
             for i in np.flatnonzero(rng.random(n) < 2 / 3):
                 at = rng.choice(n, size=min(n, int(rng.integers(1, 200))), replace=False)
                 dense[i, at] = rng.random(len(at)) * 10.0 ** rng.uniform(-3, 3, len(at))
-            assert n < 130 or len(graph._row_blocks(n, entries)) > 2
+            assert n < 130 or len(graph._row_blocks(n, n, entries)) > 2
             got = graph._dense_row_sums(*csr_of(dense))
             assert got.tobytes() == dense.sum(axis=1).tobytes()
 
     def test_jaccard_over_several_row_sum_blocks(self, monkeypatch):
-        monkeypatch.setattr(graph, "_BLOCK_ENTRIES", 150)
+        monkeypatch.setattr(graph, "_CHUNK_ENTRIES", 150)
         rng = np.random.default_rng(19)
         for trial in range(20):
             f = random_features(rng, duplicates=trial % 3 == 0)
@@ -556,7 +578,7 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        block = 8 * int(np.max(np.diff(graph._row_blocks(n, graph._BLOCK_ENTRIES)))) * n
+        block = 8 * int(np.max(np.diff(graph._row_blocks(n, n, graph._BLOCK_ENTRIES)))) * n
         assert peak < 2 * block, f"peak {peak} bytes, one block {block} bytes"
 
     @pytest.mark.parametrize("n", [1280, 5120])
@@ -574,7 +596,7 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        block = 8 * int(np.max(np.diff(graph._row_blocks(n, graph._BLOCK_ENTRIES)))) * n
+        block = 8 * int(np.max(np.diff(graph._row_blocks(n, n, graph._BLOCK_ENTRIES)))) * n
         assert peak < 2.5 * block, f"peak {peak} bytes, one block {block} bytes"
 
     def test_jaccard_peak_at_5120_near_five_term_arrays(self):
@@ -608,13 +630,16 @@ class TestMemory:
 
     @pytest.mark.parametrize("n", [1280, 5120])
     def test_nearest_neighbors_peak_near_one_block(self, n):
-        # the Gram block is the only (rows, N) buffer; squared distances, the
-        # candidate mask and the ranking take one chunk of rows at a time
+        # the Gram block is the only (rows, N) buffer; the squared distances
+        # take one chunk of rows at a time, and that chunk's candidate mask
+        # and ranking fit in a second chunk. Only the (N, k) outputs come on
+        # top.
         f = np.random.default_rng(21).standard_normal((n, 32))
         nearest_neighbors(f[:50], 5)  # warm up the imports
         peak = traced_peak(nearest_neighbors, f, 20)
-        block = 8 * int(np.max(np.diff(graph._row_blocks(n, graph._BLOCK_ENTRIES)))) * n
-        assert peak < 1.25 * block, f"peak {peak} bytes, one block {block} bytes"
+        block = 8 * int(np.max(np.diff(graph._row_blocks(n, n, graph._BLOCK_ENTRIES)))) * n
+        bound = block + 2 * 8 * graph._CHUNK_ENTRIES + 16 * n * 20
+        assert peak < bound, f"peak {peak} bytes, one block {block} bytes"
 
     def test_jaccard_peak_at_5120_bounded_without_terms(self):
         # Index arrays the size of the nnz stored entries, arrays the size of

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import graph
 from .data import OUTLIER
 from .graph import SparseDistances
 
@@ -37,6 +38,39 @@ def group_members(assignment: np.ndarray, num_labels: int) -> list[np.ndarray]:
     return [order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
+def _pairs_within(i: np.ndarray, j: np.ndarray, within: np.ndarray, at: slice):
+    """The ends of the slice ``at`` of stored pairs whose distance is within
+    eps; indexing by position is faster than a mask on half-full slices."""
+    keep = np.flatnonzero(within[at])
+    return i[at][keep], j[at][keep]
+
+
+def _lower_claims(claim: np.ndarray, core: np.ndarray, src: np.ndarray, dst: np.ndarray):
+    """Lower each non-core point of ``src`` to the lowest core it meets in
+    ``dst``."""
+    reach = ~core[src] & core[dst]
+    np.minimum.at(claim, src[reach], dst[reach])
+
+
+def _hook(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Join the components of the pairs (a, b) in ``root``, a forest of
+    depth one in which no entry exceeds its own index: hook the larger root
+    of each pair to the smaller, compress paths, and repeat until the two
+    ends of every pair share a root. Roots only ever decrease, and each
+    component ends at its lowest index, whatever the order of the pairs."""
+    ra, rb = root[a], root[b]
+    while not np.array_equal(ra, rb):
+        # root[x] <= x, so of the two calls only the hook from the larger
+        # root of each pair to the smaller changes an entry
+        np.minimum.at(root, ra, rb)
+        np.minimum.at(root, rb, ra)
+        while not np.array_equal(root, root[root]):
+            root = root[root]
+        root.take(a, out=ra)
+        root.take(b, out=rb)
+    return root
+
+
 def dbscan(dist: SparseDistances, eps: float, min_pts: int) -> CoarseClusters:
     """Density clustering over a sparse symmetric distance matrix.
 
@@ -49,15 +83,24 @@ def dbscan(dist: SparseDistances, eps: float, min_pts: int) -> CoarseClusters:
 
     Absent pairs are at ``dist.fill``, the largest distance: below it only
     stored pairs can lie within eps, and at or above it every pair does.
+
+    Beyond its inputs and N-sized arrays, only boolean masks over the stored
+    pairs are formed whole; the degree counts, the hooking rounds and the
+    border claims take the pairs a slice of ``graph._CHUNK_ENTRIES`` at a
+    time. Roots only decrease and each component's lowest core is its own
+    root, so neither the order of the hooks nor the slicing moves the labels,
+    and the lowest claim is the same in any order.
     """
     n = dist.n
-    i, j = np.asarray(dist.pairs, dtype=np.int64).reshape(-1, 2).T
+    pairs = np.asarray(dist.pairs, dtype=np.int64).reshape(-1, 2)
+    i, j = pairs.T
     values = np.asarray(dist.values, dtype=np.float64)
-    key = i * n + j
-    if (len(values) != len(i) or np.any(i < 0) or np.any(i >= j) or np.any(j >= n)
-            or np.any(np.diff(key) <= 0)):
+    if (len(values) != len(pairs) or np.any(i < 0) or np.any(i >= j) or np.any(j >= n)
+            or np.any(i[1:] < i[:-1]) or np.any((i[1:] == i[:-1]) & (j[1:] <= j[:-1]))):
         raise ValueError("pairs must list each (i, j) with 0 <= i < j < n once, "
                          "in row-major order, with one value each")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("distances must be finite (no NaN or inf)")
     if np.any(values < 0) or np.any(values > dist.fill):
         raise ValueError("distances must lie in [0, fill]")
     if eps <= 0:
@@ -72,30 +115,27 @@ def dbscan(dist: SparseDistances, eps: float, min_pts: int) -> CoarseClusters:
         return CoarseClusters(assignment=assignment, num_clusters=int(n >= min_pts))
 
     within = values <= eps
-    i, j = i[within], j[within]
-    src, dst = np.concatenate([i, j]), np.concatenate([j, i])  # both directions
-    core = 1 + np.bincount(src, minlength=n) >= min_pts
+    chunks = [slice(lo, lo + graph._CHUNK_ENTRIES)
+              for lo in range(0, len(values), graph._CHUNK_ENTRIES)]
+    degree = np.ones(n, dtype=np.int64)  # self included
+    for at in chunks:
+        for ends in _pairs_within(i, j, within, at):
+            degree += np.bincount(ends, minlength=n)
+    core = degree >= min_pts
 
-    # components of the core-core edges: hook each root to the smallest
-    # neighboring root, then compress paths, until every edge is inside one
-    link = core[i] & core[j]
-    a, b = i[link], j[link]
-    root = np.arange(n)
-    while True:
-        ra, rb = root[a], root[b]
-        if np.array_equal(ra, rb):
-            break
-        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
-        while not np.array_equal(root, root[root]):
-            root = root[root]
+    root, claim = np.arange(n), np.full(n, n)
+    for at in chunks:
+        a, b = _pairs_within(i, j, within, at)
+        # a border point joins its lowest-indexed core within eps
+        _lower_claims(claim, core, a, b)
+        _lower_claims(claim, core, b, a)
+        link = core[a] & core[b]
+        a, b = a[link], b[link]
+        root = _hook(root, a, b)
+
     cores = np.flatnonzero(core)
     heads, label = np.unique(root[cores], return_inverse=True)
     assignment[cores] = label
-
-    # a border point joins its lowest-indexed core within eps
-    reach = ~core[src] & core[dst]
-    claim = np.full(n, n)
-    np.minimum.at(claim, src[reach], dst[reach])
     claimed = np.flatnonzero(claim < n)
     assignment[claimed] = assignment[claim[claimed]]
     return CoarseClusters(assignment=assignment, num_clusters=len(heads))

@@ -10,10 +10,10 @@ ranks it a small chunk of rows at a time, keeping only each row's k nearest
 neighbors; the similarity d_S is stored as CSR rows, and ``np.sum`` takes
 its row sums over chunks of rows scattered into one small reused dense
 buffer; d_J is stored only for the pairs that share a reciprocal member, and
-their min-sum terms are enumerated a block of rows at a time. Every other
-off-diagonal pair has a min-sum of zero and therefore a Jaccard distance of
-exactly 1.0 (Zhong et al. 2017, arXiv:1701.08398; Ge et al. 2020,
-arXiv:2006.02713).
+their min-sum terms are enumerated a block of rows at a time, each block
+turned into distances at once. Every other off-diagonal pair has a min-sum
+of zero and therefore a Jaccard distance of exactly 1.0 (Zhong et al. 2017,
+arXiv:1701.08398; Ge et al. 2020, arXiv:2006.02713).
 """
 
 from __future__ import annotations
@@ -26,9 +26,10 @@ import numpy as np
 # distances of ``evaluate.retrieval_eval``, are chosen so that one block holds
 # about this many float64 entries (4 MB).
 _BLOCK_ENTRIES = 1 << 19
-# Everything else the off-line graph computes runs in chunks of about this
+# Everything else the off-line phase computes runs in chunks of about this
 # many entries (512 KB of float64): the k-NN's rows within a Gram block, the
-# dense similarity rows of the row sums, and the Jaccard min-sum terms.
+# dense similarity rows of the row sums, the Jaccard min-sum terms, and the
+# slices of stored pairs that ``cluster.dbscan`` takes.
 _CHUNK_ENTRIES = 1 << 16
 
 
@@ -52,6 +53,7 @@ class ReciprocalSets:
     indptr: np.ndarray   # (N+1,) set i is indices[indptr[i]:indptr[i+1]]
     indices: np.ndarray  # members, ascending within each set
     dist: np.ndarray     # Euclidean distance from the set's owner to each member
+    mirror: np.ndarray   # position of each entry's transpose: (i, k) -> (k, i)
 
 
 @dataclass
@@ -181,28 +183,41 @@ def reciprocal_sets(features: np.ndarray, k_rr: int) -> ReciprocalSets:
     backward = cols * n + rows
     where = np.searchsorted(forward, backward)
     mutual = forward[np.minimum(where, len(forward) - 1)] == backward
-    back_dist = dist.ravel()[where[mutual]]
+    del forward, backward
+    where = where[mutual]  # each mutual entry's transpose, among the k-NN entries
     rows, cols = rows[mutual], cols[mutual]
-    pair_dist = 0.5 * (dist.ravel()[mutual] + back_dist)
+    pair_dist = 0.5 * (dist.ravel()[mutual] + dist.ravel()[where])
 
-    # add each sample to its own set, at distance 0
-    rows = np.concatenate([rows, np.arange(n)])
-    cols = np.concatenate([cols, np.arange(n)])
-    pair_dist = np.concatenate([pair_dist, np.zeros(n)])
-    order = np.argsort(rows * n + cols)
+    # add each sample to its own set, at distance 0: a mutual entry moves up
+    # by one per earlier row, and by one more past its own row's diagonal
+    at = np.arange(len(rows)) + rows + (cols > rows)
+    size = len(rows) + n
+    taken = np.zeros(size, dtype=bool)
+    taken[at] = True
+    diagonal = np.flatnonzero(~taken)
+    indices = np.empty(size, dtype=np.int64)
+    indices[at], indices[diagonal] = cols, np.arange(n)
+    set_dist = np.zeros(size)
+    set_dist[at] = pair_dist
+    # a transpose's rank among the mutual entries gives its place in the sets
+    mirror = np.empty(size, dtype=np.int64)
+    mirror[at], mirror[diagonal] = at[(np.cumsum(mutual) - 1)[where]], diagonal
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return ReciprocalSets(indptr=indptr, indices=cols[order], dist=pair_dist[order])
+    np.cumsum(np.bincount(rows, minlength=n) + 1, out=indptr[1:])
+    return ReciprocalSets(indptr=indptr, indices=indices, dist=set_dist, mirror=mirror)
 
 
-def _dense_row_sums(indptr: np.ndarray, indices: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Row sums of a CSR matrix, bitwise equal to ``np.sum`` over its dense
-    rows, since numpy computes them: each chunk of rows is scattered into one
+def _dense_row_sums(indptr: np.ndarray, indices: np.ndarray, values: np.ndarray,
+                    width: int | None = None) -> np.ndarray:
+    """Row sums of a CSR matrix of rows ``width`` entries wide (as many as
+    it has rows by default), bitwise equal to ``np.sum`` over its dense rows,
+    since numpy computes them: each chunk of rows is scattered into one
     reused dense buffer of about ``_CHUNK_ENTRIES`` entries, summed, and its
     stored entries are zeroed again."""
     n = len(indptr) - 1
-    step = max(1, _CHUNK_ENTRIES // n)
-    buf = np.zeros((min(step, n), n))
+    width = n if width is None else width
+    step = max(1, _CHUNK_ENTRIES // width)
+    buf = np.zeros((min(step, n), width))
     sums = np.empty(n)
     for start in range(0, n, step):
         stop = min(start + step, n)
@@ -215,67 +230,102 @@ def _dense_row_sums(indptr: np.ndarray, indices: np.ndarray, values: np.ndarray)
     return sums
 
 
-def _min_sums(indptr: np.ndarray, indices: np.ndarray, d_s: np.ndarray):
-    """Ascending pair keys i * n + j of the pairs i < j that share a member,
-    and their min-sums (see ``jaccard_distance``).
+def _transposes(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Position of each stored entry's transpose in a CSR matrix with a
+    symmetric pattern and ascending columns in each row."""
+    n = len(indptr) - 1
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    return np.searchsorted(rows * n + indices, indices * n + rows)
+
+
+def _jaccard_blocks(indptr: np.ndarray, indices: np.ndarray, d_s: np.ndarray,
+                    mirror: np.ndarray, rowsum: np.ndarray):
+    """Per block of rows, the ascending pair keys i * n + j of the pairs
+    i < j that share a member, and their Jaccard distances (see
+    ``jaccard_distance``); ``mirror`` maps each stored entry to its
+    transpose, and ``rowsum`` holds the row sums of ``d_s``.
 
     A pair is enumerated from its first member: each stored (i, k) meets the
     entries (k, j) of row k after (k, i), and adds the term
-    min(d_s[k, i], d_s[k, j]). Whole rows i are taken a block of about
-    ``_CHUNK_ENTRIES`` terms at a time. Within a row the terms come in
-    ascending k, and a stable sort on the pair key keeps that order, so each
-    min-sum adds its terms in ascending k.
+    min(d_s[k, i], d_s[k, j]) to the pair's min-sum. Whole rows i are taken
+    a block of about ``_CHUNK_ENTRIES`` terms at a time. Within a row the
+    terms come in ascending k, and a stable sort on the pair key keeps that
+    order, so each min-sum adds its terms in ascending k.
     """
     n = len(indptr) - 1
-    rows = np.repeat(np.arange(n), np.diff(indptr))
-    mirror = np.searchsorted(rows * n + indices, indices * n + rows)  # (k, i) of each (i, k)
-    later = indptr[indices + 1] - mirror - 1
+    later = indptr[indices + 1] - mirror - 1  # terms of each stored (i, k)
     before = np.concatenate([[0], np.cumsum(later)])[indptr]  # terms before each row
-    keys, min_sums = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    del later  # each block takes its own slice again
+    keys, d_j = [np.empty(0, dtype=np.int64)], [np.empty(0)]
     start = 0
     while start < n:
         stop = max(start + 1, int(np.searchsorted(
             before, before[start] + _CHUNK_ENTRIES, side="right")) - 1)
         at = slice(indptr[start], indptr[stop])
+        rows, per_row = np.arange(start, stop), np.diff(before[start:stop + 1])
         start = stop
-        count = later[at]
-        if not count.any():
+        if not per_row.any():
             continue
-        b = np.arange(np.sum(count)) + np.repeat(mirror[at] + 1 - np.cumsum(count) + count, count)
+        count = indptr[indices[at] + 1] - mirror[at] - 1
+        b = np.repeat(mirror[at] + 1 - np.cumsum(count) + count, count)
+        b += np.arange(len(b))
         term = d_s[np.repeat(mirror[at], count)]
         np.minimum(term, d_s[b], out=term)
-        key = np.repeat(rows[at] * n, count) + indices[b]
+        key = np.repeat(rows * n, per_row)
+        key += indices[b]
+        del b  # spent term-sized arrays go at once, so at most four are live
         order = np.argsort(key, kind="stable")
-        key, term = key[order], term[order]
+        key = key[order]
+        term = term[order]
+        del order
         first_of_pair = np.concatenate([[True], key[1:] != key[:-1]])
-        keys.append(key[first_of_pair])
+        key = key[first_of_pair]
         # bincount adds in input order, so each min-sum accumulates in ascending k
-        min_sums.append(np.bincount(np.cumsum(first_of_pair) - 1, weights=term))
-    return np.concatenate(keys), np.concatenate(min_sums)
+        pair = np.cumsum(first_of_pair)
+        pair -= 1
+        min_sum = np.bincount(pair, weights=term)
+        del term, pair
+        i, j = np.divmod(key, n)
+        keys.append(key)
+        d_j.append(np.clip(1.0 - min_sum / (rowsum[i] + rowsum[j] - min_sum), 0.0, 1.0))
+    return keys, d_j
 
 
-def jaccard_distance(indptr: np.ndarray, indices: np.ndarray, d_s: np.ndarray):
+def jaccard_distance(indptr: np.ndarray, indices: np.ndarray, d_s: np.ndarray,
+                     mirror: np.ndarray | None = None):
     """1 - min-sum / max-sum of similarity row pairs, for the pairs that share
     a nonzero column.
 
     ``d_s`` is a symmetric nonnegative CSR matrix with ascending columns in
     each row, so column k's nonzero rows are row k's members. Each k
     contributes min(d_s[k, i], d_s[k, j]) to every pair i < j of its members,
-    in ascending k; max-sum is rowsum_i + rowsum_j - min-sum. Returns
-    (pairs, d_j), pairs (E, 2) with i < j in row-major order; every other
-    pair is at 1.0.
+    in ascending k; max-sum is rowsum_i + rowsum_j - min-sum. ``mirror``
+    gives each stored entry's transpose, as ``ReciprocalSets.mirror`` does;
+    it is searched for when not given. Returns (pairs, d_j), pairs (E, 2)
+    with i < j in row-major order; every other pair is at 1.0.
+
+    The row sums come first, so each block of rows turns its min-sums into
+    distances at once. The pairs are then written into the (E, 2) output a
+    block at a time, each block's keys freed once written; no int64 or
+    float64 array of E entries is formed besides the outputs and the
+    blocks' keys and distances.
     """
     d_s = np.asarray(d_s, dtype=np.float64)
     if np.any(d_s < 0):
         raise ValueError("similarity matrix must be nonnegative")
-    key, min_sum = _min_sums(indptr, indices, d_s)
-    if len(key) == 0:
-        return np.empty((0, 2), dtype=np.int64), np.empty(0)
-    i, j = np.divmod(key, len(indptr) - 1)
-
+    n = len(indptr) - 1
     rowsum = _dense_row_sums(indptr, indices, d_s)
-    d_j = np.clip(1.0 - min_sum / (rowsum[i] + rowsum[j] - min_sum), 0.0, 1.0)
-    return np.stack([i, j], axis=1), d_j
+    if mirror is None:
+        mirror = _transposes(indptr, indices)
+    keys, d_j = _jaccard_blocks(indptr, indices, d_s, mirror, rowsum)
+    pairs = np.empty((sum(len(key) for key in keys), 2), dtype=np.int64)
+    stop = len(pairs)
+    while keys:  # the last block first, each block's keys freed once written
+        key = keys.pop()
+        at = slice(stop - len(key), stop)
+        stop = at.start
+        np.divmod(key, n, out=(pairs[at, 0], pairs[at, 1]))
+    return pairs, np.concatenate(d_j)
 
 
 def offdiag_percentile(dist: SparseDistances, q: float) -> float:
@@ -291,6 +341,8 @@ def offdiag_percentile(dist: SparseDistances, q: float) -> float:
         raise ValueError("a percentile needs at least two samples")
     if not 0.0 <= q <= 100.0:
         raise ValueError(f"percentile must be in [0, 100], got {q}")
+    if not np.all(np.isfinite(dist.values)):
+        raise ValueError("distances must be finite (no NaN or inf)")
     stored = np.sort(dist.values)
 
     def entry(index):
@@ -311,6 +363,6 @@ def build_distance_graph(features: np.ndarray, k_rr: int) -> DistanceGraph:
     """Pipeline: k-NN -> reciprocal sets -> d_S -> d_J."""
     sets = reciprocal_sets(features, k_rr)
     d_s = np.exp(-sets.dist)
-    pairs, d_j = jaccard_distance(sets.indptr, sets.indices, d_s)
+    pairs, d_j = jaccard_distance(sets.indptr, sets.indices, d_s, sets.mirror)
     return DistanceGraph(indptr=sets.indptr, indices=sets.indices, d_s=d_s,
                          pairs=pairs, d_j=d_j)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import l2_normalize
-from .graph import smallest_k
+from .graph import _dense_row_sums, smallest_k
 
 
 class BankDivergedError(RuntimeError):
@@ -56,11 +56,22 @@ def positive_sets(sims: np.ndarray, sample_indices: np.ndarray,
     return smallest_k(neg_sims, min(k_pos, n - 1) + 1, np.empty_like(neg_sims))
 
 
-def _logsumexp(x):
-    """Row-wise log-sum-exp; rows of -inf only give -inf."""
+def _logsumexp(x, columns=None, width=None):
+    """Row-wise log-sum-exp; rows of -inf only give -inf.
+
+    With ``columns``, row i of ``x`` holds the entries at ``columns[i]``
+    (distinct) of a row of ``width`` whose other entries are -inf, and the
+    exponentials are summed as ``np.sum`` sums that full row.
+    """
     peak = x.max(axis=1)
     shift = np.where(np.isfinite(peak), peak, 0.0)
-    sums = np.exp(x - shift[:, None]).sum(axis=1)
+    terms = x - shift[:, None]
+    np.exp(terms, out=terms)
+    if columns is None:
+        sums = terms.sum(axis=1)
+    else:
+        sums = _dense_row_sums(np.arange(len(x) + 1) * x.shape[1], columns.ravel(),
+                               terms.ravel(), width)
     with np.errstate(divide="ignore"):
         return np.where(sums > 0.0, shift + np.log(sums), -np.inf)
 
@@ -75,8 +86,10 @@ def spread_loss(feats: np.ndarray, bank: MemoryBank, sample_indices: np.ndarray,
     ``sample_indices[i]``, from the same similarity matrix. The double sum
     factorizes into independent log-sum-exps over positives and negatives,
     so both the value and the gradients are computed in max-shifted form.
-    Each log-sum-exp runs over a full bank-wide row with the other side's
-    entries at -inf, and the positive entries are read and written by index.
+    The negatives' log-sum-exp runs over the bank-wide row with the
+    positives at -inf; the positives' runs over their (B, k_pos + 1) entries
+    alone, summed as over a bank-wide row that is zero elsewhere. The
+    gradient coefficients are then formed in place in the similarity matrix.
     Returns (loss, grad wrt feats, grad wrt every bank entry).
     """
     if margin < 0:
@@ -89,10 +102,8 @@ def spread_loss(feats: np.ndarray, bank: MemoryBank, sample_indices: np.ndarray,
     positives = positive_sets(sims, sample_indices, k_pos)
     pos_sims = sims[rows, positives]
     sims[rows, positives] = -np.inf            # negatives only from here on
-    pos_row = np.full((b, n), -np.inf)
-    pos_row[rows, positives] = -pos_sims
     ln_a = _logsumexp(sims)                    # negatives
-    ln_b = _logsumexp(pos_row)                 # positives
+    ln_b = _logsumexp(-pos_sims, positives, n)  # positives
     ln_z = margin + ln_a + ln_b
     per_anchor = np.logaddexp(0.0, ln_z)       # log(1 + Z)
     loss = float(per_anchor.mean())
@@ -100,7 +111,11 @@ def spread_loss(feats: np.ndarray, bank: MemoryBank, sample_indices: np.ndarray,
     # d per_anchor / d sims: +exp(m + s_j + ln_b - log1pZ) on negatives,
     #                        -exp(m + ln_a - s_j - log1pZ) on positives
     # (the positives' -inf entries give 0 in the first exp, then are written)
-    coef = np.exp(margin + sims + ln_b[:, None] - per_anchor[:, None])
+    coef = sims
+    coef += margin
+    coef += ln_b[:, None]
+    coef -= per_anchor[:, None]
+    np.exp(coef, out=coef)
     coef[rows, positives] = -np.exp(
         margin - pos_sims + ln_a[:, None] - per_anchor[:, None])
     coef[~np.isfinite(ln_z)] = 0.0             # no negatives: +0, not -0.0

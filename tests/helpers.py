@@ -1,4 +1,4 @@
-"""Shared numerical oracles for the test suite."""
+"""Shared numerical oracles and instances for the test suite."""
 
 import numpy as np
 
@@ -25,3 +25,12 @@ def rel_error(a, b, floor=1e-12):
     b = np.asarray(b, dtype=np.float64)
     denom = max(np.linalg.norm(a.ravel()), np.linalg.norm(b.ravel()), floor)
     return np.linalg.norm((a - b).ravel()) / denom
+
+
+def memory_probe_features(n=5120):
+    """Unit rows in clusters of 20 around n/20 random centers (noise 0.6,
+    d=32, seed 0): the instance of the memory probes."""
+    rng = np.random.default_rng(0)
+    centers = rng.standard_normal((n // 20, 32))
+    f = np.repeat(centers, 20, axis=0) + 0.6 * rng.standard_normal((n, 32))
+    return f / np.linalg.norm(f, axis=1, keepdims=True)

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 import oracles
+from helpers import memory_probe_features
 from oracles import pairwise_euclidean, to_sparse
-from reidapt import cluster
+from reidapt import cluster, graph
 from reidapt.cluster import dbscan, group_members, kmeans
 from reidapt.data import OUTLIER, l2_normalize
-from reidapt.graph import SparseDistances, build_distance_graph
+from reidapt.graph import SparseDistances, build_distance_graph, offdiag_percentile
 
 
 class TestGroupMembers:
@@ -178,6 +179,16 @@ class TestDbscan:
             with pytest.raises(ValueError):
                 dbscan(bad, 0.5, 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("fill", [1.0, np.inf])
+    def test_rejects_non_finite_distances(self, bad, fill):
+        # NaN compares False both ways, so no range check catches it; it
+        # would pass as a pair beyond eps
+        dist = SparseDistances(n=4, pairs=np.array([[0, 1], [0, 2], [1, 2]]),
+                               values=np.array([0.1, bad, 0.1]), fill=fill)
+        with pytest.raises(ValueError, match="finite"):
+            dbscan(dist, 0.5, 1)
+
 
 def jaccard_instance(rng, duplicates=False):
     n = int(rng.integers(6, 50))
@@ -244,6 +255,25 @@ class TestSparseDbscanAgainstDense:
             dense = oracles.to_dense(sparse)
             for q in (0.7, 1.6, 10.0, 50.0):
                 self.check(sparse, max(oracles.dense_eps(dense, q), 1e-12), 3)
+
+
+class _SmallChunks:
+    """Reruns a test class with ``graph._CHUNK_ENTRIES`` at 1 and at 7, so
+    that the degree counts, the hooking rounds and the border claims of
+    ``dbscan`` run over many slices of stored pairs, and components and
+    claims cross slice edges."""
+
+    @pytest.fixture(autouse=True, params=[1, 7], ids=["chunk1", "chunk7"])
+    def _small_chunks(self, request, monkeypatch):
+        monkeypatch.setattr(graph, "_CHUNK_ENTRIES", request.param)
+
+
+class TestDbscanInSmallChunks(_SmallChunks, TestDbscan):
+    pass
+
+
+class TestSparseDbscanInSmallChunks(_SmallChunks, TestSparseDbscanAgainstDense):
+    pass
 
 
 def exhaustive_two_partition_inertia(points):
@@ -418,3 +448,30 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 2 * points.nbytes, f"peak {peak} bytes, two (m, d) arrays"
+
+
+@pytest.fixture(scope="module")
+def probe_graph():
+    """The Jaccard graph of the N=5120 memory probe in tests/test_graph.py."""
+    return build_distance_graph(memory_probe_features(), 20).jaccard()
+
+
+class TestDbscanMemory:
+    @pytest.mark.parametrize("rule", ["eps 0.6", "percentile 0.7"])
+    def test_dbscan_peak_near_n_arrays_and_a_few_chunks(self, probe_graph, rule):
+        # Only N-sized arrays, boolean masks over the E stored pairs and a few
+        # slices of graph._CHUNK_ENTRIES pairs: no int64 key, diff or (2E)
+        # both-direction edge list (5.35 and 9.42 MiB here when they were
+        # formed whole). The percentile eps collapses the probe into one
+        # cluster, so nearly every pair is a core-core edge.
+        eps = 0.6 if rule == "eps 0.6" else max(offdiag_percentile(probe_graph, 0.7), 1e-12)
+        dbscan(probe_graph, eps, 6)  # warm up the imports
+        tracemalloc.start()
+        try:
+            dbscan(probe_graph, eps, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n, pairs = probe_graph.n, len(probe_graph.values)
+        bound = 8 * (16 * n + 5 * graph._CHUNK_ENTRIES) + 4 * pairs
+        assert peak < bound, f"peak {peak} bytes, bound {bound} bytes, {pairs} pairs"

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
+from helpers import memory_probe_features
 from oracles import csr_to_dense, pairwise_euclidean, to_dense
 from reidapt import graph
 from reidapt.data import l2_normalize
@@ -271,6 +272,17 @@ class TestReciprocalSets:
             want = oracles.reciprocal_sets(pairwise_euclidean(f), k)
             assert member_lists(reciprocal_sets(f, k)) == [w.tolist() for w in want]
 
+    def test_mirror_maps_each_entry_to_its_transpose(self):
+        rng = np.random.default_rng(25)
+        for trial in range(40):
+            f = random_features(rng, duplicates=trial % 2 == 0)
+            sets = reciprocal_sets(f, int(rng.integers(1, len(f))))
+            rows = np.repeat(np.arange(len(f)), np.diff(sets.indptr))
+            assert sets.mirror.dtype == np.int64
+            assert np.array_equal(rows[sets.mirror], sets.indices)
+            assert np.array_equal(sets.indices[sets.mirror], rows)
+            assert sets.mirror.tobytes() == graph._transposes(sets.indptr, sets.indices).tobytes()
+
 
 class TestSimilarityEncoding:
     def test_zero_outside_sets_and_unit_diagonal(self):
@@ -434,6 +446,19 @@ class TestSparseChainAgainstDense:
             got = graph._dense_row_sums(*csr_of(dense))
             assert np.array_equal(got, dense.sum(axis=1))
 
+    def test_row_sums_of_fewer_rows_than_columns(self):
+        # fewer rows than columns, as the spread-out loss's positives give
+        rng = np.random.default_rng(26)
+        for rows, width in ((1, 1), (1, 9), (3, 130), (64, 1031), (200, 5000)):
+            dense = np.zeros((rows, width))
+            for row in dense:
+                at = rng.choice(width, size=min(width, int(rng.integers(1, 40))), replace=False)
+                row[at] = rng.random(len(at)) * 10.0 ** rng.uniform(-3, 3, len(at))
+            r, c = np.nonzero(dense)
+            indptr = np.concatenate([[0], np.cumsum(np.bincount(r, minlength=rows))])
+            got = graph._dense_row_sums(indptr, c, dense[r, c], width)
+            assert got.tobytes() == dense.sum(axis=1).tobytes()
+
     @pytest.mark.parametrize("entries", [1, 200, 2100])
     def test_row_sums_over_several_blocks(self, monkeypatch, entries):
         # wide-ranging values make the sum depend on its order; about a third
@@ -487,6 +512,15 @@ class TestSparseChainAgainstDense:
         for q in (0.1, 0.7, 1.6, 50.0, 99.9):
             assert offdiag_percentile(sparse, q) == np.percentile(
                 dist[~np.eye(9, dtype=bool)], q)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_percentile_rejects_non_finite_values(self, bad):
+        # np.sort puts a NaN last, so the percentile would come out finite
+        # where np.percentile over the dense matrix gives NaN
+        dist = SparseDistances(n=4, pairs=np.array([[0, 1], [0, 2], [1, 2]]),
+                               values=np.array([0.1, bad, 0.1]))
+        with pytest.raises(ValueError, match="finite"):
+            offdiag_percentile(dist, 0.7)
 
     def test_percentile_rejects_bad_input(self):
         one = SparseDistances(n=1, pairs=np.empty((0, 2), dtype=np.int64), values=np.empty(0))
@@ -556,11 +590,7 @@ def traced_peak(fn, *args):
 
 def probe_sets():
     """The reciprocal sets and d_S of the _MEMORY_PROBE instance."""
-    rng = np.random.default_rng(0)
-    centers = rng.standard_normal((256, 32))
-    f = np.repeat(centers, 20, axis=0) + 0.6 * rng.standard_normal((5120, 32))
-    f /= np.linalg.norm(f, axis=1, keepdims=True)
-    sets = reciprocal_sets(f, 20)
+    sets = reciprocal_sets(memory_probe_features(), 20)
     return sets, np.exp(-sets.dist)
 
 
@@ -652,6 +682,20 @@ class TestMemory:
         peak = traced_peak(jaccard_distance, sets.indptr, sets.indices, d_s)
         bound = 8 * (4 * nnz + 8 * pairs + 8 * graph._CHUNK_ENTRIES)
         assert peak < bound, f"peak {peak} bytes, {nnz} entries, {pairs} pairs"
+
+    def test_jaccard_peak_at_5120_near_its_outputs(self):
+        # The (E, 2) pairs and (E,) distances, the blocks' keys and distances
+        # they are assembled from, and one chunk: no concatenated copy of
+        # the keys or min-sums, and no E-sized divmod, gather or d_J
+        # temporaries (7.25 MiB here when those were formed whole). The
+        # mirror comes from the reciprocal sets, as build_distance_graph
+        # passes it.
+        sets, d_s = probe_sets()
+        jaccard_distance(*csr_of(np.eye(3)))  # warm up the imports
+        pairs = len(jaccard_distance(sets.indptr, sets.indices, d_s, sets.mirror)[1])
+        peak = traced_peak(jaccard_distance, sets.indptr, sets.indices, d_s, sets.mirror)
+        bound = 8 * (3 * pairs + 2 * pairs + graph._CHUNK_ENTRIES)
+        assert peak < bound, f"peak {peak} bytes, bound {bound} bytes, {pairs} pairs"
 
     def test_graph_and_dbscan_at_5120_stay_under_512_mb(self):
         # The dense chain held five N x N float64 arrays: about 1.4 GB here.

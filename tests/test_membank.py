@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import oracles
 import pytest
@@ -283,6 +285,28 @@ class TestSpreadLossAgainstMasks:
         bank = init_bank(np.array([[0.6, 0.8]]))
         feats = np.array([[1.0, 0.0], [0.0, 1.0]])
         assert_same_spread(feats, bank, np.array([0, 0]), 6)
+
+
+class TestSpreadLossMemory:
+    def test_peak_below_three_and_a_half_similarity_matrices(self):
+        # The (B, N) similarities, which become the gradient coefficients in
+        # place, and positive_sets' negated copy and partition buffer: three
+        # (B, N) float64 arrays. A bank-wide -inf row for the positives and
+        # a separate (B, N) coefficient array would make four.
+        rng = np.random.default_rng(50)
+        n, b = 5120, 64
+        bank = init_bank(unit_rows(rng, n, 32))
+        idx = rng.choice(n, size=b, replace=False)
+        feats = l2_normalize(bank.v[idx] + 0.1 * rng.standard_normal((b, 32)))
+        spread_loss(feats[:2], bank, idx[:2], 6, 0.35)  # warm up the imports
+        tracemalloc.start()
+        try:
+            spread_loss(feats, bank, idx, 6, 0.35)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 3.5 * 8 * b * n
+        assert peak < bound, f"peak {peak} bytes, 3.5 (B, N) arrays {bound:.0f} bytes"
 
 
 class TestInstantUpdate:

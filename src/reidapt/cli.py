@@ -96,6 +96,15 @@ def _load_split(data_dir, split):
     return raw, identity, camera
 
 
+def _load_target_train(data_dir):
+    """target_train, of at least the two samples a k-NN row needs."""
+    raw, identity, _ = _load_split(data_dir, "target_train")
+    if len(raw) < 2:
+        raise CliError(f"split 'target_train' has {len(raw)} sample(s), fewer than "
+                       "the 2 a labeling pass needs", EXIT_IO)
+    return raw, identity
+
+
 def _load_ckpt(prefix):
     try:
         return load_checkpoint(prefix)
@@ -202,7 +211,7 @@ def _rows_through(path: Path, last: int) -> list[str]:
 
 def cmd_adapt(args):
     cfg = _load_config(args)
-    raw, identity, _ = _load_split(args.data, "target_train")
+    raw, identity = _load_target_train(args.data)
     # the final bank is written last, so its directory is checked first
     if args.dump_bank and not Path(args.dump_bank).parent.is_dir():
         raise CliError(f"cannot write {args.dump_bank}: no such directory", EXIT_IO)
@@ -288,7 +297,7 @@ def cmd_adapt(args):
 def cmd_cluster(args):
     cfg = _load_config(args)
     state = _load_ckpt(args.ckpt)
-    raw, identity, _ = _load_split(args.data, "target_train")
+    raw, identity = _load_target_train(args.data)
     _check_width(state, raw, "target_train")
     es = offline_epoch(state, raw, cfg, epoch=0, keep_graph=bool(args.dump_jaccard))
     doc = {
@@ -329,7 +338,7 @@ def cmd_eval(args):
     doc = {"mAP": result.map, "R1": result.r1, "R5": result.r5, "R10": result.r10,
            "num_queries": len(q_raw), "num_gallery": len(g_raw)}
     if args.cluster_stats:
-        raw, identity, _ = _load_split(args.data, "target_train")
+        raw, identity = _load_target_train(args.data)
         es = offline_epoch(state, raw, cfg, epoch=0)
         precision, recall, fscore, _ = pairwise_fscore(es.labels.refined, identity)
         doc.update(precision=precision, recall=recall, fscore=fscore,

@@ -89,18 +89,16 @@ def _lowest_k(flat: np.ndarray, keys: np.ndarray, k: int, width: int) -> np.ndar
     return np.delete(picks, surplus)
 
 
-def smallest_k(values: np.ndarray, k: int, work: np.ndarray) -> np.ndarray:
+def smallest_k(values: np.ndarray, k: int) -> np.ndarray:
     """Column indices of the k smallest entries of each row, (rows, k),
     ascending within a row, for 1 <= k <= width.
 
-    A partial sort of a copy of ``values`` made into ``work``, an array of
-    the same shape that is overwritten, finds each row's k-th value; among
+    A partial sort of a copy of ``values`` finds each row's k-th value; among
     entries tied at it the lowest indices win, as in a stable full sort.
     """
     width = values.shape[1]
-    np.copyto(work, values)
-    work.partition(k - 1, axis=1)
-    flat = np.flatnonzero(values <= work[:, k - 1:k])
+    kth = np.partition(values, k - 1, axis=1)[:, k - 1:k]
+    flat = np.flatnonzero(values <= kth)
     return (flat[_lowest_k(flat, values.ravel()[flat], k, width)] % width).reshape(-1, k)
 
 
@@ -172,39 +170,30 @@ def reciprocal_sets(features: np.ndarray, k_rr: int) -> ReciprocalSets:
 
     kNN(i) is i itself plus its k_rr nearest other samples; j belongs to
     set i iff each is in the other's kNN list. No expansion step is applied.
-    A pair's distance is the mean of the two rows' values, which keeps the
-    sets exactly symmetric.
+    With i placed in its own k-NN row, in column order and at distance 0, one
+    mutual test over those rows keeps the sets, in order. A pair's distance
+    is the mean of the two rows' values, which keeps the sets exactly
+    symmetric.
     """
     neighbors, dist = nearest_neighbors(features, k_rr)
     n = len(neighbors)
-    rows = np.repeat(np.arange(n), k_rr)
-    cols = neighbors.ravel()
-    forward = rows * n + cols  # ascending: rows ascend, columns ascend per row
-    backward = cols * n + rows
+    own = np.arange(n)
+    # i goes before the first of its neighbors above i
+    slot = own * k_rr + np.count_nonzero(neighbors < own[:, None], axis=1)
+    cols = np.insert(neighbors, slot, own).reshape(n, k_rr + 1)
+    d = np.insert(dist, slot, 0.0)
+    del neighbors, dist, slot
+    # ascending, and the last key, (n-1, n-1), is the largest a transpose has
+    forward = (cols + (own * n)[:, None]).ravel()
+    backward = (cols * n + own[:, None]).ravel()
     where = np.searchsorted(forward, backward)
-    mutual = forward[np.minimum(where, len(forward) - 1)] == backward
+    mutual = forward[where] == backward
     del forward, backward
-    where = where[mutual]  # each mutual entry's transpose, among the k-NN entries
-    rows, cols = rows[mutual], cols[mutual]
-    pair_dist = 0.5 * (dist.ravel()[mutual] + dist.ravel()[where])
-
-    # add each sample to its own set, at distance 0: a mutual entry moves up
-    # by one per earlier row, and by one more past its own row's diagonal
-    at = np.arange(len(rows)) + rows + (cols > rows)
-    size = len(rows) + n
-    taken = np.zeros(size, dtype=bool)
-    taken[at] = True
-    diagonal = np.flatnonzero(~taken)
-    indices = np.empty(size, dtype=np.int64)
-    indices[at], indices[diagonal] = cols, np.arange(n)
-    set_dist = np.zeros(size)
-    set_dist[at] = pair_dist
-    # a transpose's rank among the mutual entries gives its place in the sets
-    mirror = np.empty(size, dtype=np.int64)
-    mirror[at], mirror[diagonal] = at[(np.cumsum(mutual) - 1)[where]], diagonal
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n) + 1, out=indptr[1:])
-    return ReciprocalSets(indptr=indptr, indices=indices, dist=set_dist, mirror=mirror)
+    where = where[mutual]  # each set entry's transpose, among the row entries
+    mirror = (np.cumsum(mutual) - 1)[where]  # its rank among the set entries
+    indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(mutual.reshape(n, -1), axis=1))])
+    return ReciprocalSets(indptr=indptr, indices=cols.ravel()[mutual],
+                          dist=0.5 * (d[mutual] + d[where]), mirror=mirror)
 
 
 def _dense_row_sums(indptr: np.ndarray, indices: np.ndarray, values: np.ndarray,

@@ -53,7 +53,7 @@ def positive_sets(sims: np.ndarray, sample_indices: np.ndarray,
     b, n = sims.shape
     neg_sims = -sims
     neg_sims[np.arange(b), sample_indices] = -np.inf
-    return smallest_k(neg_sims, min(k_pos, n - 1) + 1, np.empty_like(neg_sims))
+    return smallest_k(neg_sims, min(k_pos, n - 1) + 1)
 
 
 def _logsumexp(x, columns=None, width=None):

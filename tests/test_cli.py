@@ -371,6 +371,28 @@ class TestValidation:
         assert code == 3
         assert err.startswith("error:") and "missing" in err
 
+    def test_one_sample_target_split_is_io_error(self, tmp_path, capsys, monkeypatch):
+        # a k-NN row needs another sample, so no labeling pass can run on
+        # the split; adapt refuses it before spending time on pretraining
+        import reidapt.cli as cli
+
+        def forbidden(*args, **kw):
+            raise AssertionError("training ran before the split was checked")
+
+        monkeypatch.setattr(cli, "pretrain_source", forbidden)
+        monkeypatch.setattr(cli, "adapt", forbidden)
+        data = tmp_path / "one"
+        assert run_cli(capsys, *gen_args(data, ids=1, per_id=1))[0] == 0
+        save_checkpoint(tmp_path / "ckpt", init_encoder(12, 24, 12, np.random.default_rng(0)))
+        cfg = fast_config(tmp_path)
+        for argv in (["adapt", "--out", str(tmp_path / "run")],
+                     ["cluster", "--ckpt", str(tmp_path / "ckpt")],
+                     ["eval", "--cluster-stats", "--ckpt", str(tmp_path / "ckpt")]):
+            code, stdout, err = run_cli(capsys, *argv, "--data", str(data), "--config", cfg)
+            assert code == 3 and stdout == ""
+            assert err.startswith("error:") and "target_train" in err
+            assert len(err.splitlines()) == 1
+
     def test_all_outliers_exit_4_in_cluster_and_eval(self, data_dir, tmp_path, capsys):
         save_checkpoint(tmp_path / "ckpt", init_encoder(12, 24, 12, np.random.default_rng(0)))
         cfg = fast_config(tmp_path, min_pts=200)  # more than the 80 samples

@@ -283,6 +283,24 @@ class TestReciprocalSets:
             assert np.array_equal(sets.indices[sets.mirror], rows)
             assert sets.mirror.tobytes() == graph._transposes(sets.indptr, sets.indices).tobytes()
 
+    def test_dist_is_the_mean_of_both_knn_distances(self):
+        # (i, j) holds 0.5 * (d_ij + d_ji) of the k-NN's own distances, in
+        # that operand order, bit for bit; the diagonal holds 0.0
+        rng = np.random.default_rng(26)
+        for trial in range(60):
+            f = random_features(rng, duplicates=trial % 2 == 0)
+            if trial % 3 == 0:
+                f = np.round(f, 1)  # more distance ties
+            n, k = len(f), int(rng.integers(1, len(f)))
+            neighbors, dist = nearest_neighbors(f, k)
+            knn = np.full((n, n), np.nan)
+            knn[np.repeat(np.arange(n), k), neighbors.ravel()] = dist.ravel()
+            sets = reciprocal_sets(f, k)
+            rows = np.repeat(np.arange(n), np.diff(sets.indptr))
+            cols = sets.indices
+            want = np.where(rows == cols, 0.0, 0.5 * (knn[rows, cols] + knn[cols, rows]))
+            assert sets.dist.tobytes() == want.tobytes()
+
 
 class TestSimilarityEncoding:
     def test_zero_outside_sets_and_unit_diagonal(self):
@@ -696,6 +714,18 @@ class TestMemory:
         peak = traced_peak(jaccard_distance, sets.indptr, sets.indices, d_s, sets.mirror)
         bound = 8 * (3 * pairs + 2 * pairs + graph._CHUNK_ENTRIES)
         assert peak < bound, f"peak {peak} bytes, bound {bound} bytes, {pairs} pairs"
+
+    def test_reciprocal_sets_at_5120_peak_below_nine_row_arrays(self):
+        # The _MEMORY_PROBE instance, k_rr = 20, rows of k_rr + 1 entries
+        # once each sample joins its own. One mutual test over those rows
+        # gives the sets, and the k-NN's Gram block sets this peak (6.1
+        # MiB); a pass placing the mutual entries and the diagonal into the
+        # sets after the test holds 9.4 MiB.
+        f = memory_probe_features()
+        reciprocal_sets(f[:50], 5)  # warm up the imports
+        peak = traced_peak(reciprocal_sets, f, 20)
+        bound = 9 * 8 * len(f) * 21
+        assert peak < bound, f"peak {peak} bytes, bound {bound} bytes"
 
     def test_graph_and_dbscan_at_5120_stay_under_512_mb(self):
         # The dense chain held five N x N float64 arrays: about 1.4 GB here.

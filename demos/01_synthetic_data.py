@@ -18,8 +18,9 @@ spec = SynthSpec(num_identities=64, samples_per_identity=20, num_cameras=4,
 source, train, query, gallery = generate_synthetic(spec)
 
 print("splits:")
-for ds in (source, train, query, gallery):
-    print(f"  {ds.role:15s} N={len(ds):5d} d_in={ds.d_in} "
+for name, ds in zip(("source", "target_train", "target_query", "target_gallery"),
+                    (source, train, query, gallery)):
+    print(f"  {name:15s} N={len(ds):5d} d_in={ds.raw.shape[1]} "
           f"identities={len(np.unique(ds.identity))} "
           f"cameras={len(np.unique(ds.camera))}")
 

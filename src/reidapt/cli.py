@@ -84,7 +84,10 @@ def _load_config(args) -> TrainConfig:
         raise CliError(str(err), EXIT_USAGE)
 
 
-def _load_split(data_dir, split):
+def _read_split(data_dir, split, width=None, reader="checkpoint"):
+    """A split's (raw, identity, camera); exit 3 unless its labels match its
+    rows, its rows are the ``width`` that ``reader`` expects (any for None),
+    and a target_train split holds the two samples a k-NN row needs."""
     base = Path(data_dir) / split
     try:
         raw = read_features(f"{base}.drft")
@@ -93,16 +96,13 @@ def _load_split(data_dir, split):
         raise CliError(f"cannot load split {split!r}: {err}", EXIT_IO)
     if len(identity) != len(raw):
         raise CliError(f"split {split!r}: labels do not match features", EXIT_IO)
-    return raw, identity, camera
-
-
-def _load_target_train(data_dir):
-    """target_train, of at least the two samples a k-NN row needs."""
-    raw, identity, _ = _load_split(data_dir, "target_train")
-    if len(raw) < 2:
+    if width is not None and raw.shape[1] != width:
+        raise CliError(f"{reader} expects (N, {width}) input, split {split!r} "
+                       f"has shape {raw.shape}", EXIT_IO)
+    if split == "target_train" and len(raw) < 2:
         raise CliError(f"split 'target_train' has {len(raw)} sample(s), fewer than "
                        "the 2 a labeling pass needs", EXIT_IO)
-    return raw, identity
+    return raw, identity, camera
 
 
 def _load_ckpt(prefix):
@@ -112,11 +112,10 @@ def _load_ckpt(prefix):
         raise CliError(f"cannot load checkpoint {prefix}: {err}", EXIT_IO)
 
 
-def _check_width(state, raw, split):
-    """The checkpoint must read the split's feature width."""
-    if raw.shape[1] != state.d_in:
-        raise CliError(f"checkpoint expects (N, {state.d_in}) input, split "
-                       f"{split!r} has shape {raw.shape}", EXIT_IO)
+def _check_parent(path):
+    """An output file written after the work must have a directory to go to."""
+    if path and not Path(path).parent.is_dir():
+        raise CliError(f"cannot write {path}: no such directory", EXIT_IO)
 
 
 def _write_manifest(run_dir: Path, cfg: TrainConfig, command, data_dir, artifacts):
@@ -134,10 +133,13 @@ def _write_manifest(run_dir: Path, cfg: TrainConfig, command, data_dir, artifact
     return manifest
 
 
-def _run_dir(args) -> Path:
-    run_dir = Path(args.out)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    return run_dir
+def _out_dir(path) -> Path | None:
+    """The output directory ``path``, made before any work; None for no path."""
+    if not path:
+        return None
+    path = Path(path)
+    path.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def _append_lines(path, lines):
@@ -160,11 +162,10 @@ def cmd_gen_data(args):
             identity_spread=args.spread, intra_noise=args.noise,
             camera_shift_scale=args.camera_shift, domain_shift=args.domain_shift,
             seed=args.seed if args.seed is not None else 0)
-        datasets = generate_synthetic(spec)
     except ValueError as err:
         raise CliError(f"invalid dataset spec: {err}", EXIT_USAGE)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
+    datasets = generate_synthetic(spec)
     files = {}
     for split, ds in zip(SPLITS, datasets):
         write_features(out / f"{split}.drft", ds.raw)
@@ -178,8 +179,8 @@ def cmd_gen_data(args):
 
 def cmd_pretrain(args):
     cfg = _load_config(args)
-    raw, identity, _ = _load_split(args.data, "source")
-    run_dir = _run_dir(args)
+    raw, identity, _ = _read_split(args.data, "source")
+    run_dir = _out_dir(args.out)
     ckpt = run_dir / "pretrain"
     _write_manifest(run_dir, cfg, "pretrain", args.data, {"checkpoint": ckpt})
     state = pretrain_source(raw, identity, cfg)
@@ -211,35 +212,33 @@ def _rows_through(path: Path, last: int) -> list[str]:
 
 def cmd_adapt(args):
     cfg = _load_config(args)
-    raw, identity = _load_target_train(args.data)
-    # the final bank is written last, so its directory is checked first
-    if args.dump_bank and not Path(args.dump_bank).parent.is_dir():
-        raise CliError(f"cannot write {args.dump_bank}: no such directory", EXIT_IO)
-    run_dir = _run_dir(args)
-
+    _check_parent(args.dump_bank)  # the final bank is written last
     start_epoch = 0
-    bank = None
+    state = bank = None
     if args.resume:
         resume_dir = Path(args.resume)
         last = _find_resume_point(resume_dir)
         state = _load_ckpt(resume_dir / f"ckpt_epoch_{last:03d}")
         try:
-            bank_rows = read_features(resume_dir / f"bank_epoch_{last:03d}.drft")
+            bank = MemoryBank(v=read_features(resume_dir / f"bank_epoch_{last:03d}.drft"))
         except (OSError, FeatureFileError) as err:
             raise CliError(f"cannot load bank snapshot: {err}", EXIT_IO)
-        want = (len(raw), state.feat_dim)
-        if bank_rows.shape != want:
-            raise CliError(f"bank snapshot has shape {bank_rows.shape}, split "
-                           f"'target_train' needs {want}", EXIT_IO)
-        bank = MemoryBank(v=bank_rows)
         start_epoch = last + 1
     elif args.ckpt:
         state = _load_ckpt(args.ckpt)
-    else:
-        src_raw, src_identity, _ = _load_split(args.data, "source")
+    else:  # pretrained on the source split once every input has passed
+        src_raw, src_identity, _ = _read_split(args.data, "source")
+    width, reader = ((src_raw.shape[1], "the encoder pretrained on split 'source'")
+                     if state is None else (state.d_in, "checkpoint"))
+    raw, identity, _ = _read_split(args.data, "target_train", width, reader)
+    if bank is not None and bank.v.shape != (len(raw), state.feat_dim):
+        raise CliError(f"bank snapshot has shape {bank.v.shape}, split 'target_train' "
+                       f"needs {(len(raw), state.feat_dim)}", EXIT_IO)
+    run_dir = _out_dir(args.out)
+    labels_dir = _out_dir(args.dump_labels)
+    if state is None:
         state = pretrain_source(src_raw, src_identity, cfg)
         save_checkpoint(run_dir / "pretrain", state)
-    _check_width(state, raw, "target_train")
 
     final = run_dir / "final"
     metrics_csv, losses_csv = run_dir / "metrics.csv", run_dir / "losses.csv"
@@ -251,10 +250,6 @@ def cmd_adapt(args):
         if args.resume:
             lines += _rows_through(Path(args.resume) / path.name, last)
         path.write_text("\n".join(lines) + "\n")
-
-    labels_dir = Path(args.dump_labels) if args.dump_labels else None
-    if labels_dir:
-        labels_dir.mkdir(parents=True, exist_ok=True)
 
     def on_epoch(metrics, epoch_state, epoch_bank, reports, labels):
         save_checkpoint(run_dir / f"ckpt_epoch_{metrics.epoch:03d}", epoch_state)
@@ -274,7 +269,7 @@ def cmd_adapt(args):
         raise CliError(f"training diverged: {err}", EXIT_DIVERGED)
 
     save_checkpoint(final, state)
-    if args.dump_bank and bank is not None:
+    if args.dump_bank:
         write_features(args.dump_bank, bank.v)
     summary = {
         "final_checkpoint": str(final),
@@ -297,8 +292,9 @@ def cmd_adapt(args):
 def cmd_cluster(args):
     cfg = _load_config(args)
     state = _load_ckpt(args.ckpt)
-    raw, identity = _load_target_train(args.data)
-    _check_width(state, raw, "target_train")
+    raw, identity, _ = _read_split(args.data, "target_train", state.d_in)
+    _check_parent(args.dump_jaccard)  # the graph is written last
+    dump_dir = _out_dir(args.dump_labels)
     es = offline_epoch(state, raw, cfg, epoch=0, keep_graph=bool(args.dump_jaccard))
     doc = {
         "N": len(raw),
@@ -312,9 +308,7 @@ def cmd_cluster(args):
     doc.update(precision=precision, recall=recall, fscore=fscore,
                fscore_coarse=pairwise_fscore(labels.coarse, identity)[2],
                fscore_refined=fscore)
-    if args.dump_labels:
-        dump_dir = Path(args.dump_labels)
-        dump_dir.mkdir(parents=True, exist_ok=True)
+    if dump_dir:
         path = dump_dir / "labels_epoch_000.csv"
         _write_label_snapshot(path, labels)
         doc["labels_csv"] = str(path)
@@ -328,8 +322,10 @@ def cmd_cluster(args):
 def cmd_eval(args):
     cfg = _load_config(args)
     state = _load_ckpt(args.ckpt)
-    q_raw, q_id, q_cam = _load_split(args.data, "target_query")
-    g_raw, g_id, g_cam = _load_split(args.data, "target_gallery")
+    q_raw, q_id, q_cam = _read_split(args.data, "target_query", state.d_in)
+    g_raw, g_id, g_cam = _read_split(args.data, "target_gallery", state.d_in)
+    if args.cluster_stats:
+        raw, identity, _ = _read_split(args.data, "target_train", state.d_in)
     try:
         result = retrieval_eval(extract_features(state, q_raw), q_id, q_cam,
                                 extract_features(state, g_raw), g_id, g_cam)
@@ -338,7 +334,6 @@ def cmd_eval(args):
     doc = {"mAP": result.map, "R1": result.r1, "R5": result.r5, "R10": result.r10,
            "num_queries": len(q_raw), "num_gallery": len(g_raw)}
     if args.cluster_stats:
-        raw, identity = _load_target_train(args.data)
         es = offline_epoch(state, raw, cfg, epoch=0)
         precision, recall, fscore, _ = pairwise_fscore(es.labels.refined, identity)
         doc.update(precision=precision, recall=recall, fscore=fscore,
@@ -380,8 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     ada = sub.add_parser("adapt", help="alternating adaptation on target_train")
     ada.add_argument("--data", required=True)
-    ada.add_argument("--ckpt", help="pretrained checkpoint prefix (else pretrain first)")
-    ada.add_argument("--resume", help="run directory to continue from")
+    start = ada.add_mutually_exclusive_group()
+    start.add_argument("--ckpt", help="pretrained checkpoint prefix (else pretrain first)")
+    start.add_argument("--resume", help="run directory to continue from")
     ada.add_argument("--dump-bank", dest="dump_bank", help="write the final bank")
     ada.add_argument("--dump-labels", dest="dump_labels",
                      help="write per-epoch label snapshots into this directory")

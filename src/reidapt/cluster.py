@@ -91,18 +91,8 @@ def dbscan(dist: SparseDistances, eps: float, min_pts: int) -> CoarseClusters:
     root, so neither the order of the hooks nor the slicing moves the labels,
     and the lowest claim is the same in any order.
     """
-    n = dist.n
-    pairs = np.asarray(dist.pairs, dtype=np.int64).reshape(-1, 2)
-    i, j = pairs.T
-    values = np.asarray(dist.values, dtype=np.float64)
-    if (len(values) != len(pairs) or np.any(i < 0) or np.any(i >= j) or np.any(j >= n)
-            or np.any(i[1:] < i[:-1]) or np.any((i[1:] == i[:-1]) & (j[1:] <= j[:-1]))):
-        raise ValueError("pairs must list each (i, j) with 0 <= i < j < n once, "
-                         "in row-major order, with one value each")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("distances must be finite (no NaN or inf)")
-    if np.any(values < 0) or np.any(values > dist.fill):
-        raise ValueError("distances must lie in [0, fill]")
+    n, values = dist.n, dist.values
+    i, j = dist.pairs.T
     if eps <= 0:
         raise ValueError("eps must be positive")
     if min_pts < 1:

@@ -63,7 +63,6 @@ class Dataset:
     raw: np.ndarray        # (N, d_in) float64
     identity: np.ndarray   # (N,) int64, ground truth, evaluation only
     camera: np.ndarray     # (N,) int64
-    role: str              # source | target-train | target-query | target-gallery
 
     def __post_init__(self):
         if self.raw.ndim != 2 or len(self.raw) == 0:
@@ -73,10 +72,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.raw)
-
-    @property
-    def d_in(self) -> int:
-        return self.raw.shape[1]
 
 
 @dataclass(frozen=True)
@@ -92,6 +87,9 @@ class SynthSpec:
     camera_shift_scale: float = 0.0
     domain_shift: float = 0.0
     seed: int = 0
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self):
         for name in ("num_identities", "samples_per_identity", "num_cameras", "d_in"):
@@ -142,7 +140,6 @@ def generate_synthetic(spec: SynthSpec):
     identities with fresh samples; gallery cameras are cycled so every query
     has a cross-camera match. Output is a pure function of ``spec.seed``.
     """
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
     k, d = spec.num_identities, spec.d_in
 
@@ -164,11 +161,9 @@ def generate_synthetic(spec: SynthSpec):
     tq = _draw_split(rng, spec, tgt_centers, tgt_cam, k, np.tile(queries % c, k))
     tg = _draw_split(rng, spec, tgt_centers, tgt_cam, k, np.tile((gallery + 1) % c, k))
 
-    datasets = [Dataset(*src, role="source")]
-    for (raw, identity, camera), role in zip(
-        (tt, tq, tg), ("target-train", "target-query", "target-gallery")
-    ):
-        datasets.append(Dataset(raw @ rot.T + offset, identity, camera, role=role))
+    datasets = [Dataset(*src)]
+    for raw, identity, camera in (tt, tq, tg):
+        datasets.append(Dataset(raw @ rot.T + offset, identity, camera))
     return tuple(datasets)
 
 

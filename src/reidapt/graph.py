@@ -37,12 +37,29 @@ _CHUNK_ENTRIES = 1 << 16
 class SparseDistances:
     """A symmetric N x N distance matrix with a zero diagonal, stored as the
     pairs i < j that are listed in ``pairs``; every other off-diagonal pair is
-    at distance ``fill``, which is at least every stored value."""
+    at distance ``fill``, which is at least every stored value. Construction
+    raises ValueError unless each pair 0 <= i < j < n occurs once, in
+    row-major order, with one finite value in [0, fill]; ``cluster.dbscan``
+    and ``offdiag_percentile`` rely on that and check none of it again."""
 
     n: int
     pairs: np.ndarray   # (E, 2) int64, i < j, each unordered pair once
     values: np.ndarray  # (E,) float64
     fill: float = 1.0
+
+    def __post_init__(self):
+        self.pairs = np.asarray(self.pairs, dtype=np.int64).reshape(-1, 2)
+        self.values = np.asarray(self.values, dtype=np.float64)
+        i, j = self.pairs.T
+        if (len(self.values) != len(i) or np.any(i < 0) or np.any(i >= j)
+                or np.any(j >= self.n) or np.any(i[1:] < i[:-1])
+                or np.any((i[1:] == i[:-1]) & (j[1:] <= j[:-1]))):
+            raise ValueError("pairs must list each (i, j) with 0 <= i < j < n once, "
+                             "in row-major order, with one value each")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("distances must be finite (no NaN or inf)")
+        if np.any(self.values < 0) or np.any(self.values > self.fill):
+            raise ValueError("distances must lie in [0, fill]")
 
 
 @dataclass
@@ -330,8 +347,6 @@ def offdiag_percentile(dist: SparseDistances, q: float) -> float:
         raise ValueError("a percentile needs at least two samples")
     if not 0.0 <= q <= 100.0:
         raise ValueError(f"percentile must be in [0, 100], got {q}")
-    if not np.all(np.isfinite(dist.values)):
-        raise ValueError("distances must be finite (no NaN or inf)")
     stored = np.sort(dist.values)
 
     def entry(index):

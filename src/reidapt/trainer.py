@@ -87,6 +87,9 @@ class TrainConfig:
     bank_tau: float = 0.01
     seed: int = 0
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self):
         for f in fields(self):
             value = getattr(self, f.name)
@@ -140,9 +143,7 @@ class TrainConfig:
         if unknown:
             raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
         doc = {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
-        cfg = cls(**doc)
-        cfg.validate()
-        return cfg
+        return cls(**doc)
 
     def to_dict(self) -> dict:
         doc = asdict(self)
@@ -326,7 +327,6 @@ def pretrain_source(raw: np.ndarray, identities: np.ndarray,
     Each step is the joint step at alpha = 0 and mu = 0 with the identities
     as the coarse labels and no memory bank.
     """
-    cfg.validate()
     rng = np.random.default_rng((cfg.seed, _PRETRAIN_STREAM))
     classes, ids = np.unique(identities, return_inverse=True)
     state = init_encoder(raw.shape[1], 2 * cfg.feat_dim, cfg.feat_dim, rng)
@@ -368,7 +368,6 @@ def adapt(state: EncoderState, raw: np.ndarray, cfg: TrainConfig,
     (EpochMetrics, state, bank, iteration reports, PseudoLabelSet) after
     every epoch.
     """
-    cfg.validate()
     if bank is None:
         bank = init_bank(forward(state, raw)[0])
     elif bank.v.shape != (len(raw), state.feat_dim):

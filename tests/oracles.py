@@ -221,7 +221,7 @@ def retrieval_eval(query_feats, query_ids, query_cams,
 def to_sparse(dist, fill=np.inf):
     """Dense distance matrix -> SparseDistances storing every off-diagonal
     pair i < j. A lower-triangle entry that differs from its mirror is kept
-    as an (i, j) pair with i > j, which ``dbscan`` must reject."""
+    as an (i, j) pair with i > j, which ``SparseDistances`` rejects."""
     dist = np.asarray(dist, dtype=np.float64)
     i, j = np.nonzero(np.triu(np.ones(dist.shape, dtype=bool), k=1))
     lo_i, lo_j = np.nonzero(np.tril(dist != dist.T, k=-1))
@@ -559,7 +559,6 @@ def online_iteration(state, bank, raw, batch, labels, cfg, lr):
 def pretrain_source(raw, identities, cfg):
     """Source pretraining with its own inline forward -> CE -> triplet ->
     backward -> Adam step."""
-    cfg.validate()
     rng = np.random.default_rng((cfg.seed, _PRETRAIN_STREAM))
     classes, ids = np.unique(identities, return_inverse=True)
     state = init_encoder(raw.shape[1], 2 * cfg.feat_dim, cfg.feat_dim, rng)
@@ -614,7 +613,6 @@ def generate_synthetic(spec: SynthSpec):
     identities with fresh samples; gallery cameras are cycled so every query
     has a cross-camera match. Output is a pure function of ``spec.seed``.
     """
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
     k, d = spec.num_identities, spec.d_in
 
@@ -643,9 +641,7 @@ def generate_synthetic(spec: SynthSpec):
     tq = _draw_split(rng, spec, tgt_centers, tgt_cam, k, QUERIES_PER_IDENTITY, query_cam)
     tg = _draw_split(rng, spec, tgt_centers, tgt_cam, k, GALLERY_PER_IDENTITY, gallery_cam)
 
-    datasets = [Dataset(*src, role="source")]
-    for (raw, identity, camera), role in zip(
-        (tt, tq, tg), ("target-train", "target-query", "target-gallery")
-    ):
-        datasets.append(Dataset(raw @ rot.T + offset, identity, camera, role=role))
+    datasets = [Dataset(*src)]
+    for raw, identity, camera in (tt, tq, tg):
+        datasets.append(Dataset(raw @ rot.T + offset, identity, camera))
     return tuple(datasets)

@@ -371,6 +371,55 @@ class TestValidation:
         assert code == 3
         assert err.startswith("error:") and "missing" in err
 
+    def test_dump_jaccard_directory_checked_before_labeling(self, data_dir, tmp_path,
+                                                           capsys, monkeypatch):
+        import reidapt.cli as cli
+
+        def forbidden(*args, **kw):
+            raise AssertionError("labeling ran before the output path was checked")
+
+        monkeypatch.setattr(cli, "offline_epoch", forbidden)
+        save_checkpoint(tmp_path / "ckpt", init_encoder(12, 24, 12, np.random.default_rng(0)))
+        code, stdout, err = run_cli(capsys, "cluster", "--ckpt", str(tmp_path / "ckpt"),
+                                    "--data", str(data_dir), "--config", fast_config(tmp_path),
+                                    "--dump-jaccard", str(tmp_path / "missing" / "dj.drft"))
+        assert code == 3 and stdout == ""
+        assert err.startswith("error:") and "missing" in err
+
+    def test_resume_and_ckpt_together_is_usage_error(self, data_dir, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            main(["adapt", "--data", str(data_dir), "--resume", str(tmp_path / "run"),
+                  "--ckpt", str(tmp_path / "nonexistent"), "--out", str(tmp_path / "out")])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("argv, split, rows", [
+        (["adapt", "--ckpt", "ckpt", "--out", "run"], "target_train", 80),
+        (["adapt", "--out", "run"], "target_train", 80),  # pretraining on source first
+        (["cluster", "--ckpt", "ckpt"], "target_train", 80),
+        (["eval", "--ckpt", "ckpt"], "target_gallery", 60),
+        (["eval", "--cluster-stats", "--ckpt", "ckpt"], "target_train", 80),
+    ], ids=["adapt-ckpt", "adapt-pretrain", "cluster", "eval", "eval-cluster-stats"])
+    def test_split_of_other_width_refused_before_any_work(self, data_dir, tmp_path, capsys,
+                                                          monkeypatch, argv, split, rows):
+        # the checkpoint, or for adapt without one the source split, is 12
+        # wide; the named split is cut to 8 columns
+        import reidapt.cli as cli
+
+        def forbidden(*args, **kw):
+            raise AssertionError("work ran before the splits were checked")
+
+        for name in ("pretrain_source", "adapt", "offline_epoch", "retrieval_eval"):
+            monkeypatch.setattr(cli, name, forbidden)
+        save_checkpoint(tmp_path / "ckpt", init_encoder(12, 24, 12, np.random.default_rng(0)))
+        path = data_dir / f"{split}.drft"
+        write_features(path, read_features(path)[:, :8])
+        argv = [str(tmp_path / a) if a in ("ckpt", "run") else a for a in argv]
+        code, stdout, err = run_cli(capsys, *argv, "--data", str(data_dir),
+                                    "--config", fast_config(tmp_path))
+        assert code == 3 and stdout == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert split in err and "(N, 12)" in err and f"({rows}, 8)" in err
+
     def test_one_sample_target_split_is_io_error(self, tmp_path, capsys, monkeypatch):
         # a k-NN row needs another sample, so no labeling pass can run on
         # the split; adapt refuses it before spending time on pretraining

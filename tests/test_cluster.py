@@ -167,27 +167,28 @@ class TestDbscan:
             dbscan(sym, 0.5, 0)
 
     def test_rejects_malformed_sparse_input(self):
+        # SparseDistances refuses a bad layout as it is made, so no malformed
+        # graph ever reaches dbscan
         def sparse(pairs, values, n=3, fill=1.0):
             return SparseDistances(n=n, pairs=np.array(pairs).reshape(-1, 2),
                                    values=np.array(values, dtype=float), fill=fill)
-        for bad in (sparse([[0, 1], [0, 1]], [0.1, 0.1]),   # a pair twice
-                    sparse([[1, 2], [0, 1]], [0.1, 0.1]),   # not row-major
-                    sparse([[0, 3]], [0.1]),                # index out of range
-                    sparse([[0, 1]], [0.1, 0.2]),           # one value too many
-                    sparse([[0, 1]], [-0.1]),               # negative distance
-                    sparse([[0, 1]], [1.5])):               # beyond the fill
+        for pairs, values in (([[0, 1], [0, 1]], [0.1, 0.1]),   # a pair twice
+                              ([[1, 2], [0, 1]], [0.1, 0.1]),   # not row-major
+                              ([[0, 3]], [0.1]),                # index out of range
+                              ([[0, 1]], [0.1, 0.2]),           # one value too many
+                              ([[0, 1]], [-0.1]),               # negative distance
+                              ([[0, 1]], [1.5])):               # beyond the fill
             with pytest.raises(ValueError):
-                dbscan(bad, 0.5, 1)
+                dbscan(sparse(pairs, values), 0.5, 1)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("fill", [1.0, np.inf])
     def test_rejects_non_finite_distances(self, bad, fill):
         # NaN compares False both ways, so no range check catches it; it
         # would pass as a pair beyond eps
-        dist = SparseDistances(n=4, pairs=np.array([[0, 1], [0, 2], [1, 2]]),
-                               values=np.array([0.1, bad, 0.1]), fill=fill)
         with pytest.raises(ValueError, match="finite"):
-            dbscan(dist, 0.5, 1)
+            dbscan(SparseDistances(n=4, pairs=np.array([[0, 1], [0, 2], [1, 2]]),
+                                   values=np.array([0.1, bad, 0.1]), fill=fill), 0.5, 1)
 
 
 def jaccard_instance(rng, duplicates=False):

@@ -535,10 +535,9 @@ class TestSparseChainAgainstDense:
     def test_percentile_rejects_non_finite_values(self, bad):
         # np.sort puts a NaN last, so the percentile would come out finite
         # where np.percentile over the dense matrix gives NaN
-        dist = SparseDistances(n=4, pairs=np.array([[0, 1], [0, 2], [1, 2]]),
-                               values=np.array([0.1, bad, 0.1]))
         with pytest.raises(ValueError, match="finite"):
-            offdiag_percentile(dist, 0.7)
+            offdiag_percentile(SparseDistances(n=4, pairs=np.array([[0, 1], [0, 2], [1, 2]]),
+                                               values=np.array([0.1, bad, 0.1])), 0.7)
 
     def test_percentile_rejects_bad_input(self):
         one = SparseDistances(n=1, pairs=np.empty((0, 2), dtype=np.int64), values=np.empty(0))

@@ -212,7 +212,6 @@ def _rows_through(path: Path, last: int) -> list[str]:
 
 def cmd_adapt(args):
     cfg = _load_config(args)
-    _check_parent(args.dump_bank)  # the final bank is written last
     start_epoch = 0
     state = bank = None
     if args.resume:
@@ -236,6 +235,7 @@ def cmd_adapt(args):
                        f"needs {(len(raw), state.feat_dim)}", EXIT_IO)
     run_dir = _out_dir(args.out)
     labels_dir = _out_dir(args.dump_labels)
+    _check_parent(args.dump_bank)  # the final bank is written last
     if state is None:
         state = pretrain_source(src_raw, src_identity, cfg)
         save_checkpoint(run_dir / "pretrain", state)
@@ -293,8 +293,8 @@ def cmd_cluster(args):
     cfg = _load_config(args)
     state = _load_ckpt(args.ckpt)
     raw, identity, _ = _read_split(args.data, "target_train", state.d_in)
-    _check_parent(args.dump_jaccard)  # the graph is written last
     dump_dir = _out_dir(args.dump_labels)
+    _check_parent(args.dump_jaccard)  # the graph is written last
     es = offline_epoch(state, raw, cfg, epoch=0, keep_graph=bool(args.dump_jaccard))
     doc = {
         "N": len(raw),
@@ -412,7 +412,7 @@ def main(argv=None) -> int:
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.code
-    except ZeroClustersError as err:
+    except (TrainingDivergedError, BankDivergedError, ZeroClustersError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DIVERGED
     except OSError as err:

@@ -20,14 +20,6 @@ class CoarseClusters:
     num_clusters: int
 
 
-@dataclass
-class KMeansResult:
-    centers: np.ndarray          # (R, d)
-    assignment: np.ndarray       # (M,) int64
-    inertia: float
-    inertia_history: list[float]
-
-
 def group_members(assignment: np.ndarray, num_labels: int) -> list[np.ndarray]:
     """Per label 0..num_labels-1, the indices that hold it, ascending: the
     bytes of ``np.flatnonzero(assignment == label)`` from one stable sort
@@ -163,15 +155,13 @@ def _assign(points, centers):
 
 
 def _lloyd(points, centers, max_iter):
+    """Lloyd iterations on ``centers``, updated in place and returned."""
     r = len(centers)
     assignment = np.full(len(points), -1, dtype=np.int64)
-    history = []
     for _ in range(max_iter):
         new_assignment, best = _assign(points, centers)
-        history.append(float(best.sum()))
         if np.array_equal(new_assignment, assignment):
-            # the centers were fit to this assignment: assigning again repeats it
-            return centers, new_assignment, history[-1], history
+            break  # the centers were fit to this assignment
         assignment = new_assignment
         for c in range(r):
             mask = assignment == c
@@ -180,15 +170,15 @@ def _lloyd(points, centers, max_iter):
             else:
                 # reseed an empty center at the point farthest from its center
                 centers[c] = points[int(np.argmax(best))]
-    assignment, best = _assign(points, centers)
-    return centers, assignment, float(best.sum()), history
+    return centers
 
 
-def kmeans(points: np.ndarray, r: int, seed) -> KMeansResult:
-    """Lloyd iterations from one k-means++ start; deterministic given ``seed``."""
+def kmeans(points: np.ndarray, r: int, seed) -> np.ndarray:
+    """The (r, d) centers of Lloyd iterations from one k-means++ start;
+    deterministic given ``seed``."""
     points = np.asarray(points, dtype=np.float64)
     m = len(points)
     if not 1 <= r <= m:
         raise ValueError(f"cluster count must be in [1, {m}], got {r}")
     centers = _kmeans_pp_init(points, r, np.random.default_rng(seed))
-    return KMeansResult(*_lloyd(points, centers, LLOYD_MAX_ITER))
+    return _lloyd(points, centers, LLOYD_MAX_ITER)

@@ -96,8 +96,10 @@ class SynthSpec:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         for name in ("identity_spread", "intra_noise", "camera_shift_scale", "domain_shift"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.num_cameras < 2:
             # every query needs at least one cross-camera gallery match
             raise ValueError("num_cameras must be >= 2 for cross-camera retrieval")

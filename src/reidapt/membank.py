@@ -127,17 +127,16 @@ def spread_loss(feats: np.ndarray, bank: MemoryBank, sample_indices: np.ndarray,
 
 
 def instant_update(bank: MemoryBank, grad_v: np.ndarray, eta: float) -> MemoryBank:
-    """Gradient step on every touched entry, then renormalize those rows."""
-    if eta == 0.0:
+    """Gradient step on every entry, then renormalize every row in place (a
+    row whose own gradient is zero may move in its last bit). A zero step, or
+    a gradient that is zero everywhere, leaves the bank as it is."""
+    if eta == 0.0 or not grad_v.any():
         return bank
-    touched = np.flatnonzero(np.any(grad_v != 0.0, axis=1))
-    if len(touched) == 0:
-        return bank
-    rows = bank.v[touched] - eta * grad_v[touched]
+    rows = bank.v - eta * grad_v
     norms = np.linalg.norm(rows, axis=1, keepdims=True)
     if np.any(norms == 0.0):
         raise BankDivergedError("bank update produced a zero entry")
-    bank.v[touched] = rows / norms
+    np.divide(rows, norms, out=bank.v)
     return bank
 
 

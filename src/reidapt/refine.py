@@ -70,8 +70,8 @@ def select_prototypes(features: np.ndarray, coarse: CoarseClusters, r: int,
     prototypes = []
     groups = group_members(coarse.assignment, coarse.num_clusters)
     for label, members in enumerate(groups):
-        result = kmeans(normalized[members], min(r, len(members)), seed=seed + (label,))
-        prototypes.append(l2_normalize(result.centers))
+        centers = kmeans(normalized[members], min(r, len(members)), seed=seed + (label,))
+        prototypes.append(l2_normalize(centers))
     return prototypes
 
 

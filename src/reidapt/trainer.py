@@ -30,7 +30,7 @@ from .encoder import (
 from .evaluate import pairwise_fscore
 from .graph import SparseDistances, build_distance_graph, offdiag_percentile
 from .losses import LossReport, batch_hard_triplet, cross_entropy
-from .membank import MemoryBank, init_bank, instant_update, momentum_update, spread_loss
+from .membank import MemoryBank, instant_update, momentum_update, spread_loss
 from .refine import PseudoLabelSet, refine_labels
 
 # sub-stream tags so every stage draws from its own deterministic generator
@@ -47,7 +47,7 @@ class ZeroClustersError(RuntimeError):
 
 
 class TrainingDivergedError(RuntimeError):
-    """A loss became non-finite or the bank collapsed."""
+    """A loss became non-finite or an embedding collapsed to zero."""
 
 
 def _is_int(value) -> bool:
@@ -176,7 +176,12 @@ class EpochMetrics:
 
 
 def extract_features(state: EncoderState, raw: np.ndarray) -> np.ndarray:
-    return l2_normalize(forward(state, raw)[0])
+    """Unit-norm embeddings of ``raw``; a zero embedding is a divergence."""
+    feats = forward(state, raw)[0]
+    try:
+        return l2_normalize(feats)
+    except ValueError:
+        raise TrainingDivergedError("encoder produced a zero feature vector") from None
 
 
 def pk_sample(labels: PseudoLabelSet, p: int, k: int, rng) -> np.ndarray:
@@ -369,7 +374,7 @@ def adapt(state: EncoderState, raw: np.ndarray, cfg: TrainConfig,
     every epoch.
     """
     if bank is None:
-        bank = init_bank(forward(state, raw)[0])
+        bank = MemoryBank(v=extract_features(state, raw))
     elif bank.v.shape != (len(raw), state.feat_dim):
         raise ValueError(f"bank has shape {bank.v.shape}, the samples need "
                          f"{(len(raw), state.feat_dim)}")

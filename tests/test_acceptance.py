@@ -298,8 +298,9 @@ def test_criterion_oracle_suite():
         # starts drawn from one generator
         pts = rng.standard_normal((int(rng.integers(4, 9)), 2)) * 2.0
         starts = np.random.default_rng(trial)
-        inertia = min(cluster._lloyd(pts, cluster._kmeans_pp_init(pts, 2, starts),
-                                     cluster.LLOYD_MAX_ITER)[2] for _ in range(32))
+        inertia = min(float(cluster._assign(pts, cluster._lloyd(
+            pts, cluster._kmeans_pp_init(pts, 2, starts), cluster.LLOYD_MAX_ITER))[1].sum())
+            for _ in range(32))
         assert abs(inertia - _exhaustive_two_partition(pts)) <= 1e-9
         checks["kmeans"] += 1
 

@@ -75,6 +75,17 @@ class TestGenData:
         assert code == 2
         assert "invalid" in err
 
+    @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--spread", "nan"),
+                                             ("--noise", "inf")])
+    def test_unusable_spec_exit_2_before_out_is_made(self, tmp_path, capsys, flag, value):
+        # a negative seed crashed the generator; a NaN or infinite scale gave
+        # splits that every later command refuses
+        code, stdout, err = run_cli(capsys, "gen-data", "--ids", "4", "--per-id", "4",
+                                    flag, value, "--out", str(tmp_path / "x"))
+        assert code == 2 and stdout == ""
+        assert err.startswith("error: invalid dataset spec")
+        assert not (tmp_path / "x").exists()
+
     def test_single_camera_rejected(self, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "gen-data", "--ids", "4", "--per-id", "4",
                              "--cameras", "1", "--out", str(tmp_path / "x"))
@@ -386,6 +397,22 @@ class TestValidation:
         assert code == 3 and stdout == ""
         assert err.startswith("error:") and "missing" in err
 
+    @pytest.mark.parametrize("argv, dump", [
+        (["adapt", "--ckpt", "ckpt", "--out", "R", "--dump-bank", "R/bank.drft"],
+         "R/bank.drft"),
+        (["cluster", "--ckpt", "ckpt", "--dump-labels", "D", "--dump-jaccard", "D/j.drft"],
+         "D/j.drft"),
+    ], ids=["adapt-bank", "cluster-jaccard"])
+    def test_dump_inside_new_output_directory(self, data_dir, tmp_path, capsys, argv, dump):
+        # the command makes the directory, so the dump has one to go to
+        save_checkpoint(tmp_path / "ckpt", init_encoder(12, 24, 12, np.random.default_rng(0)))
+        argv = [str(tmp_path / a) if a in ("ckpt", "R", "D", dump) else a for a in argv]
+        code, stdout, err = run_cli(capsys, *argv, "--data", str(data_dir),
+                                    "--config", fast_config(tmp_path, epochs=1))
+        assert code == 0, err
+        assert (tmp_path / dump).is_file()
+        json.loads(stdout)
+
     def test_resume_and_ckpt_together_is_usage_error(self, data_dir, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["adapt", "--data", str(data_dir), "--resume", str(tmp_path / "run"),
@@ -518,6 +545,29 @@ class TestValidation:
                                "--data", str(data_dir), "--config", fast_config(tmp_path))
         assert code == 3
         assert "ckpt.drft" in err and "NaN or infinite" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["pretrain", "--out", "run"],
+        ["adapt", "--out", "run"],
+        ["adapt", "--ckpt", "zero", "--out", "run"],
+        ["cluster", "--ckpt", "zero"],
+        ["eval", "--ckpt", "zero"],
+    ], ids=["pretrain", "adapt-pretrain", "adapt-ckpt", "cluster", "eval"])
+    def test_numerical_divergence_exits_4(self, tmp_path, capsys, argv):
+        # a huge learning rate drives pretraining to a non-finite loss; a
+        # checkpoint whose last layer is zero maps every sample to a zero
+        # feature, which no labeling, bank or retrieval can normalize
+        data = tmp_path / "data"
+        assert run_cli(capsys, *gen_args(data, ids=12, per_id=6))[0] == 0
+        state = init_encoder(12, 24, 12, np.random.default_rng(0))
+        state.w2[:], state.b2[:] = 0.0, 0.0
+        save_checkpoint(tmp_path / "zero", state)
+        cfg = fast_config(tmp_path, pretrain_epochs=3, base_lr=1e6, warmup_epochs=0,
+                          batch_p=4, batch_k=2)
+        argv = [str(tmp_path / a) if a in ("run", "zero") else a for a in argv]
+        code, stdout, err = run_cli(capsys, *argv, "--data", str(data), "--config", cfg)
+        assert code == 4 and stdout == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
     def test_stdout_always_json(self, data_dir, tmp_path, capsys):
         cfg = fast_config(tmp_path)

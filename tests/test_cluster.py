@@ -293,55 +293,84 @@ def exhaustive_two_partition_inertia(points):
     return best
 
 
+def inertia(points, centers):
+    """Squared distance of each point to its nearest center, summed: the
+    difference form that Lloyd's iterations assign by."""
+    return float(cluster._assign(points, centers)[1].sum())
+
+
+def lloyd_path(points, start, iterations):
+    """The inertia after each of the first ``iterations`` Lloyd updates from
+    ``start``: one-iteration runs, each from the centers the last one left.
+    Before the run has converged, t of them update the centers as one run of
+    t iterations does, without its quadratic cost on a run that cycles to
+    the iteration cap."""
+    centers, path = start.copy(), []
+    for _ in range(iterations):
+        path.append(inertia(points, centers))
+        centers = cluster._lloyd(points, centers, 1)
+    return path
+
+
 class TestKmeans:
     def test_single_center_is_mean(self):
         rng = np.random.default_rng(5)
         pts = rng.standard_normal((9, 3))
-        res = kmeans(pts, 1, seed=0)
-        assert np.allclose(res.centers[0], pts.mean(axis=0), atol=1e-12)
+        centers = kmeans(pts, 1, seed=0)
+        assert np.allclose(centers[0], pts.mean(axis=0), atol=1e-12)
 
     def test_r_equals_m_zero_inertia(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [4.0, 4.0]])
-        res = kmeans(pts, 4, seed=1)
-        assert res.inertia == pytest.approx(0.0, abs=1e-18)
-        assert sorted(map(tuple, res.centers.tolist())) == sorted(map(tuple, pts.tolist()))
+        centers = kmeans(pts, 4, seed=1)
+        assert inertia(pts, centers) == pytest.approx(0.0, abs=1e-18)
+        assert sorted(map(tuple, centers.tolist())) == sorted(map(tuple, pts.tolist()))
 
     def test_crafted_instance_matches_exhaustive(self):
         pts = np.array([[0.0, 0.0], [0.5, 0.1], [0.2, 0.4],
                         [5.0, 5.0], [5.3, 4.8], [4.9, 5.4]])
-        res = kmeans(pts, 2, seed=0)
-        assert res.inertia == pytest.approx(exhaustive_two_partition_inertia(pts), abs=1e-9)
+        centers = kmeans(pts, 2, seed=0)
+        assert inertia(pts, centers) == pytest.approx(
+            exhaustive_two_partition_inertia(pts), abs=1e-9)
 
     def test_inertia_non_increasing(self):
+        # each iteration's inertia, rebuilt from a run of that many
+        # iterations from the kmeans start, until the run reaches its centers
         rng = np.random.default_rng(6)
         for trial in range(10):
             pts = rng.standard_normal((20, 3))
-            res = kmeans(pts, 4, seed=trial)
-            hist = res.inertia_history
+            start = cluster._kmeans_pp_init(pts, 4, np.random.default_rng(trial))
+            final = kmeans(pts, 4, seed=trial)
+            hist = []
+            for t in range(cluster.LLOYD_MAX_ITER + 1):
+                centers = cluster._lloyd(pts, start.copy(), t)
+                hist.append(inertia(pts, centers))
+                if centers.tobytes() == final.tobytes():
+                    break
+            assert centers.tobytes() == final.tobytes()
             assert all(hist[t + 1] <= hist[t] + 1e-9 for t in range(len(hist) - 1))
 
     def test_centers_are_assignment_means(self):
         rng = np.random.default_rng(7)
         pts = rng.standard_normal((24, 2))
-        res = kmeans(pts, 3, seed=2)
+        centers = kmeans(pts, 3, seed=2)
+        assignment = cluster._assign(pts, centers)[0]
         for c in range(3):
-            mask = res.assignment == c
+            mask = assignment == c
             if mask.any():
-                assert np.allclose(res.centers[c], pts[mask].mean(axis=0), atol=1e-9)
+                assert np.allclose(centers[c], pts[mask].mean(axis=0), atol=1e-9)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(8)
         pts = rng.standard_normal((15, 4))
         a = kmeans(pts, 3, seed=42)
         b = kmeans(pts, 3, seed=42)
-        assert np.array_equal(a.centers, b.centers)
-        assert np.array_equal(a.assignment, b.assignment)
+        assert a.tobytes() == b.tobytes()
 
     def test_identical_points_degenerate(self):
         pts = np.tile([[1.0, 2.0]], (3, 1))
-        res = kmeans(pts, 3, seed=0)
-        assert np.allclose(res.centers, [1.0, 2.0])
-        assert res.inertia == 0.0
+        centers = kmeans(pts, 3, seed=0)
+        assert np.allclose(centers, [1.0, 2.0])
+        assert inertia(pts, centers) == 0.0
 
     def test_r_out_of_range(self):
         pts = np.zeros((3, 2))
@@ -353,17 +382,16 @@ class TestKmeans:
 
 def assert_same_lloyd(points, centers, max_iter=100):
     got = cluster._lloyd(points, centers.copy(), max_iter)
-    want = oracles.lloyd(points, centers.copy(), max_iter)
-    assert got[0].tobytes() == want[0].tobytes()
-    assert got[1].tobytes() == want[1].tobytes()
-    assert got[2] == want[2]
-    assert got[3] == want[3]
+    want, _, _, history = oracles.lloyd(points, centers.copy(), max_iter)
+    assert got.tobytes() == want.tobytes()
+    # the path: the inertia after each iteration, as the oracle recorded it
+    assert lloyd_path(points, centers, len(history)) == history
 
 
 class TestLloydAgainstDifferenceTensor:
     """The Lloyd iterations, which fill their distances one center at a
-    time, reproduce the (m, r, d) difference tensor bit for bit: centers,
-    assignment, inertia and history."""
+    time, reproduce the (m, r, d) difference tensor bit for bit: the
+    centers, and the inertia after every iteration on the way to them."""
 
     @staticmethod
     def starts(rng, points, r):
@@ -415,12 +443,9 @@ class TestLloydAgainstDifferenceTensor:
         cases = [(rng.standard_normal((m, 8)), r, seed)
                  for seed, (m, r) in enumerate([(40, 3), (200, 5), (7, 7), (60, 1)])]
         got = [kmeans(points, r, seed=seed) for points, r, seed in cases]
-        monkeypatch.setattr(cluster, "_lloyd", oracles.lloyd)
-        for res, (points, r, seed) in zip(got, cases):
-            want = kmeans(points, r, seed=seed)
-            assert res.centers.tobytes() == want.centers.tobytes()
-            assert res.assignment.tobytes() == want.assignment.tobytes()
-            assert (res.inertia, res.inertia_history) == (want.inertia, want.inertia_history)
+        monkeypatch.setattr(cluster, "_lloyd", lambda *args: oracles.lloyd(*args)[0])
+        for centers, (points, r, seed) in zip(got, cases):
+            assert centers.tobytes() == kmeans(points, r, seed=seed).tobytes()
 
 
 class TestMemory:

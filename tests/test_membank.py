@@ -317,6 +317,27 @@ class TestInstantUpdate:
         instant_update(bank, np.zeros_like(bank.v), eta=0.1)
         assert np.array_equal(bank.v, before)
 
+    def test_zero_step_unchanged(self):
+        rng = np.random.default_rng(16)
+        bank = init_bank(unit_rows(rng, 6, 4))
+        before = bank.v.tobytes()
+        instant_update(bank, rng.standard_normal((6, 4)), eta=0.0)
+        assert bank.v.tobytes() == before
+
+    def test_steps_every_row_in_place(self):
+        # no row of the gradient is zero: each row is the stepped row over
+        # its norm, to the last bit, written into the bank's own array
+        rng = np.random.default_rng(17)
+        v = unit_rows(rng, 50, 8)
+        grad = rng.standard_normal((50, 8)) * 0.1
+        bank = MemoryBank(v=v.copy())
+        storage = bank.v
+        instant_update(bank, grad, eta=0.05)
+        assert bank.v is storage
+        for row, g, got in zip(v, grad, bank.v):
+            stepped = row - 0.05 * g
+            assert got.tobytes() == (stepped / np.linalg.norm(stepped, axis=-1)).tobytes()
+
     def test_orthogonal_gradient_restores_unit_norm(self):
         bank = init_bank(np.array([[1.0, 0.0]]))
         grad = np.array([[0.0, 0.5]])  # orthogonal to the entry

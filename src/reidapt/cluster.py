@@ -143,33 +143,43 @@ def _kmeans_pp_init(points, r, rng):
     return centers
 
 
-def _assign(points, centers):
-    """Each point's nearest center, the lowest index on ties, and its squared
-    distance ``np.sum((point - center)**2)``: the difference form, filled in
-    one center at a time, so no (m, r, d) tensor is formed."""
-    d2 = np.empty((len(points), len(centers)))
-    for c, center in enumerate(centers):
-        d2[:, c] = np.sum((points - center) ** 2, axis=1)
-    assignment = np.argmin(d2, axis=1)
-    return assignment, d2[np.arange(len(points)), assignment]
+def _assign(points, centers, sq):
+    """Each point's nearest center in the difference form
+    ``np.sum((point - center)**2)``, the lowest index on ties; ``sq`` holds
+    the points' squared norms. The centers are screened on the Gram form, and
+    only the rows left with more than one candidate are recomputed in the
+    difference form, on their candidates alone."""
+    (near,) = graph._screen_extremes(points, centers, [(True, False)], sq)
+    assignment = np.argmax(near, axis=1)  # the one candidate, or the first
+    # every row keeps its Gram-form nearest, so more candidates mean a near tie
+    if np.count_nonzero(near) > len(points):
+        tied = np.flatnonzero(np.count_nonzero(near, axis=1) > 1)
+        near = near[tied]
+        d2 = np.full(near.shape, np.inf)
+        for c, center in enumerate(centers):
+            rows = np.flatnonzero(near[:, c])
+            d2[rows, c] = np.sum((points[tied[rows]] - center) ** 2, axis=1)
+        assignment[tied] = np.argmin(d2, axis=1)
+    return assignment
 
 
 def _lloyd(points, centers, max_iter):
     """Lloyd iterations on ``centers``, updated in place and returned."""
     r = len(centers)
+    sq = np.sum(points * points, axis=1)
     assignment = np.full(len(points), -1, dtype=np.int64)
     for _ in range(max_iter):
-        new_assignment, best = _assign(points, centers)
+        new_assignment = _assign(points, centers, sq)
         if np.array_equal(new_assignment, assignment):
             break  # the centers were fit to this assignment
         assignment = new_assignment
+        sizes = np.bincount(assignment, minlength=r)
+        if not sizes.all():
+            # an empty center is reseeded at the point farthest from its
+            # center, measured before any center of this iteration moves
+            far = points[int(np.argmax(np.sum((points - centers[assignment]) ** 2, axis=1)))]
         for c in range(r):
-            mask = assignment == c
-            if mask.any():
-                centers[c] = points[mask].mean(axis=0)
-            else:
-                # reseed an empty center at the point farthest from its center
-                centers[c] = points[int(np.argmax(best))]
+            centers[c] = points[assignment == c].mean(axis=0) if sizes[c] else far
     return centers
 
 

@@ -14,6 +14,10 @@ their min-sum terms are enumerated a block of rows at a time, each block
 turned into distances at once. Every other off-diagonal pair has a min-sum
 of zero and therefore a Jaccard distance of exactly 1.0 (Zhong et al. 2017,
 arXiv:1701.08398; Ge et al. 2020, arXiv:2006.02713).
+
+``_screen_extremes`` is the exact nearest/farthest screen on the Gram form
+that the batch-hard triplet and the k-means assignment share; its operands
+are a batch against itself or a cluster's points against its few centers.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ _BLOCK_ENTRIES = 1 << 19
 # dense similarity rows of the row sums, the Jaccard min-sum terms, and the
 # slices of stored pairs that ``cluster.dbscan`` takes.
 _CHUNK_ENTRIES = 1 << 16
+# unit roundoff of float64
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 @dataclass
@@ -117,6 +123,43 @@ def smallest_k(values: np.ndarray, k: int) -> np.ndarray:
     kth = np.partition(values, k - 1, axis=1)[:, k - 1:k]
     flat = np.flatnonzero(values <= kth)
     return (flat[_lowest_k(flat, values.ravel()[flat], k, width)] % width).reshape(-1, k)
+
+
+def _screen_extremes(a: np.ndarray, b: np.ndarray, screens, sq_a=None) -> list[np.ndarray]:
+    """Per ``(allowed, largest)`` in ``screens``, the (len(a), len(b)) mask of
+    the allowed entries that may hold their row's smallest (``largest``:
+    largest) allowed squared distance ``np.sum((a_i - b_j)**2)``, the
+    difference form. ``allowed`` broadcasts against the distances, so
+    ``True`` allows every entry; ``sq_a`` may pass ``np.sum(a * a, axis=1)``.
+
+    The distances are taken once, in the Gram form |a_i|^2 + |b_j|^2 -
+    2 a_i.b_j. Each form is within about (2d + 4) u (|a_i|^2 + |b_j|^2) of
+    the exact value (u = 2^-53), whatever order its sums are taken in, so the
+    two are within half of tol = 8 (d + 4) u (|a_i|^2 + |b_j|^2 + tiny) of
+    each other; ``tiny`` covers products that underflow. The row's Gram-form
+    extreme is always kept, and an entry is left out only if it lies more
+    than its own tol plus the extreme's beyond it: its difference-form value
+    then lies strictly beyond the extreme's, even after a square root rounds
+    both. So an exact recompute over the kept entries finds the same extreme,
+    and the same lowest index among ties, as one over every allowed entry. A
+    row without an allowed entry keeps none.
+    """
+    if sq_a is None:
+        sq_a = np.sum(a * a, axis=1)
+    sq_b = sq_a if b is a else np.sum(b * b, axis=1)
+    norms = np.add.outer(sq_a, sq_b)
+    d2 = norms - 2.0 * (a @ b.T)
+    tol = 8.0 * (a.shape[1] + 4) * _UNIT_ROUNDOFF * (norms + np.finfo(np.float64).tiny)
+    rows = np.arange(len(d2))
+    masks = []
+    for allowed, largest in screens:
+        masked = np.where(allowed, d2, -np.inf if largest else np.inf)
+        at = np.argmax(masked, axis=1) if largest else np.argmin(masked, axis=1)
+        edge = masked[rows, at][:, None]
+        reach = tol + tol[rows, at][:, None]
+        near = masked >= edge - reach if largest else masked <= edge + reach
+        masks.append(allowed & near)
+    return masks
 
 
 def _row_blocks(rows: int, width: int, entries: int) -> np.ndarray:

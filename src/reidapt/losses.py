@@ -10,8 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# unit roundoff of float64
-_UNIT_ROUNDOFF = 2.0 ** -53
+from . import graph
 
 
 @dataclass
@@ -35,7 +34,8 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray):
     if np.any(labels < 0) or np.any(labels >= num_classes):
         raise ValueError("label out of range")
     picked = probs[np.arange(b), labels]
-    loss = float(-np.mean(np.log(picked)))
+    with np.errstate(divide="ignore"):  # a zero probability scores inf
+        loss = float(-np.mean(np.log(picked)))
     grad_logits = probs.copy()
     grad_logits[np.arange(b), labels] -= 1.0
     return loss, grad_logits / b
@@ -69,9 +69,9 @@ def batch_hard_triplet(features: np.ndarray, labels: np.ndarray, margin: float):
     if active_anchors == 0:
         return 0.0, np.zeros_like(f)
 
-    d2, tol = _gram_sq_distances(f)
-    hardest_pos, d_pos = _hardest(f, _screen_extremes(d2, tol, pos_mask, largest=True), True)
-    hardest_neg, d_neg = _hardest(f, _screen_extremes(d2, tol, neg_mask, largest=False), False)
+    pos_near, neg_near = graph._screen_extremes(f, f, [(pos_mask, True), (neg_mask, False)])
+    hardest_pos, d_pos = _hardest(f, pos_near, True)
+    hardest_neg, d_neg = _hardest(f, neg_near, False)
     anchors = np.arange(b)
     violation = margin + d_pos - d_neg
     hit = active & (violation > 0)
@@ -92,44 +92,6 @@ def batch_hard_triplet(features: np.ndarray, labels: np.ndarray, margin: float):
     grad = np.bincount((targets[:, None] * d + np.arange(d)).ravel(),
                        weights=terms.ravel(), minlength=b * d).reshape(b, d)
     return loss, grad / active_anchors
-
-
-def _gram_sq_distances(f):
-    """Squared Euclidean distances between the rows of ``f`` in the Gram form
-    |f_i|^2 + |f_j|^2 - 2 f_i.f_j, and for each entry a bound ``tol`` on how
-    far it can lie from the difference form ``np.sum((f_i - f_j)**2)``.
-
-    Each form is within about (2d + 4) u (|f_i|^2 + |f_j|^2) of the exact
-    value (u = 2^-53), whatever order its sums are taken in, so the two are
-    within half of tol = 8 (d + 4) u (|f_i|^2 + |f_j|^2) of each other. The
-    other half keeps every entry that ``_screen_extremes`` leaves out so far
-    beyond the kept extreme that their square roots still differ after
-    rounding. The ``tiny`` term covers products that underflow.
-    """
-    sq = np.sum(f * f, axis=1)
-    norms = np.add.outer(sq, sq)
-    d2 = norms - 2.0 * (f @ f.T)
-    tol = 8.0 * (f.shape[1] + 4) * _UNIT_ROUNDOFF * (norms + np.finfo(np.float64).tiny)
-    return d2, tol
-
-
-def _screen_extremes(d2, tol, allowed, largest):
-    """Mask of the allowed entries that may hold their row's smallest
-    (``largest``: largest) allowed squared distance in the difference form.
-
-    An entry is left out only if its difference-form value lies strictly
-    beyond that of the row's Gram-form extreme, which is always kept, even
-    after a square root rounds both; so an exact recompute over the kept
-    entries finds the same extreme, and the same lowest index among ties, as
-    one over every allowed entry. A row without an allowed entry keeps none.
-    """
-    masked = np.where(allowed, d2, -np.inf if largest else np.inf)
-    at = np.argmax(masked, axis=1) if largest else np.argmin(masked, axis=1)
-    rows = np.arange(len(d2))
-    edge = masked[rows, at][:, None]
-    reach = tol + tol[rows, at][:, None]
-    near = masked >= edge - reach if largest else masked <= edge + reach
-    return allowed & near
 
 
 def _hardest(f, candidates, largest):

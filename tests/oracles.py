@@ -330,6 +330,13 @@ def lloyd(points, centers, max_iter):
     return centers, assignment, inertia, history
 
 
+def inertia(points, centers):
+    """Squared distance of each point to its nearest center, summed, from the
+    (m, r, d) difference tensor that ``lloyd`` assigns by."""
+    d2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+    return float(d2.min(axis=1).sum())
+
+
 def refined_similarity(features, prototypes):
     """Score matrix s[i, l]: the mean of sample i's dot products with each of
     cluster l's prototypes, one (N, R_l) product per cluster."""

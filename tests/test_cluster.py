@@ -293,12 +293,6 @@ def exhaustive_two_partition_inertia(points):
     return best
 
 
-def inertia(points, centers):
-    """Squared distance of each point to its nearest center, summed: the
-    difference form that Lloyd's iterations assign by."""
-    return float(cluster._assign(points, centers)[1].sum())
-
-
 def lloyd_path(points, start, iterations):
     """The inertia after each of the first ``iterations`` Lloyd updates from
     ``start``: one-iteration runs, each from the centers the last one left.
@@ -307,7 +301,7 @@ def lloyd_path(points, start, iterations):
     the iteration cap."""
     centers, path = start.copy(), []
     for _ in range(iterations):
-        path.append(inertia(points, centers))
+        path.append(oracles.inertia(points, centers))
         centers = cluster._lloyd(points, centers, 1)
     return path
 
@@ -322,14 +316,14 @@ class TestKmeans:
     def test_r_equals_m_zero_inertia(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [4.0, 4.0]])
         centers = kmeans(pts, 4, seed=1)
-        assert inertia(pts, centers) == pytest.approx(0.0, abs=1e-18)
+        assert oracles.inertia(pts, centers) == pytest.approx(0.0, abs=1e-18)
         assert sorted(map(tuple, centers.tolist())) == sorted(map(tuple, pts.tolist()))
 
     def test_crafted_instance_matches_exhaustive(self):
         pts = np.array([[0.0, 0.0], [0.5, 0.1], [0.2, 0.4],
                         [5.0, 5.0], [5.3, 4.8], [4.9, 5.4]])
         centers = kmeans(pts, 2, seed=0)
-        assert inertia(pts, centers) == pytest.approx(
+        assert oracles.inertia(pts, centers) == pytest.approx(
             exhaustive_two_partition_inertia(pts), abs=1e-9)
 
     def test_inertia_non_increasing(self):
@@ -343,7 +337,7 @@ class TestKmeans:
             hist = []
             for t in range(cluster.LLOYD_MAX_ITER + 1):
                 centers = cluster._lloyd(pts, start.copy(), t)
-                hist.append(inertia(pts, centers))
+                hist.append(oracles.inertia(pts, centers))
                 if centers.tobytes() == final.tobytes():
                     break
             assert centers.tobytes() == final.tobytes()
@@ -353,7 +347,8 @@ class TestKmeans:
         rng = np.random.default_rng(7)
         pts = rng.standard_normal((24, 2))
         centers = kmeans(pts, 3, seed=2)
-        assignment = cluster._assign(pts, centers)[0]
+        # nearest centers from the (m, r, d) difference tensor
+        assignment = np.argmin(np.sum((pts[:, None] - centers[None]) ** 2, axis=2), axis=1)
         for c in range(3):
             mask = assignment == c
             if mask.any():
@@ -370,7 +365,7 @@ class TestKmeans:
         pts = np.tile([[1.0, 2.0]], (3, 1))
         centers = kmeans(pts, 3, seed=0)
         assert np.allclose(centers, [1.0, 2.0])
-        assert inertia(pts, centers) == 0.0
+        assert oracles.inertia(pts, centers) == 0.0
 
     def test_r_out_of_range(self):
         pts = np.zeros((3, 2))
@@ -389,9 +384,10 @@ def assert_same_lloyd(points, centers, max_iter=100):
 
 
 class TestLloydAgainstDifferenceTensor:
-    """The Lloyd iterations, which fill their distances one center at a
-    time, reproduce the (m, r, d) difference tensor bit for bit: the
-    centers, and the inertia after every iteration on the way to them."""
+    """The Lloyd iterations, which screen the centers on the Gram form and
+    recompute only the rows left with more than one candidate in the
+    difference form, reproduce the (m, r, d) difference tensor bit for bit:
+    the centers, and the inertia after every iteration on the way to them."""
 
     @staticmethod
     def starts(rng, points, r):
@@ -438,6 +434,22 @@ class TestLloydAgainstDifferenceTensor:
                 points = offset + spread * rng.standard_normal((m, d))
             assert_same_lloyd(points, self.starts(rng, points, r))
 
+    def test_production_shape(self):
+        # unit rows at the shape of a large coarse cluster's prototype
+        # k-means; a duplicated block gives points and starts that coincide
+        rng = np.random.default_rng(37)
+        m, d, r = 2400, 32, 5
+        points = l2_normalize(rng.standard_normal((m, d)))
+        points[m // 2:m // 2 + 300] = points[:300]
+        pp = cluster._kmeans_pp_init(points, r, np.random.default_rng(0))
+        dup = points[[0, m // 2, 5, m // 2 + 5, 900]]  # two pairs of equal centers
+        # equal centers leave most rows with more than one candidate, so the
+        # difference-form recompute runs
+        (near,) = graph._screen_extremes(points, dup, [(True, False)])
+        assert np.count_nonzero(np.count_nonzero(near, axis=1) > 1) > m // 2
+        for start in (pp, dup):
+            assert_same_lloyd(points, start)
+
     def test_kmeans_end_to_end(self, monkeypatch):
         rng = np.random.default_rng(34)
         cases = [(rng.standard_normal((m, 8)), r, seed)
@@ -462,8 +474,8 @@ class TestMemory:
         assert peak < 5120 * 5 * 32 * 8, f"peak {peak} bytes, one (m, r, d) tensor"
 
     def test_kmeans_peak_below_two_point_arrays(self):
-        # the (m, r) distances are filled one center at a time, from one
-        # (m, d) difference at a time
+        # the (m, r) distances come from one Gram product; only tied rows
+        # are recomputed, one (m, d) difference at a time at most
         rng = np.random.default_rng(36)
         points = rng.standard_normal((5120, 32))
         kmeans(points[:50], 5, seed=0)  # warm up the imports

@@ -2,8 +2,9 @@
 
 One tanh hidden layer (d_in -> h -> d) stands in for a deep backbone, plus
 a linear softmax classifier whose width tracks the current number of
-pseudo-classes. Adam with decoupled weight decay drives updates;
-all compute is float64 so finite-difference checks are tight.
+pseudo-classes. Adam with decoupled weight decay drives updates, one flat
+pass per parameter group; all compute is float64 so finite-difference
+checks are tight.
 """
 
 from __future__ import annotations
@@ -21,11 +22,13 @@ ADAM_EPS = 1e-8
 
 ENCODER_PARAMS = ("w1", "b1", "w2", "b2")
 CLASSIFIER_PARAMS = ("wc", "bc")
+# Adam keeps one slot per group: the classifier's resets with its head
+_PARAM_GROUPS = {"encoder": ENCODER_PARAMS, "classifier": CLASSIFIER_PARAMS}
 
 
 @dataclass
 class AdamSlot:
-    m: np.ndarray
+    m: np.ndarray  # flat moments of one parameter group, in its name order
     v: np.ndarray
     t: int = 0
 
@@ -38,7 +41,7 @@ class EncoderState:
     b2: np.ndarray                 # (d,)
     wc: np.ndarray | None = None   # (L, d) classifier, rebuilt per epoch
     bc: np.ndarray | None = None   # (L,)
-    adam: dict = field(default_factory=dict)
+    adam: dict = field(default_factory=dict)  # group name -> AdamSlot
     step: int = 0
 
     @property
@@ -66,11 +69,10 @@ def init_encoder(d_in: int, hidden: int, feat_dim: int, rng) -> EncoderState:
 
 
 def init_classifier(state: EncoderState, num_classes: int, rng):
-    """(Re)build the classifier head; its Adam slots reset, encoder untouched."""
+    """(Re)build the classifier head; its Adam slot resets, encoder untouched."""
     state.wc = 0.01 * rng.standard_normal((num_classes, state.feat_dim))
     state.bc = np.zeros(num_classes)
-    for name in CLASSIFIER_PARAMS:
-        state.adam.pop(name, None)
+    state.adam.pop("classifier", None)
 
 
 def forward(state: EncoderState, x: np.ndarray):
@@ -126,22 +128,44 @@ def classifier_backward(state: EncoderState, feats: np.ndarray,
 
 
 def adam_step(state: EncoderState, grads: dict, lr: float, weight_decay: float):
-    """One Adam update with decoupled weight decay on every listed parameter."""
-    for name, g in grads.items():
-        param = getattr(state, name)
-        slot = state.adam.get(name)
-        if slot is None or slot.m.shape != param.shape:
-            slot = AdamSlot(np.zeros_like(param), np.zeros_like(param))
-            state.adam[name] = slot
+    """One Adam update with decoupled weight decay on every parameter group
+    that ``grads`` names, given a gradient for each parameter of the group.
+
+    A group's parameters and gradients are concatenated into flat vectors and
+    updated by one sequence of whole-array ops, each the elementwise op of
+    the per-parameter update in the same order, so every bit is the same.
+    The parameters come back as views of the group's new flat vector.
+    """
+    for group, names in _PARAM_GROUPS.items():
+        if names[0] not in grads:
+            continue
+        params = [getattr(state, name) for name in names]
+        flat = np.concatenate(params, axis=None, dtype=np.float64)
+        g = np.concatenate([grads[name] for name in names], axis=None, dtype=np.float64)
+        slot = state.adam.get(group)
+        if slot is None or slot.m.shape != flat.shape:
+            slot = state.adam[group] = AdamSlot(np.zeros_like(flat), np.zeros_like(flat))
         slot.t += 1
-        slot.m = ADAM_BETA1 * slot.m + (1.0 - ADAM_BETA1) * g
-        slot.v = ADAM_BETA2 * slot.v + (1.0 - ADAM_BETA2) * (g * g)
-        m_hat = slot.m / (1.0 - ADAM_BETA1 ** slot.t)
-        v_hat = slot.v / (1.0 - ADAM_BETA2 ** slot.t)
-        update = lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        scratch = g * g
+        scratch *= 1.0 - ADAM_BETA2
+        slot.v *= ADAM_BETA2
+        slot.v += scratch                                  # v = b2 v + (1 - b2) g^2
+        g *= 1.0 - ADAM_BETA1
+        slot.m *= ADAM_BETA1
+        slot.m += g                                        # m = b1 m + (1 - b1) g
+        np.divide(slot.v, 1.0 - ADAM_BETA2 ** slot.t, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += ADAM_EPS                                # sqrt(v_hat) + eps
+        update = np.divide(slot.m, 1.0 - ADAM_BETA1 ** slot.t, out=g)
+        update *= lr
+        update /= scratch                                  # lr m_hat / (sqrt(v_hat) + eps)
         if weight_decay:
-            update = update + lr * weight_decay * param
-        setattr(state, name, param - update)
+            update += np.multiply(flat, lr * weight_decay, out=scratch)
+        flat -= update
+        start = 0
+        for name, param in zip(names, params):
+            setattr(state, name, flat[start:start + param.size].reshape(param.shape))
+            start += param.size
     state.step += 1
 
 

@@ -112,19 +112,6 @@ def _lowest_k(flat: np.ndarray, keys: np.ndarray, k: int, width: int) -> np.ndar
     return np.delete(picks, surplus)
 
 
-def smallest_k(values: np.ndarray, k: int) -> np.ndarray:
-    """Column indices of the k smallest entries of each row, (rows, k),
-    ascending within a row, for 1 <= k <= width.
-
-    A partial sort of a copy of ``values`` finds each row's k-th value; among
-    entries tied at it the lowest indices win, as in a stable full sort.
-    """
-    width = values.shape[1]
-    kth = np.partition(values, k - 1, axis=1)[:, k - 1:k]
-    flat = np.flatnonzero(values <= kth)
-    return (flat[_lowest_k(flat, values.ravel()[flat], k, width)] % width).reshape(-1, k)
-
-
 def _screen_extremes(a: np.ndarray, b: np.ndarray, screens, sq_a=None) -> list[np.ndarray]:
     """Per ``(allowed, largest)`` in ``screens``, the (len(a), len(b)) mask of
     the allowed entries that may hold their row's smallest (``largest``:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import l2_normalize
-from .graph import _dense_row_sums, smallest_k
+from .graph import _dense_row_sums, _lowest_k
 
 
 class BankDivergedError(RuntimeError):
@@ -48,12 +48,28 @@ def positive_sets(sims: np.ndarray, sample_indices: np.ndarray,
     modified. Row b holds the k largest similarities of anchor b (excluding
     its own slot) plus the slot itself, in ascending index order; similarity
     ties go to the lower index. The slot is ranked first by giving it an
-    infinite similarity, so one selection of k + 1 entries finds both."""
+    infinite similarity, so one selection of k + 1 entries finds both.
+
+    The ranking keys are the negated similarities, with the slots at -inf,
+    in one (B, N) copy that is partitioned in place for each row's
+    (k + 1)-th key. Negation is exact, so a key is within it exactly when
+    its similarity is at least the key's negation; the slots are forced in.
+    """
     sample_indices = np.asarray(sample_indices, dtype=np.int64)
     b, n = sims.shape
-    neg_sims = -sims
-    neg_sims[np.arange(b), sample_indices] = -np.inf
-    return smallest_k(neg_sims, min(k_pos, n - 1) + 1)
+    k = min(k_pos, n - 1) + 1
+    slots = np.arange(b) * n + sample_indices
+    keys = -sims
+    keys.ravel()[slots] = -np.inf
+    keys.partition(k - 1, axis=1)
+    kth = -keys[:, k - 1:k]
+    del keys  # freed before the mask is made
+    within = sims >= kth
+    within.ravel()[slots] = True
+    flat = np.flatnonzero(within)
+    ranked = -sims.ravel()[flat]
+    ranked[np.searchsorted(flat, slots)] = -np.inf
+    return (flat[_lowest_k(flat, ranked, k, n)] % n).reshape(b, k)
 
 
 def _logsumexp(x, columns=None, width=None):

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cluster import CoarseClusters, group_members, kmeans
+from .cluster import CoarseClusters, _label_order, group_members, kmeans
 from .data import OUTLIER, l2_normalize
 
 
@@ -40,13 +40,16 @@ class PseudoLabelSet:
         return np.flatnonzero(self.coarse != OUTLIER)
 
     @cached_property
-    def coarse_groups(self) -> tuple[np.ndarray, list[np.ndarray]]:
-        """(labels, members): the coarse labels some sample holds, ascending,
-        and per label from 0 to the largest the indices of its samples,
-        ascending. Computed once per label set; the labels must not be
-        changed afterwards."""
-        members = group_members(self.coarse, int(self.coarse.max(initial=OUTLIER)) + 1)
-        return np.flatnonzero([len(group) for group in members]), members
+    def coarse_groups(self) -> tuple[list[int], list[int], np.ndarray]:
+        """(labels, bounds, order): the coarse labels some sample holds,
+        ascending, and the sample indices sorted stably by coarse label;
+        label l's samples are ``order[bounds[l]:bounds[l + 1]]``, ascending,
+        for l from 0 to the largest. Computed once per label set; the labels
+        must not be changed afterwards."""
+        order, bounds = _label_order(self.coarse, int(self.coarse.max(initial=OUTLIER)) + 1)
+        bounds = bounds.tolist()
+        labels = [label for label, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if hi > lo]
+        return labels, bounds, order
 
     def relabel_fraction(self) -> float:
         """Fraction of non-outlier samples whose refined label moved."""

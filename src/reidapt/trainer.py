@@ -184,6 +184,54 @@ def extract_features(state: EncoderState, raw: np.ndarray) -> np.ndarray:
         raise TrainingDivergedError("encoder produced a zero feature vector") from None
 
 
+def _draw_choices(rng, sizes: list[int], k: int) -> list[list[int]]:
+    """``rng.choice(n, k, replace=n < k)`` for each n of ``sizes`` in turn,
+    the same picks and the same stream, from one ``rng.integers`` call.
+
+    ``Generator.choice`` draws k times in [0, n) with replacement. Without
+    it, it runs Floyd's sampler (one draw in [0, j] for j = n-k..n-1, each
+    taking j when its draw was taken before) and then a Fisher-Yates pass
+    over the k picks (one draw in [0, i] for i = k-1..1). A population above
+    10,000 with k above n // 50 takes a Fisher-Yates pass over the last k
+    slots of range(n) instead. ``integers`` with an array of bounds makes the
+    same bounded draw per entry, so all the draws are made first, in order,
+    and then replayed.
+    """
+    highs = []
+    for n in sizes:
+        if n < k:
+            highs += [n] * k
+        elif n > 10_000 and k > n // 50:
+            highs += range(n, max(n - k, 1), -1)
+        else:
+            highs += range(n - k + 1, n + 1)
+            highs += range(k, 1, -1)
+    draws = iter(rng.integers(0, highs).tolist())
+    out = []
+    for n in sizes:
+        if n < k:
+            out.append([next(draws) for _ in range(k)])
+        elif n > 10_000 and k > n // 50:
+            moved = {}  # the slots of range(n) the pass has swapped
+            for i in range(n - 1, max(n - k, 1) - 1, -1):
+                j = next(draws)
+                moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
+            out.append([moved.get(i, i) for i in range(n - k, n)])
+        else:
+            picks, seen = [], set()
+            for j in range(n - k, n):
+                pick = next(draws)
+                if pick in seen:  # every earlier pick is below j
+                    pick = j
+                seen.add(pick)
+                picks.append(pick)
+            for i in range(k - 1, 0, -1):
+                j = next(draws)
+                picks[i], picks[j] = picks[j], picks[i]
+            out.append(picks)
+    return out
+
+
 def pk_sample(labels: PseudoLabelSet, p: int, k: int, rng) -> np.ndarray:
     """P distinct coarse labels, K members each (with replacement only when a
     cluster is smaller than K); outliers never appear.
@@ -195,16 +243,17 @@ def pk_sample(labels: PseudoLabelSet, p: int, k: int, rng) -> np.ndarray:
     groups, and the coarse triplet would take its hardest positive from
     another identity. The members of each group are found once per label
     set (``PseudoLabelSet.coarse_groups``), not by a scan per batch.
+
+    The batch is the one that ``rng.choice`` of the P labels, then of each
+    label's K members, would draw, from the same stream: the labels' draws
+    come from one ``rng.integers`` call and all the members' from another.
     """
-    eligible, members = labels.coarse_groups
+    eligible, bounds, order = labels.coarse_groups
     if len(eligible) < p:
         raise ValueError(f"need {p} clusters for a batch, have {len(eligible)}")
-    chosen = rng.choice(eligible, size=p, replace=False)
-    picks = []
-    for label in chosen:
-        picks.append(rng.choice(members[label], size=k,
-                                replace=len(members[label]) < k))
-    return np.concatenate(picks)
+    chosen = [eligible[i] for i in _draw_choices(rng, [len(eligible)], p)[0]]
+    picks = _draw_choices(rng, [bounds[c + 1] - bounds[c] for c in chosen], k)
+    return order[[bounds[c] + i for c, pick in zip(chosen, picks) for i in pick]]
 
 
 def offline_epoch(state: EncoderState, raw: np.ndarray, cfg: TrainConfig,

@@ -11,7 +11,8 @@ within rounding, not bit for bit). The retrieval oracle scores mAP and CMC
 from a dense (Q, G) distance matrix and a dense (Q, G) hit matrix. The
 on-line oracles are the per-anchor loop triplet on a (B, B, d) difference
 tensor, the full-argsort bank positives, the spread-out loss through boolean
-masks over the bank, the per-label scan sampler, and the joint step that
+masks over the bank, the per-label scan sampler that draws with
+``rng.choice``, the per-parameter Adam step, and the joint step that
 computes every loss branch whatever its weight and weights them with the
 blend and total helpers the library used before its step did that arithmetic
 itself (plus the pretraining loop with its own inline copy of the step). The
@@ -33,13 +34,17 @@ from reidapt.data import (
     SynthSpec,
     _domain_transform,
 )
+from reidapt import encoder
 from reidapt.encoder import (
-    adam_step,
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    CLASSIFIER_PARAMS,
+    AdamSlot,
     backward,
     classifier_backward,
     classifier_forward,
     forward,
-    init_classifier,
     init_encoder,
     lr_at,
 )
@@ -453,6 +458,34 @@ def spread_loss(feats, bank, positives, margin):
     grad_feats = coef @ bank.v
     grad_v = coef.T @ feats
     return loss, grad_feats, grad_v
+
+
+def init_classifier(state, num_classes, rng):
+    """``encoder.init_classifier``, resetting the per-parameter slots that
+    ``adam_step`` keeps for the classifier as well."""
+    encoder.init_classifier(state, num_classes, rng)
+    for name in CLASSIFIER_PARAMS:
+        state.adam.pop(name, None)
+
+
+def adam_step(state, grads: dict, lr: float, weight_decay: float):
+    """One Adam update with decoupled weight decay on every listed parameter."""
+    for name, g in grads.items():
+        param = getattr(state, name)
+        slot = state.adam.get(name)
+        if slot is None or slot.m.shape != param.shape:
+            slot = AdamSlot(np.zeros_like(param), np.zeros_like(param))
+            state.adam[name] = slot
+        slot.t += 1
+        slot.m = ADAM_BETA1 * slot.m + (1.0 - ADAM_BETA1) * g
+        slot.v = ADAM_BETA2 * slot.v + (1.0 - ADAM_BETA2) * (g * g)
+        m_hat = slot.m / (1.0 - ADAM_BETA1 ** slot.t)
+        v_hat = slot.v / (1.0 - ADAM_BETA2 ** slot.t)
+        update = lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        if weight_decay:
+            update = update + lr * weight_decay * param
+        setattr(state, name, param - update)
+    state.step += 1
 
 
 def pk_sample(labels, p, k, rng):

@@ -1,10 +1,14 @@
+import copy
 import json
 
 import numpy as np
+import oracles
 import pytest
 from helpers import central_diff, rel_error
 
 from reidapt.encoder import (
+    CLASSIFIER_PARAMS,
+    ENCODER_PARAMS,
     EncoderState,
     adam_step,
     backward,
@@ -154,12 +158,19 @@ class TestClassifier:
             assert np.array_equal(getattr(state, k), v)
 
 
+def encoder_grads(state, **given):
+    """A gradient for each encoder parameter: the given ones, zeros for the
+    rest (Adam steps a parameter group as a whole)."""
+    return {name: given.get(name, np.zeros_like(getattr(state, name)))
+            for name in ENCODER_PARAMS}
+
+
 class TestAdam:
     def test_zero_grad_zero_decay_unchanged(self):
         rng = np.random.default_rng(13)
         state = random_state(rng)
         w1 = state.w1.copy()
-        adam_step(state, {"w1": np.zeros_like(w1)}, lr=0.1, weight_decay=0.0)
+        adam_step(state, encoder_grads(state, w1=np.zeros_like(w1)), lr=0.1, weight_decay=0.0)
         assert np.array_equal(state.w1, w1)
         assert state.step == 1
 
@@ -169,7 +180,7 @@ class TestAdam:
         g = np.full_like(state.w1, 0.5)
         start = state.w1.copy()
         for _ in range(25):
-            adam_step(state, {"w1": g}, lr=1e-3, weight_decay=0.0)
+            adam_step(state, encoder_grads(state, w1=g), lr=1e-3, weight_decay=0.0)
         assert np.all(state.w1 < start)
 
     def test_first_step_closed_form(self):
@@ -177,7 +188,7 @@ class TestAdam:
         state = random_state(rng)
         g = rng.standard_normal(state.w1.shape)
         start = state.w1.copy()
-        adam_step(state, {"w1": g}, lr=0.01, weight_decay=0.0)
+        adam_step(state, encoder_grads(state, w1=g), lr=0.01, weight_decay=0.0)
         want = start - 0.01 * g / (np.abs(g) + 1e-8)
         assert np.allclose(state.w1, want, atol=1e-12)
 
@@ -185,8 +196,39 @@ class TestAdam:
         rng = np.random.default_rng(16)
         state = random_state(rng)
         start = state.w1.copy()
-        adam_step(state, {"w1": np.zeros_like(start)}, lr=0.1, weight_decay=0.1)
+        adam_step(state, encoder_grads(state, w1=np.zeros_like(start)), lr=0.1,
+                  weight_decay=0.1)
         assert np.allclose(state.w1, start * (1.0 - 0.1 * 0.1), atol=1e-12)
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+    def test_matches_the_per_parameter_update(self, weight_decay):
+        # 60 steps on all six parameters, through classifier redraws at the
+        # same and at a new width, a deep copy that carries on mid-run and a
+        # direct write into a parameter: every parameter equals the
+        # per-parameter update's to the last bit after every step
+        rng = np.random.default_rng(17)
+        got = random_state(rng, classes=5)
+        want = copy.deepcopy(got)
+        for step in range(60):
+            if step in (20, 40):
+                classes = 5 if step == 20 else 9
+                init_classifier(got, classes, np.random.default_rng(step))
+                oracles.init_classifier(want, classes, np.random.default_rng(step))
+            if step == 30:
+                left, got = got, copy.deepcopy(got)
+                left_bytes = {name: getattr(left, name).tobytes() for name in ENCODER_PARAMS}
+            if step == 45:
+                got.w2[1, 2] = want.w2[1, 2] = 0.25
+            grads = {name: rng.standard_normal(getattr(got, name).shape)
+                     for name in (*ENCODER_PARAMS, *CLASSIFIER_PARAMS)}
+            lr = 10.0 ** rng.uniform(-4.0, -1.0)
+            adam_step(got, grads, lr, weight_decay)
+            oracles.adam_step(want, grads, lr, weight_decay)
+            for name in (*ENCODER_PARAMS, *CLASSIFIER_PARAMS):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (step, name)
+        assert got.step == want.step == 60
+        # the state left behind at the copy was not stepped with it
+        assert {name: getattr(left, name).tobytes() for name in ENCODER_PARAMS} == left_bytes
 
 
 # the adaptation and pretraining profiles the trainer builds from the

@@ -9,7 +9,7 @@ import pytest
 from conftest import adapt_config, standard_fixture
 from reidapt.cluster import CoarseClusters
 from reidapt.data import OUTLIER, SynthSpec, generate_synthetic
-from reidapt.encoder import forward, init_encoder
+from reidapt.encoder import forward, init_classifier, init_encoder
 from reidapt.losses import LossReport, batch_hard_triplet, cross_entropy
 from reidapt.membank import MemoryBank, init_bank
 from reidapt.refine import PseudoLabelSet, refine_labels
@@ -270,6 +270,36 @@ class TestPkSample:
             for _ in range(10):
                 assert np.array_equal(pk_sample(labels, p, 4, a),
                                       oracles.pk_sample(labels, p, 4, b))
+
+    @staticmethod
+    def assert_same_draws(labels, p, k, batches):
+        a, b = np.random.default_rng(0), np.random.default_rng(0)
+        for _ in range(batches):
+            got, want = pk_sample(labels, p, k, a), oracles.pk_sample(labels, p, k, b)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert a.integers(2**62) == b.integers(2**62)  # the streams end in step
+
+    @pytest.mark.parametrize("clusters", [32, 100, 640])
+    def test_batches_match_rng_choice(self, clusters):
+        # P=16, K=4 as in training, over clusters of 1 to 12 members (about
+        # a quarter smaller than K) and some outliers
+        rng = np.random.default_rng(clusters)
+        coarse = np.repeat(np.arange(clusters), rng.integers(1, 13, size=clusters))
+        coarse = rng.permutation(coarse)
+        coarse[rng.random(len(coarse)) < 0.05] = OUTLIER
+        self.assert_same_draws(label_set(coarse), 16, 4, batches=50)
+
+    def test_every_cluster_chosen(self):
+        coarse = np.repeat(np.arange(16), np.arange(1, 17))
+        self.assert_same_draws(label_set(coarse), 16, 4, batches=20)
+
+    @pytest.mark.parametrize("k", [239, 241])
+    def test_large_cluster_either_side_of_the_tail_shuffle(self, k):
+        # numpy's choice leaves Floyd's sampler for a tail shuffle when a
+        # population above 10,000 gives more than n // 50 (240 here) picks;
+        # a second cluster of 3 members draws with replacement
+        coarse = np.concatenate([np.zeros(12_000, dtype=np.int64), np.ones(3, dtype=np.int64)])
+        self.assert_same_draws(label_set(coarse), 2, k, batches=3)
 
 
 @pytest.fixture(scope="module")
@@ -564,9 +594,10 @@ class TestAgainstTheAllBranchStep:
     """Whole adaptation runs against the step that computes every branch."""
 
     @staticmethod
-    def run(monkeypatch, step, cfg, pretrained, raw):
+    def run(monkeypatch, step, redraw, cfg, pretrained, raw):
         import reidapt.trainer as trainer
         monkeypatch.setattr(trainer, "online_iteration", step)
+        monkeypatch.setattr(trainer, "init_classifier", redraw)
         bank0 = init_bank(forward(pretrained, raw)[0])
         rows = []
         state, history, bank = adapt(
@@ -580,13 +611,23 @@ class TestAgainstTheAllBranchStep:
                                losses=losses, loss_lines=loss_csv_lines(rows),
                                bank=bank.v, bank0=bank0.v)
 
+    @classmethod
+    def both(cls, monkeypatch, cfg):
+        """The library's run after its own pretraining, and the all-branch
+        step's after the oracle pretraining: both chains keep their Adam
+        moments from pretraining into adaptation, and each resets its
+        classifier's at every redraw."""
+        source, train, _, _ = small_fixture()
+        got = cls.run(monkeypatch, online_iteration, init_classifier, cfg,
+                      pretrain_source(source.raw, source.identity, cfg), train.raw)
+        want = cls.run(monkeypatch, oracles.online_iteration, oracles.init_classifier, cfg,
+                       oracles.pretrain_source(source.raw, source.identity, cfg), train.raw)
+        return got, want
+
     @pytest.mark.parametrize("mode", ["instant", "momentum"])
     def test_full_weights_are_bit_identical(self, monkeypatch, mode):
-        source, train, _, _ = small_fixture()
         cfg = small_config(epochs=2, alpha=0.5, mu=0.1, bank_mode=mode)
-        pretrained = pretrain_source(source.raw, source.identity, cfg)
-        got = self.run(monkeypatch, online_iteration, cfg, pretrained, train.raw)
-        want = self.run(monkeypatch, oracles.online_iteration, cfg, pretrained, train.raw)
+        got, want = self.both(monkeypatch, cfg)
         for name in ("w1", "b1", "w2", "b2", "wc", "bc"):
             assert getattr(got.state, name).tobytes() == getattr(want.state, name).tobytes()
         assert got.metrics == want.metrics
@@ -597,11 +638,8 @@ class TestAgainstTheAllBranchStep:
             assert all(np.isfinite(float(field)) for field in line.split(","))
 
     def test_baseline_differs_only_in_spread_and_bank(self, monkeypatch):
-        source, train, _, _ = small_fixture()
         cfg = small_config(epochs=2, alpha=0.0, mu=0.0)
-        pretrained = pretrain_source(source.raw, source.identity, cfg)
-        got = self.run(monkeypatch, online_iteration, cfg, pretrained, train.raw)
-        want = self.run(monkeypatch, oracles.online_iteration, cfg, pretrained, train.raw)
+        got, want = self.both(monkeypatch, cfg)
         for name in ("w1", "b1", "w2", "b2", "wc", "bc"):
             assert getattr(got.state, name).tobytes() == getattr(want.state, name).tobytes()
 

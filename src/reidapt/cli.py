@@ -66,7 +66,7 @@ def _emit(doc: dict, human_lines=()):
 
 def _load_config(args) -> TrainConfig:
     doc = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config) as fh:
                 doc = json.load(fh)
@@ -76,7 +76,7 @@ def _load_config(args) -> TrainConfig:
             raise CliError(f"config is not valid JSON: {err}", EXIT_USAGE)
         if not isinstance(doc, dict):
             raise CliError("config must be a JSON object", EXIT_USAGE)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         doc["seed"] = args.seed
     try:
         return TrainConfig.from_dict(doc)

@@ -25,35 +25,11 @@ GALLERY_PER_IDENTITY = 6
 
 
 class FeatureFileError(Exception):
-    """Base error for the binary feature container."""
-
-
-class BadMagicError(FeatureFileError):
-    pass
-
-
-class TruncatedFileError(FeatureFileError):
-    pass
-
-
-class DimensionMismatchError(FeatureFileError):
-    pass
+    """A binary feature container is malformed or cannot hold the matrix."""
 
 
 class LabelFileError(Exception):
-    """Base error for label CSV files."""
-
-
-class SchemaError(LabelFileError):
-    pass
-
-
-class FieldError(LabelFileError):
-    pass
-
-
-class DuplicateIndexError(LabelFileError):
-    pass
+    """A label CSV file is malformed."""
 
 
 @dataclass
@@ -89,9 +65,6 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self):
         for name in ("num_identities", "samples_per_identity", "num_cameras", "d_in"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -173,7 +146,7 @@ def write_features(path, m: np.ndarray):
     """Write a matrix to ``path`` in the DRFT container (float32 payload)."""
     m = np.asarray(m)
     if m.ndim != 2:
-        raise DimensionMismatchError(f"expected a 2-D matrix, got shape {m.shape}")
+        raise FeatureFileError(f"expected a 2-D matrix, got shape {m.shape}")
     n, d = m.shape
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -187,15 +160,15 @@ def read_features(path) -> np.ndarray:
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != MAGIC:
-        raise BadMagicError(f"{path}: bad magic {blob[:4]!r}")
+        raise FeatureFileError(f"{path}: bad magic {blob[:4]!r}")
     if len(blob) < 12:
-        raise TruncatedFileError(f"{path}: header incomplete")
+        raise FeatureFileError(f"{path}: header incomplete")
     n, d = struct.unpack("<II", blob[4:12])
     expected = 12 + 4 * n * d
     if len(blob) < expected:
-        raise TruncatedFileError(f"{path}: payload has {len(blob) - 12} bytes, wants {4 * n * d}")
+        raise FeatureFileError(f"{path}: payload has {len(blob) - 12} bytes, wants {4 * n * d}")
     if len(blob) > expected:
-        raise DimensionMismatchError(f"{path}: {len(blob) - expected} trailing bytes")
+        raise FeatureFileError(f"{path}: {len(blob) - expected} trailing bytes")
     payload = np.frombuffer(blob, dtype="<f4", offset=12)
     if not np.all(np.isfinite(payload)):
         raise FeatureFileError(f"{path}: payload holds a NaN or infinite value")
@@ -220,7 +193,7 @@ def read_labels(path):
         fields = reader.fieldnames or []
         missing = {"index", "identity", "camera"} - set(fields)
         if missing:
-            raise SchemaError(f"{path}: missing column(s) {sorted(missing)}")
+            raise LabelFileError(f"{path}: missing column(s) {sorted(missing)}")
         rows = {}
         for rec in reader:
             try:
@@ -228,15 +201,15 @@ def read_labels(path):
                 ident = int(rec["identity"])
                 cam = int(rec["camera"])
             except (TypeError, ValueError):
-                raise FieldError(f"{path}: non-integer field in row {rec}") from None
+                raise LabelFileError(f"{path}: non-integer field in row {rec}") from None
             if idx in rows:
-                raise DuplicateIndexError(f"{path}: duplicate index {idx}")
+                raise LabelFileError(f"{path}: duplicate index {idx}")
             rows[idx] = (ident, cam)
     if not rows:
-        raise SchemaError(f"{path}: no data rows")
+        raise LabelFileError(f"{path}: no data rows")
     n = len(rows)
     if sorted(rows) != list(range(n)):
-        raise SchemaError(f"{path}: indices must cover 0..{n - 1} exactly")
+        raise LabelFileError(f"{path}: indices must cover 0..{n - 1} exactly")
     identity = np.array([rows[i][0] for i in range(n)], dtype=np.int64)
     camera = np.array([rows[i][1] for i in range(n)], dtype=np.int64)
     return identity, camera

@@ -266,14 +266,6 @@ def _dense_row_sums(indptr: np.ndarray, indices: np.ndarray, values: np.ndarray,
     return sums
 
 
-def _transposes(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Position of each stored entry's transpose in a CSR matrix with a
-    symmetric pattern and ascending columns in each row."""
-    n = len(indptr) - 1
-    rows = np.repeat(np.arange(n), np.diff(indptr))
-    return np.searchsorted(rows * n + indices, indices * n + rows)
-
-
 def _jaccard_blocks(indptr: np.ndarray, indices: np.ndarray, d_s: np.ndarray,
                     mirror: np.ndarray, rowsum: np.ndarray):
     """Per block of rows, the ascending pair keys i * n + j of the pairs
@@ -328,7 +320,7 @@ def _jaccard_blocks(indptr: np.ndarray, indices: np.ndarray, d_s: np.ndarray,
 
 
 def jaccard_distance(indptr: np.ndarray, indices: np.ndarray, d_s: np.ndarray,
-                     mirror: np.ndarray | None = None):
+                     mirror: np.ndarray):
     """1 - min-sum / max-sum of similarity row pairs, for the pairs that share
     a nonzero column.
 
@@ -336,9 +328,9 @@ def jaccard_distance(indptr: np.ndarray, indices: np.ndarray, d_s: np.ndarray,
     each row, so column k's nonzero rows are row k's members. Each k
     contributes min(d_s[k, i], d_s[k, j]) to every pair i < j of its members,
     in ascending k; max-sum is rowsum_i + rowsum_j - min-sum. ``mirror``
-    gives each stored entry's transpose, as ``ReciprocalSets.mirror`` does;
-    it is searched for when not given. Returns (pairs, d_j), pairs (E, 2)
-    with i < j in row-major order; every other pair is at 1.0.
+    gives each stored entry's transpose, as ``ReciprocalSets.mirror`` does.
+    Returns (pairs, d_j), pairs (E, 2) with i < j in row-major order; every
+    other pair is at 1.0.
 
     The row sums come first, so each block of rows turns its min-sums into
     distances at once. The pairs are then written into the (E, 2) output a
@@ -351,8 +343,6 @@ def jaccard_distance(indptr: np.ndarray, indices: np.ndarray, d_s: np.ndarray,
         raise ValueError("similarity matrix must be nonnegative")
     n = len(indptr) - 1
     rowsum = _dense_row_sums(indptr, indices, d_s)
-    if mirror is None:
-        mirror = _transposes(indptr, indices)
     keys, d_j = _jaccard_blocks(indptr, indices, d_s, mirror, rowsum)
     pairs = np.empty((sum(len(key) for key in keys), 2), dtype=np.int64)
     stop = len(pairs)

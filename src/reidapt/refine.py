@@ -35,10 +35,6 @@ class PseudoLabelSet:
         if top >= self.num_clusters:
             raise ValueError(f"labels must lie below num_clusters={self.num_clusters}")
 
-    @property
-    def non_outliers(self) -> np.ndarray:
-        return np.flatnonzero(self.coarse != OUTLIER)
-
     @cached_property
     def coarse_groups(self) -> tuple[list[int], list[int], np.ndarray]:
         """(labels, bounds, order): the coarse labels some sample holds,
@@ -53,7 +49,7 @@ class PseudoLabelSet:
 
     def relabel_fraction(self) -> float:
         """Fraction of non-outlier samples whose refined label moved."""
-        keep = self.non_outliers
+        keep = np.flatnonzero(self.coarse != OUTLIER)
         if len(keep) == 0:
             return 0.0
         return float(np.mean(self.coarse[keep] != self.refined[keep]))

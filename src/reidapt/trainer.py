@@ -88,9 +88,6 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self):
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type in (int, "int") and not _is_int(value):
@@ -406,7 +403,7 @@ def pretrain_source(raw: np.ndarray, identities: np.ndarray,
 
 def source_top1_accuracy(state: EncoderState, raw: np.ndarray,
                          identities: np.ndarray) -> float:
-    classes, ids = np.unique(identities, return_inverse=True)
+    _, ids = np.unique(identities, return_inverse=True)
     probs = classifier_forward(state, forward(state, raw)[0])
     return float(np.mean(np.argmax(probs, axis=1) == ids))
 

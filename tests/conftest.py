@@ -2,6 +2,7 @@
 
 import copy
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,6 +43,25 @@ REFINE_SETTINGS = dict(pretrain_epochs=30, eps_percentile=1.1, min_pts=12,
 
 def standard_fixture(seed):
     return generate_synthetic(SynthSpec(seed=seed, **STANDARD_DATA))
+
+
+# TrainConfig fields that source pretraining does not read.
+_ADAPTATION_ONLY = ("eps_percentile", "min_pts", "fine_clusters", "epochs")
+_pretrained = {}
+
+
+def pretrained_standard(seed, cfg):
+    """A deep copy of the encoder pretrained under ``cfg`` on the source split
+    of ``standard_fixture(seed)``. Each distinct pretraining runs once per
+    session, on the first call that needs it; configs that differ only in
+    ``_ADAPTATION_ONLY`` fields share it. A copy, because ``adapt`` mutates
+    the state it is given."""
+    key = (seed, replace(cfg, **{name: getattr(TrainConfig, name)
+                                 for name in _ADAPTATION_ONLY}))
+    if key not in _pretrained:
+        source = standard_fixture(seed)[0]
+        _pretrained[key] = pretrain_source(source.raw, source.identity, cfg)
+    return copy.deepcopy(_pretrained[key])
 
 
 def adapt_config(seed, **kw):

@@ -1,11 +1,12 @@
 """Reference implementations the library used before it was optimised.
 
 The off-line oracles are the dense N x N labeling chain the library used
-before it went k-NN-sparse, the blocked k-NN that took the square root of
-every distance and selected through a (rows, N) mask before it ranked on
-squared distances by flat index, the Lloyd iterations on an (m, r, d)
-difference tensor it used before it filled its distances one center at a
-time, and the refinement scores averaged from one (N, R_l) product per
+before it went k-NN-sparse, the transpose search the sparse Jaccard made
+when it was not given the reciprocal sets' mirror, the blocked k-NN that
+took the square root of every distance and selected through a (rows, N)
+mask before it ranked on squared distances by flat index, the Lloyd
+iterations on an (m, r, d) difference tensor it used before it filled its
+distances one center at a time, and the refinement scores averaged from one (N, R_l) product per
 cluster before they became one product with the prototype means (those agree
 within rounding, not bit for bit). The retrieval oracle scores mAP and CMC
 from a dense (Q, G) distance matrix and a dense (Q, G) hit matrix. The
@@ -252,6 +253,14 @@ def csr_to_dense(indptr, indices, values, n):
     rows = np.repeat(np.arange(n), np.diff(indptr))
     out[rows, indices] = values
     return out
+
+
+def transposes(indptr, indices):
+    """Position of each stored entry's transpose in a CSR matrix with a
+    symmetric pattern and ascending columns in each row."""
+    n = len(indptr) - 1
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    return np.searchsorted(rows * n + indices, indices * n + rows)
 
 
 def smallest_k(values, k, work):

@@ -20,6 +20,7 @@ from conftest import (
     PANEL_SEEDS,
     STREAM_SPREAD,
     adapt_config,
+    pretrained_standard,
     refine_config,
     retrieval_map,
     standard_fixture,
@@ -361,9 +362,9 @@ def test_criterion_label_refinement_benefit():
     t0 = time.time()
     wins = []
     for seed in PANEL_SEEDS:
-        source, train, _, _ = standard_fixture(seed)
+        train = standard_fixture(seed)[1]
         cfg = refine_config(seed)
-        state = pretrain_source(source.raw, source.identity, cfg)
+        state = pretrained_standard(seed, cfg)
         es = offline_epoch(state, train.raw, cfg, 0, truth=train.identity)
         wins.append(es.fscore_refined >= es.fscore_coarse)
     elapsed = time.time() - t0

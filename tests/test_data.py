@@ -3,14 +3,9 @@ import pytest
 
 import oracles
 from reidapt.data import (
-    BadMagicError,
-    DimensionMismatchError,
-    DuplicateIndexError,
     FeatureFileError,
-    FieldError,
-    SchemaError,
+    LabelFileError,
     SynthSpec,
-    TruncatedFileError,
     generate_synthetic,
     l2_normalize,
     read_features,
@@ -129,7 +124,7 @@ class TestFeatureFiles:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.drft"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(BadMagicError):
+        with pytest.raises(FeatureFileError, match="bad.drft: bad magic b'NOPE'"):
             read_features(path)
 
     def test_truncated_payload(self, tmp_path):
@@ -137,20 +132,20 @@ class TestFeatureFiles:
         write_features(path, np.ones((3, 4)))
         blob = path.read_bytes()
         path.write_bytes(blob[:-4])  # drop one float32
-        with pytest.raises(TruncatedFileError):
+        with pytest.raises(FeatureFileError, match="trunc.drft: payload has 44 bytes, wants 48"):
             read_features(path)
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "hdr.drft"
         path.write_bytes(b"DRFT\x01\x00")
-        with pytest.raises(TruncatedFileError):
+        with pytest.raises(FeatureFileError, match="hdr.drft: header incomplete"):
             read_features(path)
 
     def test_trailing_bytes(self, tmp_path):
         path = tmp_path / "long.drft"
         write_features(path, np.ones((2, 2)))
         path.write_bytes(path.read_bytes() + b"\x00\x00\x00\x00")
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(FeatureFileError, match="long.drft: 4 trailing bytes"):
             read_features(path)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -163,7 +158,7 @@ class TestFeatureFiles:
             read_features(path)
 
     def test_write_rejects_non_matrix(self, tmp_path):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(FeatureFileError, match=r"expected a 2-D matrix, got shape \(5,\)"):
             write_features(tmp_path / "v.drft", np.ones(5))
 
 
@@ -184,25 +179,25 @@ class TestLabelFiles:
     def test_duplicate_index(self, tmp_path):
         path = tmp_path / "labels.csv"
         path.write_text("index,identity,camera\n5,1,0\n5,2,1\n")
-        with pytest.raises(DuplicateIndexError):
+        with pytest.raises(LabelFileError, match="labels.csv: duplicate index 5"):
             read_labels(path)
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "labels.csv"
         path.write_text("index,identity\n0,1\n")
-        with pytest.raises(SchemaError):
+        with pytest.raises(LabelFileError, match=r"labels.csv: missing column\(s\) \['camera'\]"):
             read_labels(path)
 
     def test_non_integer_field(self, tmp_path):
         path = tmp_path / "labels.csv"
         path.write_text("index,identity,camera\n0,abc,0\n")
-        with pytest.raises(FieldError):
+        with pytest.raises(LabelFileError, match="labels.csv: non-integer field in row"):
             read_labels(path)
 
     def test_gap_in_indices(self, tmp_path):
         path = tmp_path / "labels.csv"
         path.write_text("index,identity,camera\n0,1,0\n2,1,0\n")
-        with pytest.raises(SchemaError):
+        with pytest.raises(LabelFileError, match=r"labels.csv: indices must cover 0..1 exactly"):
             read_labels(path)
 
 

@@ -68,8 +68,15 @@ def csr_of(d_s):
     return indptr, cols, d_s[rows, cols]
 
 
+def jaccard_of(d_s):
+    """``jaccard_distance`` of a dense symmetric similarity, with the mirror
+    from the transpose oracle."""
+    indptr, indices, values = csr_of(d_s)
+    return jaccard_distance(indptr, indices, values, oracles.transposes(indptr, indices))
+
+
 def sparse_jaccard(d_s):
-    pairs, d_j = jaccard_distance(*csr_of(d_s))
+    pairs, d_j = jaccard_of(d_s)
     return to_dense(SparseDistances(n=len(d_s), pairs=pairs, values=d_j))
 
 
@@ -281,7 +288,7 @@ class TestReciprocalSets:
             assert sets.mirror.dtype == np.int64
             assert np.array_equal(rows[sets.mirror], sets.indices)
             assert np.array_equal(sets.indices[sets.mirror], rows)
-            assert sets.mirror.tobytes() == graph._transposes(sets.indptr, sets.indices).tobytes()
+            assert sets.mirror.tobytes() == oracles.transposes(sets.indptr, sets.indices).tobytes()
 
     def test_dist_is_the_mean_of_both_knn_distances(self):
         # (i, j) holds 0.5 * (d_ij + d_ji) of the k-NN's own distances, in
@@ -342,7 +349,7 @@ class TestJaccardDistance:
                         [0.0, 1.0, 0.0, 0.0],
                         [0.0, 0.0, 1.0, 0.4],
                         [0.0, 0.0, 0.4, 1.0]])
-        pairs, d_j = jaccard_distance(*csr_of(d_s))
+        pairs, d_j = jaccard_of(d_s)
         assert pairs.tolist() == [[2, 3]]  # the only pair sharing a member
         dense = sparse_jaccard(d_s)
         assert dense[0, 1] == 1.0
@@ -371,7 +378,7 @@ class TestJaccardDistance:
     def test_rejects_negative_similarity(self):
         with pytest.raises(ValueError):
             jaccard_distance(np.array([0, 2, 4]), np.array([0, 1, 0, 1]),
-                             np.array([1.0, -0.1, -0.1, 1.0]))
+                             np.array([1.0, -0.1, -0.1, 1.0]), np.array([0, 2, 1, 3]))
 
     def test_blob_monotone_sanity(self):
         rng = np.random.default_rng(9)
@@ -387,7 +394,7 @@ class TestJaccardDistance:
 def assert_jaccard_matches_oracle(d_s):
     """The sparse Jaccard of a dense symmetric d_S, byte for byte against the
     dense oracle; the stored pairs are exactly those that share a column."""
-    pairs, d_j = jaccard_distance(*csr_of(d_s))
+    pairs, d_j = jaccard_of(d_s)
     got = to_dense(SparseDistances(n=len(d_s), pairs=pairs, values=d_j))
     assert got.tobytes() == oracles.jaccard_distance(d_s).tobytes()
     support = (d_s > 0).astype(np.int64)
@@ -654,10 +661,10 @@ class TestMemory:
         sets, d_s = probe_sets()
         sizes = np.diff(sets.indptr)
         terms = int(np.sum(sizes * (sizes - 1) // 2))
-        jaccard_distance(*csr_of(np.eye(3)))  # warm up the imports
+        jaccard_of(np.eye(3))  # warm up the imports
         tracemalloc.start()
         try:
-            jaccard_distance(sets.indptr, sets.indices, d_s)
+            jaccard_distance(sets.indptr, sets.indices, d_s, sets.mirror)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -694,9 +701,9 @@ class TestMemory:
         # the size of all C terms (974,662 here, 8 MB per term array).
         sets, d_s = probe_sets()
         nnz = len(sets.indices)
-        jaccard_distance(*csr_of(np.eye(3)))  # warm up the imports
-        pairs = len(jaccard_distance(sets.indptr, sets.indices, d_s)[1])
-        peak = traced_peak(jaccard_distance, sets.indptr, sets.indices, d_s)
+        jaccard_of(np.eye(3))  # warm up the imports
+        pairs = len(jaccard_distance(sets.indptr, sets.indices, d_s, sets.mirror)[1])
+        peak = traced_peak(jaccard_distance, sets.indptr, sets.indices, d_s, sets.mirror)
         bound = 8 * (4 * nnz + 8 * pairs + 8 * graph._CHUNK_ENTRIES)
         assert peak < bound, f"peak {peak} bytes, {nnz} entries, {pairs} pairs"
 
@@ -704,11 +711,9 @@ class TestMemory:
         # The (E, 2) pairs and (E,) distances, the blocks' keys and distances
         # they are assembled from, and one chunk: no concatenated copy of
         # the keys or min-sums, and no E-sized divmod, gather or d_J
-        # temporaries (7.25 MiB here when those were formed whole). The
-        # mirror comes from the reciprocal sets, as build_distance_graph
-        # passes it.
+        # temporaries (7.25 MiB here when those were formed whole).
         sets, d_s = probe_sets()
-        jaccard_distance(*csr_of(np.eye(3)))  # warm up the imports
+        jaccard_of(np.eye(3))  # warm up the imports
         pairs = len(jaccard_distance(sets.indptr, sets.indices, d_s, sets.mirror)[1])
         peak = traced_peak(jaccard_distance, sets.indptr, sets.indices, d_s, sets.mirror)
         bound = 8 * (3 * pairs + 2 * pairs + graph._CHUNK_ENTRIES)

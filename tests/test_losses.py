@@ -203,9 +203,9 @@ class TestBlendAndTotal:
         # the blend weight lives in the config the joint step reads
         for alpha in (1.3, -0.1):
             with pytest.raises(ValueError):
-                TrainConfig(alpha=alpha).validate()
-        TrainConfig(alpha=0.0).validate()
-        TrainConfig(alpha=1.0).validate()
+                TrainConfig(alpha=alpha)
+        TrainConfig(alpha=0.0)
+        TrainConfig(alpha=1.0)
 
     def test_gradient_additivity(self):
         # joint gradient w.r.t. features is the weighted sum of parts

@@ -6,7 +6,7 @@ import numpy as np
 import oracles
 import pytest
 
-from conftest import adapt_config, standard_fixture
+from conftest import PANEL_SEEDS, adapt_config, pretrained_standard, standard_fixture
 from reidapt.cluster import CoarseClusters
 from reidapt.data import OUTLIER, SynthSpec, generate_synthetic
 from reidapt.encoder import forward, init_classifier, init_encoder
@@ -54,7 +54,6 @@ class TestTrainConfig:
         assert cfg.batch_size == 64
         assert cfg.bank_tau == 0.01
         assert cfg.weight_decay == 5e-4
-        cfg.validate()
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError) as err:
@@ -757,15 +756,11 @@ class TestFscoreTrend:
         # standard fixture, coarse F rarely regresses between epochs. Flutter
         # below 0.005 near saturation does not count as a regression.
         ups = transitions = 0
-        for seed in range(11, 21):
-            spec = SynthSpec(num_identities=64, samples_per_identity=20,
-                             num_cameras=4, d_in=32, identity_spread=1.0,
-                             intra_noise=0.6, camera_shift_scale=0.6,
-                             domain_shift=12.0, seed=seed)
-            source, train, _, _ = generate_synthetic(spec)
+        for seed in PANEL_SEEDS:
+            train = standard_fixture(seed)[1]
             cfg = TrainConfig(pretrain_epochs=30, epochs=8, eps_percentile=0.5,
                               min_pts=8, seed=seed)
-            state = pretrain_source(source.raw, source.identity, cfg)
+            state = pretrained_standard(seed, cfg)
             _, history, _ = adapt(state, train.raw, cfg, truth=train.identity)
             fc = [m.fscore_coarse for m in history]
             ups += sum(1 for i in range(len(fc) - 1) if fc[i + 1] >= fc[i] - 5e-3)

@@ -43,7 +43,7 @@ print(f"DBSCAN: {coarse.num_clusters} clusters, "
 labels, protos = refine_labels(feats, coarse, r=5, seed=13)
 moved = labels.relabel_fraction()
 
-_, _, f_coarse, _ = pairwise_fscore(labels.coarse, train.identity)
-_, _, f_refined, _ = pairwise_fscore(labels.refined, train.identity)
+_, _, f_coarse = pairwise_fscore(labels.coarse, train.identity)
+_, _, f_refined = pairwise_fscore(labels.refined, train.identity)
 print(f"\nprototype refinement moved {100 * moved:.1f}% of the samples")
 print(f"pairwise F-score: coarse {f_coarse:.3f} -> refined {f_refined:.3f}")

@@ -8,28 +8,3 @@ instant memory bank.
 """
 
 __version__ = "0.1.0"
-
-from .data import (
-    OUTLIER,
-    Dataset,
-    SynthSpec,
-    generate_synthetic,
-    l2_normalize,
-    read_features,
-    read_labels,
-    write_features,
-    write_labels,
-)
-
-__all__ = [
-    "OUTLIER",
-    "Dataset",
-    "SynthSpec",
-    "generate_synthetic",
-    "l2_normalize",
-    "read_features",
-    "read_labels",
-    "write_features",
-    "write_labels",
-    "__version__",
-]

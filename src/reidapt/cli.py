@@ -12,6 +12,7 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -121,7 +122,7 @@ def _check_parent(path):
 def _write_manifest(run_dir: Path, cfg: TrainConfig, command, data_dir, artifacts):
     manifest = {
         "command": command,
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "seed": cfg.seed,
         "data_dir": str(data_dir),
         "artifacts": {k: str(v) for k, v in artifacts.items()},
@@ -130,7 +131,6 @@ def _write_manifest(run_dir: Path, cfg: TrainConfig, command, data_dir, artifact
     }
     with open(run_dir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
-    return manifest
 
 
 def _out_dir(path) -> Path | None:
@@ -304,7 +304,7 @@ def cmd_cluster(args):
         "relabeled_fraction": es.labels.relabel_fraction(),
     }
     labels = es.labels
-    precision, recall, fscore, _ = pairwise_fscore(labels.refined, identity)
+    precision, recall, fscore = pairwise_fscore(labels.refined, identity)
     doc.update(precision=precision, recall=recall, fscore=fscore,
                fscore_coarse=pairwise_fscore(labels.coarse, identity)[2],
                fscore_refined=fscore)
@@ -335,7 +335,7 @@ def cmd_eval(args):
            "num_queries": len(q_raw), "num_gallery": len(g_raw)}
     if args.cluster_stats:
         es = offline_epoch(state, raw, cfg, epoch=0)
-        precision, recall, fscore, _ = pairwise_fscore(es.labels.refined, identity)
+        precision, recall, fscore = pairwise_fscore(es.labels.refined, identity)
         doc.update(precision=precision, recall=recall, fscore=fscore,
                    N=len(raw), N_outlier=es.outliers)
     _emit(doc, [f"mAP {result.map:.4f}  R1 {result.r1:.4f}  "

@@ -12,13 +12,6 @@ from .data import OUTLIER
 
 
 @dataclass
-class PairCounts:
-    tp: int
-    fp: int
-    fn: int
-
-
-@dataclass
 class RetrievalResult:
     map: float
     cmc: np.ndarray  # full curve, cmc[r-1] = rank-r accuracy
@@ -49,7 +42,7 @@ def pairwise_fscore(pseudo: np.ndarray, truth: np.ndarray):
 
     Outlier samples (pseudo == OUTLIER) are dropped from the pair universe.
     Degenerate denominators (no same-pseudo or no same-truth pair) give 0.
-    Returns (precision, recall, fscore, PairCounts).
+    Returns (precision, recall, fscore).
     """
     pseudo = np.asarray(pseudo)
     truth = np.asarray(truth)
@@ -67,7 +60,7 @@ def pairwise_fscore(pseudo: np.ndarray, truth: np.ndarray):
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     fscore = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return precision, recall, fscore, PairCounts(tp, fp, fn)
+    return precision, recall, fscore
 
 
 def retrieval_eval(query_feats, query_ids, query_cams,

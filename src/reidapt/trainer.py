@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -142,14 +142,9 @@ class TrainConfig:
         doc = {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
         return cls(**doc)
 
-    def to_dict(self) -> dict:
-        doc = asdict(self)
-        return {k: list(v) if isinstance(v, tuple) else v for k, v in doc.items()}
-
 
 @dataclass
 class EpochState:
-    epoch: int
     labels: PseudoLabelSet
     num_clusters: int
     outliers: int
@@ -188,18 +183,16 @@ def _draw_choices(rng, sizes: list[int], k: int) -> list[list[int]]:
     ``Generator.choice`` draws k times in [0, n) with replacement. Without
     it, it runs Floyd's sampler (one draw in [0, j] for j = n-k..n-1, each
     taking j when its draw was taken before) and then a Fisher-Yates pass
-    over the k picks (one draw in [0, i] for i = k-1..1). A population above
-    10,000 with k above n // 50 takes a Fisher-Yates pass over the last k
-    slots of range(n) instead. ``integers`` with an array of bounds makes the
-    same bounded draw per entry, so all the draws are made first, in order,
-    and then replayed.
+    over the k picks (one draw in [0, i] for i = k-1..1). ``integers`` with
+    an array of bounds makes the same bounded draw per entry, so all the
+    draws are made first, in order, and then replayed. Above 10,000 members
+    with k above n // 50, ``choice`` takes a tail shuffle instead; there this
+    keeps to Floyd's sampler, whose k distinct picks are not ``choice``'s.
     """
     highs = []
     for n in sizes:
         if n < k:
             highs += [n] * k
-        elif n > 10_000 and k > n // 50:
-            highs += range(n, max(n - k, 1), -1)
         else:
             highs += range(n - k + 1, n + 1)
             highs += range(k, 1, -1)
@@ -208,12 +201,6 @@ def _draw_choices(rng, sizes: list[int], k: int) -> list[list[int]]:
     for n in sizes:
         if n < k:
             out.append([next(draws) for _ in range(k)])
-        elif n > 10_000 and k > n // 50:
-            moved = {}  # the slots of range(n) the pass has swapped
-            for i in range(n - 1, max(n - k, 1) - 1, -1):
-                j = next(draws)
-                moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
-            out.append([moved.get(i, i) for i in range(n - k, n)])
         else:
             picks, seen = [], set()
             for j in range(n - k, n):
@@ -242,8 +229,9 @@ def pk_sample(labels: PseudoLabelSet, p: int, k: int, rng) -> np.ndarray:
     set (``PseudoLabelSet.coarse_groups``), not by a scan per batch.
 
     The batch is the one that ``rng.choice`` of the P labels, then of each
-    label's K members, would draw, from the same stream: the labels' draws
-    come from one ``rng.integers`` call and all the members' from another.
+    label's K members, would draw, from the same stream, below numpy's
+    tail-shuffle threshold (``_draw_choices``): the labels' draws come from
+    one ``rng.integers`` call and all the members' from another.
     """
     eligible, bounds, order = labels.coarse_groups
     if len(eligible) < p:
@@ -271,7 +259,7 @@ def offline_epoch(state: EncoderState, raw: np.ndarray, cfg: TrainConfig,
     labels, _ = refine_labels(feats, coarse, cfg.fine_clusters,
                               seed=(cfg.seed, _ADAPT_STREAM, epoch))
     es = EpochState(
-        epoch=epoch, labels=labels, num_clusters=coarse.num_clusters,
+        labels=labels, num_clusters=coarse.num_clusters,
         outliers=int(np.sum(coarse.assignment == OUTLIER)),
         eps=eps, d_j=d_j if keep_graph else None,
     )
@@ -456,27 +444,17 @@ def adapt(state: EncoderState, raw: np.ndarray, cfg: TrainConfig,
     return state, history, bank
 
 
-def _fmt(value) -> str:
-    return "" if value is None else repr(value)
+def _csv_lines(header, rows) -> list[str]:
+    """The header line, then one line per row; a None cell is left empty."""
+    return [",".join(header)] + [",".join("" if v is None else str(v) for v in row)
+                                 for row in rows]
 
 
 def metrics_csv_lines(history) -> list[str]:
-    lines = ["epoch,num_clusters,outliers,fscore_coarse,fscore_refined,cls,tri,spread,total"]
-    for m in history:
-        lines.append(",".join([
-            str(m.epoch), str(m.num_clusters), str(m.outliers),
-            _fmt(m.fscore_coarse), _fmt(m.fscore_refined),
-            _fmt(m.cls), _fmt(m.tri), _fmt(m.spread), _fmt(m.total),
-        ]))
-    return lines
+    return _csv_lines([f.name for f in fields(EpochMetrics)], map(astuple, history))
 
 
 def loss_csv_lines(rows) -> list[str]:
     """rows: iterable of (epoch, iteration, LossReport)."""
-    lines = ["epoch,iter,cls,tri,spread,total"]
-    for epoch, iteration, r in rows:
-        lines.append(",".join([
-            str(epoch), str(iteration),
-            _fmt(r.cls), _fmt(r.tri), _fmt(r.spread), _fmt(r.total),
-        ]))
-    return lines
+    return _csv_lines(["epoch", "iter", *(f.name for f in fields(LossReport))],
+                      ((epoch, iteration, *astuple(r)) for epoch, iteration, r in rows))

@@ -601,6 +601,7 @@ class TestManifestAndDeterminism:
                       "ckpt_epoch_001.drft"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
+    @pytest.mark.filterwarnings(r"ignore:.*only \d+ clusters; reducing batch labels:UserWarning")
     def test_seed_flag_overrides_config(self, data_dir, tmp_path, capsys):
         cfg = fast_config(tmp_path, epochs=1)
         _, stdout_a, _ = run_cli(capsys, "adapt", "--data", str(data_dir),

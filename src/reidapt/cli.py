@@ -31,12 +31,10 @@ from .data import (
 )
 from .encoder import load_checkpoint, save_checkpoint
 from .evaluate import pairwise_fscore, retrieval_eval
-from .membank import BankDivergedError, MemoryBank
+from .membank import MemoryBank, TrainingDivergedError
 from .trainer import (
     ConfigError,
     TrainConfig,
-    TrainingDivergedError,
-    ZeroClustersError,
     adapt,
     extract_features,
     loss_csv_lines,
@@ -252,19 +250,20 @@ def cmd_adapt(args):
         path.write_text("\n".join(lines) + "\n")
 
     def on_epoch(metrics, epoch_state, epoch_bank, reports, labels):
-        save_checkpoint(run_dir / f"ckpt_epoch_{metrics.epoch:03d}", epoch_state)
-        write_features(run_dir / f"bank_epoch_{metrics.epoch:03d}.drft", epoch_bank.v)
+        # the checkpoint last: --resume trusts an epoch once it has one
         _append_lines(metrics_csv, metrics_csv_lines([metrics])[1:])
         _append_lines(losses_csv, loss_csv_lines(
             (metrics.epoch, i, r) for i, r in enumerate(reports))[1:])
         if labels_dir:
             _write_label_snapshot(
                 labels_dir / f"labels_epoch_{metrics.epoch:03d}.csv", labels)
+        write_features(run_dir / f"bank_epoch_{metrics.epoch:03d}.drft", epoch_bank.v)
+        save_checkpoint(run_dir / f"ckpt_epoch_{metrics.epoch:03d}", epoch_state)
 
     try:
         state, history, bank = adapt(state, raw, cfg, truth=identity, bank=bank,
                                      start_epoch=start_epoch, on_epoch=on_epoch)
-    except (TrainingDivergedError, BankDivergedError, ZeroClustersError) as err:
+    except TrainingDivergedError as err:
         save_checkpoint(run_dir / "diverged", state)
         raise CliError(f"training diverged: {err}", EXIT_DIVERGED)
 
@@ -412,7 +411,7 @@ def main(argv=None) -> int:
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.code
-    except (TrainingDivergedError, BankDivergedError, ZeroClustersError) as err:
+    except TrainingDivergedError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DIVERGED
     except OSError as err:

@@ -22,18 +22,10 @@ class CoarseClusters:
 
 def _label_order(assignment: np.ndarray, num_labels: int):
     """(order, bounds): the indices stably sorted by label, and per label
-    0..num_labels the position in ``order`` where its indices start."""
+    0..num_labels the position in ``order`` where its indices start; label
+    l's indices, ascending, are ``order[bounds[l]:bounds[l + 1]]``."""
     order = np.argsort(assignment, kind="stable")
     return order, np.searchsorted(assignment[order], np.arange(num_labels + 1))
-
-
-def group_members(assignment: np.ndarray, num_labels: int) -> list[np.ndarray]:
-    """Per label 0..num_labels-1, the indices that hold it, ascending: the
-    bytes of ``np.flatnonzero(assignment == label)`` from one stable sort
-    instead of one scan per label. A label nothing holds gets an empty array;
-    OUTLIER and labels past the range are left out."""
-    order, bounds = _label_order(assignment, num_labels)
-    return [order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def _pairs_within(i: np.ndarray, j: np.ndarray, within: np.ndarray, at: slice):

@@ -10,6 +10,7 @@ checks are tight.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -183,7 +184,8 @@ def lr_at(base_lr: float, epoch: int, warmup_epochs: int, decay_epochs,
 
 
 def save_checkpoint(prefix, state: EncoderState):
-    """Flattened float32 parameters plus a JSON sidecar of shapes and step."""
+    """Flattened float32 parameters, then a JSON sidecar of shapes and step,
+    renamed into place last: a checkpoint with a sidecar is complete."""
     prefix = str(prefix)
     params = state.params()
     order = [name for name in (*ENCODER_PARAMS, *CLASSIFIER_PARAMS) if name in params]
@@ -195,8 +197,9 @@ def save_checkpoint(prefix, state: EncoderState):
         "activation": "tanh",
         "step": state.step,
     }
-    with open(prefix + ".json", "w") as fh:
+    with open(prefix + ".json.tmp", "w") as fh:
         json.dump(sidecar, fh, indent=0, sort_keys=True)
+    os.replace(prefix + ".json.tmp", prefix + ".json")
 
 
 def load_checkpoint(prefix) -> EncoderState:

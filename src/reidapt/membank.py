@@ -23,8 +23,10 @@ from .data import l2_normalize
 from .graph import _dense_row_sums, _lowest_k
 
 
-class BankDivergedError(RuntimeError):
-    """An update drove a bank entry to the zero vector."""
+class TrainingDivergedError(RuntimeError):
+    """Training cannot go on: a loss became non-finite, an embedding or a
+    bank entry collapsed to zero, or a labeling pass marked every sample as
+    an outlier."""
 
 
 @dataclass
@@ -151,7 +153,7 @@ def instant_update(bank: MemoryBank, grad_v: np.ndarray, eta: float) -> MemoryBa
     rows = bank.v - eta * grad_v
     norms = np.linalg.norm(rows, axis=1, keepdims=True)
     if np.any(norms == 0.0):
-        raise BankDivergedError("bank update produced a zero entry")
+        raise TrainingDivergedError("bank update produced a zero entry")
     np.divide(rows, norms, out=bank.v)
     return bank
 
@@ -163,6 +165,6 @@ def momentum_update(bank: MemoryBank, feats: np.ndarray,
     rows = tau * bank.v[idx] + (1.0 - tau) * np.asarray(feats, dtype=np.float64)
     norms = np.linalg.norm(rows, axis=1, keepdims=True)
     if np.any(norms == 0.0):
-        raise BankDivergedError("momentum blend produced a zero entry")
+        raise TrainingDivergedError("momentum blend produced a zero entry")
     bank.v[idx] = rows / norms
     return bank

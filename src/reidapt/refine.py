@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cluster import CoarseClusters, _label_order, group_members, kmeans
+from .cluster import CoarseClusters, _label_order, kmeans
 from .data import OUTLIER, l2_normalize
 
 
@@ -59,17 +59,19 @@ def select_prototypes(features: np.ndarray, coarse: CoarseClusters, r: int,
                       seed) -> list[np.ndarray]:
     """Fine k-means inside every coarse cluster; centers become prototypes.
 
-    Entry l holds cluster l's (R_l, d) prototypes, R_l = min(r, cluster
-    size), each L2-normalized after averaging.
+    ``features`` are unit rows, as ``trainer.extract_features`` returns
+    them. Entry l holds cluster l's (R_l, d) prototypes, R_l = min(r,
+    cluster size), each L2-normalized after averaging. The members of every
+    cluster come from one stable sort by label.
     """
     if r < 1:
         raise ValueError("prototype count must be >= 1")
     seed = (seed,) if np.isscalar(seed) else tuple(seed)
-    normalized = l2_normalize(features)
+    order, bounds = _label_order(coarse.assignment, coarse.num_clusters)
+    bounds = bounds.tolist()
     prototypes = []
-    groups = group_members(coarse.assignment, coarse.num_clusters)
-    for label, members in enumerate(groups):
-        centers = kmeans(normalized[members], min(r, len(members)), seed=seed + (label,))
+    for label, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        centers = kmeans(features[order[lo:hi]], min(r, hi - lo), seed=seed + (label,))
         prototypes.append(l2_normalize(centers))
     return prototypes
 
@@ -111,7 +113,7 @@ def assign_refined_labels(scores: np.ndarray, coarse: CoarseClusters) -> PseudoL
 
 def refine_labels(features: np.ndarray, coarse: CoarseClusters, r: int,
                   seed) -> tuple[PseudoLabelSet, list[np.ndarray]]:
-    """Full refinement pass; ``features`` need not be pre-normalized."""
+    """Full refinement pass over unit-row ``features``."""
     prototypes = select_prototypes(features, coarse, r, seed)
-    scores = refined_similarity(l2_normalize(features), prototypes)
+    scores = refined_similarity(features, prototypes)
     return assign_refined_labels(scores, coarse), prototypes

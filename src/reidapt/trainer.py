@@ -30,7 +30,13 @@ from .encoder import (
 from .evaluate import pairwise_fscore
 from .graph import SparseDistances, build_distance_graph, offdiag_percentile
 from .losses import LossReport, batch_hard_triplet, cross_entropy
-from .membank import MemoryBank, instant_update, momentum_update, spread_loss
+from .membank import (
+    MemoryBank,
+    TrainingDivergedError,
+    instant_update,
+    momentum_update,
+    spread_loss,
+)
 from .refine import PseudoLabelSet, refine_labels
 
 # sub-stream tags so every stage draws from its own deterministic generator
@@ -40,14 +46,6 @@ _ADAPT_STREAM = 2
 
 class ConfigError(ValueError):
     """A training-configuration key is unknown or out of range."""
-
-
-class ZeroClustersError(RuntimeError):
-    """DBSCAN marked every sample as an outlier."""
-
-
-class TrainingDivergedError(RuntimeError):
-    """A loss became non-finite or an embedding collapsed to zero."""
 
 
 def _is_int(value) -> bool:
@@ -254,7 +252,7 @@ def offline_epoch(state: EncoderState, raw: np.ndarray, cfg: TrainConfig,
     eps = max(offdiag_percentile(d_j, cfg.eps_percentile), 1e-12)
     coarse = dbscan(d_j, eps, cfg.min_pts)
     if coarse.num_clusters == 0:
-        raise ZeroClustersError(
+        raise TrainingDivergedError(
             f"epoch {epoch}: every sample is an outlier (eps={eps:.4g})")
     labels, _ = refine_labels(feats, coarse, cfg.fine_clusters,
                               seed=(cfg.seed, _ADAPT_STREAM, epoch))

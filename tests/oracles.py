@@ -53,9 +53,9 @@ from reidapt import graph
 from reidapt.evaluate import RetrievalResult
 from reidapt.graph import SparseDistances
 from reidapt.losses import cross_entropy
-from reidapt.membank import instant_update, momentum_update
+from reidapt.membank import TrainingDivergedError, instant_update, momentum_update
 from reidapt.refine import PseudoLabelSet
-from reidapt.trainer import _PRETRAIN_STREAM, TrainingDivergedError, _pk_iterations
+from reidapt.trainer import _PRETRAIN_STREAM, _pk_iterations
 
 
 def pairwise_euclidean(features):

@@ -7,6 +7,7 @@ import numpy as np
 import oracles
 import pytest
 
+import reidapt.cli as cli
 from reidapt.cli import main
 from reidapt.data import l2_normalize, read_features, write_features, write_labels
 from reidapt.encoder import init_encoder, load_checkpoint, save_checkpoint
@@ -90,6 +91,10 @@ class TestGenData:
         code, _, _ = run_cli(capsys, "gen-data", "--ids", "4", "--per-id", "4",
                              "--cameras", "1", "--out", str(tmp_path / "x"))
         assert code == 2
+
+
+class _Stop(BaseException):
+    """A process stopped from outside, a kill say, in the middle of a write."""
 
 
 class TestPipeline:
@@ -266,14 +271,14 @@ class TestPipeline:
 
         def no_clusters_at_epoch_1(state, raw, cfg, epoch, *rest, **kw):
             if epoch == 1:
-                raise trainer.ZeroClustersError("epoch 1: every sample is an outlier")
+                raise trainer.TrainingDivergedError("epoch 1: every sample is an outlier")
             return real(state, raw, cfg, epoch, *rest, **kw)
 
         monkeypatch.setattr(trainer, "offline_epoch", no_clusters_at_epoch_1)
         code, _, err = run_cli(capsys, "adapt", "--data", str(data_dir), "--ckpt", ckpt,
                                "--config", cfg, "--out", str(tmp_path / "cut"))
         assert code == 4
-        assert "diverged" in err
+        assert "training diverged: epoch 1: every sample is an outlier" in err
         for name in ("metrics.csv", "losses.csv"):
             cut = (tmp_path / "cut" / name).read_text().splitlines()
             whole = (tmp_path / "whole" / name).read_text().splitlines()
@@ -282,6 +287,54 @@ class TestPipeline:
             assert epochs and set(epochs) == {"0"}
             assert cut == whole[:len(cut)]
             assert whole[len(cut)].split(",")[0] == "1"
+
+    @pytest.mark.parametrize("torn", ["bank_epoch_001.drft", "metrics.csv"])
+    def test_resume_after_a_stop_mid_epoch_lists_every_epoch_once(
+            self, data_dir, tmp_path, capsys, monkeypatch, torn):
+        # a run stopped while it writes one of epoch 1's files resumes from
+        # epoch 0, since epoch 1's checkpoint is written after the rest
+        cfg = fast_config(tmp_path, epochs=3)
+        code, stdout, _ = run_cli(capsys, "pretrain", "--data", str(data_dir),
+                                  "--config", cfg, "--out", str(tmp_path / "pre"))
+        assert code == 0
+        adapt = ["adapt", "--data", str(data_dir), "--config", cfg]
+        ckpt = ["--ckpt", json.loads(stdout)["checkpoint"]]
+        code, _, _ = run_cli(capsys, *adapt, *ckpt, "--out", str(tmp_path / "whole"))
+        assert code == 0
+
+        real_write, real_append = cli.write_features, cli._append_lines
+
+        def stop_in_bank(path, m):
+            if Path(path).name == torn:
+                Path(path).write_bytes(b"DRFT")  # the header cut short
+                raise _Stop
+            real_write(path, m)
+
+        def stop_in_rows(path, lines):
+            if Path(path).name == torn and lines[0].startswith("1,"):
+                with open(path, "a") as fh:
+                    fh.write(lines[0][:5])  # a row cut short
+                raise _Stop
+            real_append(path, lines)
+
+        cut = str(tmp_path / "cut")
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "write_features", stop_in_bank)
+            patch.setattr(cli, "_append_lines", stop_in_rows)
+            with pytest.raises(_Stop):
+                main([*adapt, *ckpt, "--out", cut])
+        capsys.readouterr()
+        assert not (tmp_path / "cut" / "ckpt_epoch_001.json").exists()
+
+        code, stdout, err = run_cli(capsys, *adapt, "--resume", cut, "--out", cut)
+        assert code == 0, err
+        assert json.loads(stdout)["epochs_run"] == 2  # epochs 1 and 2
+        for name in ("metrics.csv", "losses.csv"):
+            resumed, whole = ([line.split(",")[0] for line in
+                               (tmp_path / run / name).read_text().splitlines()[1:]]
+                              for run in ("cut", "whole"))
+            assert list(dict.fromkeys(resumed)) == ["0", "1", "2"]
+            assert resumed == whole
 
 
 class TestValidation:

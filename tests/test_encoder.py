@@ -294,6 +294,19 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="relu"):
             load_checkpoint(tmp_path / "ckpt")
 
+    def test_sidecar_appears_only_when_complete(self, tmp_path, monkeypatch):
+        # resume trusts a checkpoint by its sidecar, so a write that stops
+        # midway must leave none under the final name
+        def cut_short(doc, fh, **kw):
+            fh.write("{")
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(json, "dump", cut_short)
+        with pytest.raises(KeyboardInterrupt):
+            save_checkpoint(tmp_path / "ckpt", random_state(np.random.default_rng(20)))
+        assert (tmp_path / "ckpt.drft").exists()
+        assert not (tmp_path / "ckpt.json").exists()
+
     def test_round_trip_without_classifier(self, tmp_path):
         state = random_state(np.random.default_rng(18))
         save_checkpoint(tmp_path / "ckpt", state)

@@ -7,8 +7,8 @@ from helpers import central_diff, rel_error
 
 from reidapt.data import l2_normalize
 from reidapt.membank import (
-    BankDivergedError,
     MemoryBank,
+    TrainingDivergedError,
     init_bank,
     instant_update,
     momentum_update,
@@ -356,7 +356,7 @@ class TestInstantUpdate:
 
     def test_zero_result_raises(self):
         bank = init_bank(np.array([[1.0, 0.0]]))
-        with pytest.raises(BankDivergedError):
+        with pytest.raises(TrainingDivergedError, match="bank update produced a zero entry"):
             instant_update(bank, np.array([[10.0, 0.0]]), eta=0.1)
 
     def test_descent_on_fixed_sets(self):
@@ -388,6 +388,11 @@ class TestMomentumUpdate:
         before = bank.v.copy()
         momentum_update(bank, unit_rows(rng, 1, 4), np.array([1]), tau=0.999)
         assert np.linalg.norm(bank.v[1] - before[1]) < 5e-3
+
+    def test_zero_blend_raises(self):
+        bank = init_bank(np.array([[1.0, 0.0]]))
+        with pytest.raises(TrainingDivergedError, match="momentum blend produced a zero entry"):
+            momentum_update(bank, np.array([[-1.0, 0.0]]), np.array([0]), tau=0.5)
 
     def test_hand_computed_blend(self):
         bank = init_bank(np.array([[1.0, 0.0], [0.0, 1.0]]))

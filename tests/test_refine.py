@@ -31,32 +31,31 @@ class TestSelectPrototypes:
 
     def test_r1_is_normalized_mean(self):
         rng = np.random.default_rng(0)
-        feats = rng.standard_normal((8, 4))
+        feats = l2_normalize(rng.standard_normal((8, 4)))
         protos = select_prototypes(feats, coarse([0] * 8), r=1, seed=3)
-        want = l2_normalize(l2_normalize(feats).mean(axis=0)[None, :])
+        want = l2_normalize(feats.mean(axis=0)[None, :])
         assert np.allclose(protos[0], want, atol=1e-12)
 
     def test_matches_per_cluster_kmeans(self):
         rng = np.random.default_rng(1)
-        feats = np.vstack([rng.standard_normal((6, 3)) + 5.0,
-                           rng.standard_normal((6, 3)) - 5.0])
+        feats = l2_normalize(np.vstack([rng.standard_normal((6, 3)) + 5.0,
+                                        rng.standard_normal((6, 3)) - 5.0]))
         assignment = [0] * 6 + [1] * 6
         protos = select_prototypes(feats, coarse(assignment), r=2, seed=9)
-        normalized = l2_normalize(feats)
         for label, members in ((0, slice(0, 6)), (1, slice(6, 12))):
-            direct = kmeans(normalized[members], 2, seed=(9, label))
-            assert np.allclose(protos[label], l2_normalize(direct), atol=1e-12)
+            direct = kmeans(feats[members], 2, seed=(9, label))
+            assert np.array_equal(protos[label], l2_normalize(direct))
 
     def test_unit_norm_prototypes(self):
         rng = np.random.default_rng(2)
-        feats = rng.standard_normal((20, 5)) * 3.0
+        feats = l2_normalize(rng.standard_normal((20, 5)))
         protos = select_prototypes(feats, coarse([0] * 10 + [1] * 10), r=3, seed=1)
         for cents in protos:
             assert np.allclose(np.linalg.norm(cents, axis=1), 1.0, atol=1e-6)
 
     def test_outliers_ignored(self):
         rng = np.random.default_rng(3)
-        feats = rng.standard_normal((5, 3))
+        feats = l2_normalize(rng.standard_normal((5, 3)))
         protos = select_prototypes(feats, coarse([0, 0, 0, 0, OUTLIER]), r=2, seed=0)
         assert len(protos) == 1
 
@@ -70,8 +69,7 @@ class TestSelectPrototypes:
 class TestRefinedSimilarity:
     def test_exact_prototype_match_scores_one(self):
         f = l2_normalize(np.array([[1.0, 1.0], [0.0, 1.0]]))
-        protos = select_prototypes(np.array([[1.0, 1.0], [0.0, 2.0]]),
-                                   coarse([0, 1]), r=1, seed=0)
+        protos = select_prototypes(f, coarse([0, 1]), r=1, seed=0)
         s = refined_similarity(f, protos)
         assert s[0, 0] == pytest.approx(1.0, abs=1e-12)
         assert s[1, 1] == pytest.approx(1.0, abs=1e-12)
@@ -167,6 +165,47 @@ class TestPseudoLabelSet:
                 PseudoLabelSet(np.array(coarse_labels), np.array(refined_labels), 1)
 
 
+class TestCoarseGroups:
+    """One stable sort gives, per coarse label, the bytes of the per-label scan."""
+
+    @staticmethod
+    def assert_matches_scan(assignment, num_clusters):
+        assignment = np.asarray(assignment, dtype=np.int64)
+        labels, bounds, order = PseudoLabelSet(
+            assignment, assignment.copy(), num_clusters).coarse_groups
+        held = assignment[assignment != OUTLIER]
+        assert labels == np.unique(held).tolist()
+        assert len(bounds) == held.max(initial=OUTLIER) + 2
+        for label in range(len(bounds) - 1):
+            group = order[bounds[label]:bounds[label + 1]]
+            want = np.flatnonzero(assignment == label)
+            assert group.dtype == want.dtype
+            assert group.tobytes() == want.tobytes()
+
+    def test_random_assignments_with_outliers(self):
+        rng = np.random.default_rng(40)
+        for _ in range(200):
+            n, num_labels = int(rng.integers(0, 300)), int(rng.integers(1, 15))
+            assignment = rng.integers(0, num_labels, size=n)
+            assignment[rng.random(n) < rng.random()] = OUTLIER
+            self.assert_matches_scan(assignment, num_labels)
+
+    def test_one_cluster(self):
+        self.assert_matches_scan(np.zeros(7, dtype=np.int64), 1)
+        self.assert_matches_scan(np.array([OUTLIER, 0, 0, OUTLIER, 0]), 1)
+
+    def test_all_outliers(self):
+        assignment = np.full(9, OUTLIER, dtype=np.int64)
+        self.assert_matches_scan(assignment, 0)
+        self.assert_matches_scan(assignment, 3)
+
+    def test_skipped_label(self):
+        # label 1 holds nothing; num_clusters past the largest label adds no group
+        assignment = np.array([3, 0, 2, OUTLIER, 2, 0, 3, 3])
+        self.assert_matches_scan(assignment, 4)
+        self.assert_matches_scan(assignment, 6)
+
+
 class TestRefineLabelsPipeline:
     def test_tight_distinct_clusters_keep_labels(self):
         a, b, c = np.eye(3)
@@ -177,7 +216,7 @@ class TestRefineLabelsPipeline:
 
     def test_never_invents_cluster_ids(self):
         rng = np.random.default_rng(4)
-        feats = rng.standard_normal((30, 4))
+        feats = l2_normalize(rng.standard_normal((30, 4)))
         assignment = rng.integers(0, 3, size=30)
         assignment[:3] = OUTLIER
         labels, _ = refine_labels(feats, coarse(assignment), r=2, seed=5)
@@ -186,16 +225,16 @@ class TestRefineLabelsPipeline:
 
     def test_prototype_scaling_invariance(self):
         rng = np.random.default_rng(5)
-        feats = rng.standard_normal((24, 4))
+        feats = l2_normalize(rng.standard_normal((24, 4)))
         assignment = np.repeat([0, 1, 2], 8)
         labels, protos = refine_labels(feats, coarse(assignment), r=3, seed=7)
         # scaling every prototype by the same positive factor before
         # normalization cannot change the argmax
-        scaled = refined_similarity(l2_normalize(feats), protos)
+        scaled = refined_similarity(feats, protos)
         boosted = assign_refined_labels(scaled * 1.0, coarse(assignment))
         protos2 = [l2_normalize(3.7 * p) for p in protos]
         relabeled = assign_refined_labels(
-            refined_similarity(l2_normalize(feats), protos2), coarse(assignment))
+            refined_similarity(feats, protos2), coarse(assignment))
         assert np.array_equal(boosted.refined, relabeled.refined)
 
     def test_relabel_fraction_reported(self):

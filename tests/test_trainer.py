@@ -12,13 +12,12 @@ from reidapt.cluster import CoarseClusters
 from reidapt.data import OUTLIER, SynthSpec, generate_synthetic
 from reidapt.encoder import forward, init_classifier, init_encoder
 from reidapt.losses import LossReport, batch_hard_triplet, cross_entropy
-from reidapt.membank import MemoryBank, init_bank
+from reidapt.membank import MemoryBank, TrainingDivergedError, init_bank
 from reidapt.refine import PseudoLabelSet, refine_labels
 from reidapt.trainer import (
     _ADAPT_STREAM,
     ConfigError,
     TrainConfig,
-    ZeroClustersError,
     adapt,
     extract_features,
     joint_loss_and_grads,
@@ -150,7 +149,7 @@ class TestOfflineEpoch:
         source, train, _, _ = small_fixture()
         cfg = small_config(min_pts=50)  # nothing can be a core point
         state = pretrain_source(source.raw, source.identity, cfg)
-        with pytest.raises(ZeroClustersError):
+        with pytest.raises(TrainingDivergedError, match="epoch 0: every sample is an outlier"):
             offline_epoch(state, train.raw, cfg, 0)
 
     def test_mid_noise_refinement_improves_fscore(self):

@@ -6,11 +6,12 @@ positives and every other entry as a negative; the regularizer is a
 softplus-of-sums ranking loss over those pairs (the spread-out loss of Zhang
 et al. 2017, taken over the bank). Both sides come from one anchor-to-bank
 similarity product per step, and an anchor's positives travel as one row of
-bank indices, never as a mask over the bank. The instant rule
-gives the entries analytic gradients and a descent step every iteration; the
-momentum rule blends in batch features instead, for ablation. The functions
-here take k and tau as plain arguments: which rule runs, and with which
-values, is decided by the trainer from its configuration.
+bank indices, never as a mask over the bank. The bank takes no gradient:
+after each step the slot of every drawn sample is blended with the unit
+feature the step computed for it, v <- tau*v + (1-tau)*f. At tau 0 (the
+instant bank) the slot takes that feature; a tau above 0 is the momentum
+bank of Wu et al. 2018, kept for ablation. The functions here take k and tau
+as plain arguments; their values come from the trainer's configuration.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ def spread_loss(feats: np.ndarray, bank: MemoryBank, sample_indices: np.ndarray,
     positives at -inf; the positives' runs over their (B, k_pos + 1) entries
     alone, summed as over a bank-wide row that is zero elsewhere. The
     gradient coefficients are then formed in place in the similarity matrix.
-    Returns (loss, grad wrt feats, grad wrt every bank entry).
+    Returns (loss, grad wrt feats).
     """
     if margin < 0:
         raise ValueError("margin must be >= 0")
@@ -139,23 +140,7 @@ def spread_loss(feats: np.ndarray, bank: MemoryBank, sample_indices: np.ndarray,
     coef[~np.isfinite(ln_z)] = 0.0             # no negatives: +0, not -0.0
     coef /= b
 
-    grad_feats = coef @ bank.v
-    grad_v = coef.T @ feats
-    return loss, grad_feats, grad_v
-
-
-def instant_update(bank: MemoryBank, grad_v: np.ndarray, eta: float) -> MemoryBank:
-    """Gradient step on every entry, then renormalize every row in place (a
-    row whose own gradient is zero may move in its last bit). A zero step, or
-    a gradient that is zero everywhere, leaves the bank as it is."""
-    if eta == 0.0 or not grad_v.any():
-        return bank
-    rows = bank.v - eta * grad_v
-    norms = np.linalg.norm(rows, axis=1, keepdims=True)
-    if np.any(norms == 0.0):
-        raise TrainingDivergedError("bank update produced a zero entry")
-    np.divide(rows, norms, out=bank.v)
-    return bank
+    return loss, coef @ bank.v
 
 
 def momentum_update(bank: MemoryBank, feats: np.ndarray,

@@ -33,7 +33,6 @@ from .losses import LossReport, batch_hard_triplet, cross_entropy
 from .membank import (
     MemoryBank,
     TrainingDivergedError,
-    instant_update,
     momentum_update,
     spread_loss,
 )
@@ -81,8 +80,7 @@ class TrainConfig:
     decay_factor: float = 10.0
     weight_decay: float = 5e-4
     feat_dim: int = 32             # embedding width; the hidden layer is twice as wide
-    bank_mode: str = "instant"
-    bank_tau: float = 0.01
+    bank_tau: float = 0.0          # bank momentum; 0 writes each feature back
     seed: int = 0
 
     def __post_init__(self):
@@ -118,7 +116,6 @@ class TrainConfig:
             ("decay_factor", self.decay_factor > 1.0),
             ("weight_decay", self.weight_decay >= 0.0),
             ("feat_dim", self.feat_dim >= 1),
-            ("bank_mode", self.bank_mode in ("instant", "momentum")),
             ("bank_tau", 0.0 <= self.bank_tau < 1.0),
             ("seed", self.seed >= 0),
         ]
@@ -272,16 +269,15 @@ def joint_loss_and_grads(state: EncoderState, bank: MemoryBank | None, x: np.nda
                          sample_indices: np.ndarray, cfg: TrainConfig):
     """Joint objective on one batch with every analytic gradient.
 
-    Returns (report, param grads incl. classifier, bank gradient, unit
-    features). The bank gradient is for the unweighted regularizer, which is
-    what the bank's own descent step uses.
+    Returns (report, param grads incl. classifier, unit features). The unit
+    features are the batch's, before any parameter update: what the bank
+    takes in.
 
     Only terms with a nonzero weight are computed: the coarse-label losses
     when alpha < 1, the refined-label losses when alpha > 0 (reused from the
     coarse ones when the two labelings agree on the batch), and the
     spread-out term when mu > 0. At mu = 0 the bank is not read and may be
-    None; the bank gradient, the unit features and ``report.spread`` are
-    then None.
+    None; the unit features and ``report.spread`` are then None.
     """
     feats, cache = forward(state, x)
     probs = classifier_forward(state, feats)
@@ -299,14 +295,14 @@ def joint_loss_and_grads(state: EncoderState, bank: MemoryBank | None, x: np.nda
             tri_r, g_tri = batch_hard_triplet(feats, refined, cfg.margin)
         weighted.append((cfg.alpha, g_logits, g_tri))
 
-    spread = g_bank = feats_n = None
+    spread = feats_n = None
     if cfg.mu:
         norms = np.linalg.norm(feats, axis=1, keepdims=True)
         if np.any(norms == 0.0):
             raise TrainingDivergedError("encoder produced a zero feature vector")
         feats_n = feats / norms
-        spread, g_feats_n, g_bank = spread_loss(feats_n, bank, sample_indices,
-                                                cfg.k_pos, cfg.spread_margin)
+        spread, g_feats_n = spread_loss(feats_n, bank, sample_indices,
+                                        cfg.k_pos, cfg.spread_margin)
 
     cls = (1.0 - cfg.alpha) * cls_c + cfg.alpha * cls_r
     tri = (1.0 - cfg.alpha) * tri_c + cfg.alpha * tri_r
@@ -326,27 +322,24 @@ def joint_loss_and_grads(state: EncoderState, bank: MemoryBank | None, x: np.nda
 
     grads = backward(state, cache, g_feats)
     grads.update(cls_grads)
-    return LossReport(cls=cls, tri=tri, spread=spread, total=total), grads, g_bank, feats_n
+    return LossReport(cls=cls, tri=tri, spread=spread, total=total), grads, feats_n
 
 
 def online_iteration(state: EncoderState, bank: MemoryBank, raw: np.ndarray,
                      batch: np.ndarray, labels: PseudoLabelSet,
                      cfg: TrainConfig, lr: float) -> LossReport:
     """One joint step: metric losses under both labelings, spread-out over
-    the bank, Adam on encoder+classifier, gradient (or momentum) bank update.
-
-    At mu = 0 the bank is not part of the objective and is left unchanged.
+    the bank, Adam on encoder+classifier, then each drawn sample's slot takes
+    in its unit feature from before the Adam step at momentum
+    ``cfg.bank_tau`` (at 0, the feature itself). Other slots, and the whole
+    bank at mu = 0, where it is not part of the objective, are left
+    unchanged.
     """
-    report, grads, g_bank, feats_n = joint_loss_and_grads(
+    report, grads, feats_n = joint_loss_and_grads(
         state, bank, raw[batch], labels.coarse[batch], labels.refined[batch],
         batch, cfg)
     adam_step(state, grads, lr, cfg.weight_decay)
-    if not cfg.mu:
-        return report
-    if cfg.bank_mode == "instant":
-        # the bank descends the unweighted regularizer at the network rate
-        instant_update(bank, g_bank, lr)
-    else:
+    if cfg.mu:
         momentum_update(bank, feats_n, batch, cfg.bank_tau)
     return report
 
@@ -380,7 +373,7 @@ def pretrain_source(raw: np.ndarray, identities: np.ndarray,
         epoch_rng = np.random.default_rng((cfg.seed, _PRETRAIN_STREAM, epoch))
         for _ in range(iters):
             batch = pk_sample(labels, p, cfg.batch_k, epoch_rng)
-            _, grads, _, _ = joint_loss_and_grads(
+            _, grads, _ = joint_loss_and_grads(
                 state, None, raw[batch], labels.coarse[batch],
                 labels.refined[batch], batch, step_cfg)
             adam_step(state, grads, lr, cfg.weight_decay)

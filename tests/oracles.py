@@ -53,7 +53,7 @@ from reidapt import graph
 from reidapt.evaluate import RetrievalResult
 from reidapt.graph import SparseDistances
 from reidapt.losses import cross_entropy
-from reidapt.membank import TrainingDivergedError, instant_update, momentum_update
+from reidapt.membank import TrainingDivergedError, momentum_update
 from reidapt.refine import PseudoLabelSet
 from reidapt.trainer import _PRETRAIN_STREAM, _pk_iterations
 
@@ -464,9 +464,7 @@ def spread_loss(feats, bank, positives, margin):
         coef[~live] = 0.0
     coef /= b
 
-    grad_feats = coef @ bank.v
-    grad_v = coef.T @ feats
-    return loss, grad_feats, grad_v
+    return loss, coef @ bank.v
 
 
 def init_classifier(state, num_classes, rng):
@@ -568,7 +566,7 @@ def joint_loss_and_grads(state, bank, x, coarse, refined, sample_indices, cfg):
     tri_refined, g_tri_refined = _triplet_or_zero(feats, refined, cfg.margin)
 
     sets = positive_sets(bank, feats_n, sample_indices, cfg.k_pos)
-    spread, g_feats_n, g_bank = spread_loss(feats_n, bank, sets, cfg.spread_margin)
+    spread, g_feats_n = spread_loss(feats_n, bank, sets, cfg.spread_margin)
 
     cls_blend, tri_blend = blend_metric_losses(
         (cls_noisy, tri_noisy), (cls_refined, tri_refined), cfg.alpha)
@@ -589,19 +587,16 @@ def joint_loss_and_grads(state, bank, x, coarse, refined, sample_indices, cfg):
     report = StepTerms(cls_noisy=cls_noisy, cls_refined=cls_refined,
                        tri_noisy=tri_noisy, tri_refined=tri_refined,
                        cls=cls_blend, tri=tri_blend, spread=spread, total=total)
-    return report, grads, g_bank, feats_n
+    return report, grads, feats_n
 
 
 def online_iteration(state, bank, raw, batch, labels, cfg, lr):
     """The on-line step that always updates the bank, whatever mu."""
-    report, grads, g_bank, feats_n = joint_loss_and_grads(
+    report, grads, feats_n = joint_loss_and_grads(
         state, bank, raw[batch], labels.coarse[batch], labels.refined[batch],
         batch, cfg)
     adam_step(state, grads, lr, cfg.weight_decay)
-    if cfg.bank_mode == "instant":
-        instant_update(bank, g_bank, lr)
-    else:
-        momentum_update(bank, feats_n, batch, cfg.bank_tau)
+    momentum_update(bank, feats_n, batch, cfg.bank_tau)
     return report
 
 

@@ -82,7 +82,7 @@ def _grad_fixture():
 
 
 def _joint_total(state, bank, x, coarse, refined, idx, cfg):
-    report, _, _, _ = joint_loss_and_grads(state, bank, x, coarse, refined, idx, cfg)
+    report, _, _ = joint_loss_and_grads(state, bank, x, coarse, refined, idx, cfg)
     return report.total
 
 
@@ -109,25 +109,18 @@ def test_criterion_gradient_suite(monkeypatch):
     num = central_diff(lambda f: batch_hard_triplet(f, tl, 0.3)[0], feats)
     tri_err = rel_error(g, num)
 
-    # Eq. 9 spread-out wrt anchors and every bank entry (both branches)
-    v = l2_normalize(rng.standard_normal((16, 8)))
-    bank = MemoryBank(v=v.copy())
+    # Eq. 9 spread-out wrt anchors (the bank takes no gradient)
+    bank = MemoryBank(v=l2_normalize(rng.standard_normal((16, 8))))
     anchors = l2_normalize(rng.standard_normal((8, 8)))
     idx = rng.choice(16, size=8, replace=False)
     # (the positives are picked again at every perturbation, as in a step)
-    positives = positive_sets(anchors @ bank.v.T, idx, 3)
-    _, gf, gv = spread_loss(anchors, bank, idx, 3, 0.35)
+    _, gf = spread_loss(anchors, bank, idx, 3, 0.35)
     num_f = central_diff(lambda f: spread_loss(f, bank, idx, 3, 0.35)[0], anchors)
-    num_v = central_diff(
-        lambda vv: spread_loss(anchors, MemoryBank(v=vv), idx, 3, 0.35)[0], v)
-    inside = np.unique(positives)
-    both_branches = len(inside) < 16 and np.any(gv[inside] != 0)
     sp_f_err = rel_error(gf, num_f)
-    sp_v_err = rel_error(gv, num_v)
 
-    # composed joint objective wrt encoder/classifier parameters, batch
-    # features, and bank entries, via the production gradient path; the
-    # feature gradient is the one the step hands to the encoder's backward
+    # composed joint objective wrt encoder/classifier parameters and batch
+    # features, via the production gradient path; the feature gradient is
+    # the one the step hands to the encoder's backward
     state, jbank, x, coarse, refined, jidx, cfg = _grad_fixture()
     handed = []
 
@@ -136,8 +129,7 @@ def test_criterion_gradient_suite(monkeypatch):
         return _real(st, cache, g_feats)
 
     monkeypatch.setattr(trainer, "backward", recording_backward)
-    _, grads, g_bank, _ = joint_loss_and_grads(state, jbank, x, coarse,
-                                               refined, jidx, cfg)
+    _, grads, _ = joint_loss_and_grads(state, jbank, x, coarse, refined, jidx, cfg)
     monkeypatch.undo()
     assert len(handed) == 1
     param_errs = {}
@@ -158,22 +150,15 @@ def test_criterion_gradient_suite(monkeypatch):
         t_n, _ = batch_hard_triplet(f, coarse, cfg.margin)
         t_r, _ = batch_hard_triplet(f, refined, cfg.margin)
         fn = l2_normalize(f)
-        sp, _, _ = spread_loss(fn, jbank, jidx, cfg.k_pos, cfg.spread_margin)
+        sp, _ = spread_loss(fn, jbank, jidx, cfg.k_pos, cfg.spread_margin)
         a = cfg.alpha
         return ((1 - a) * (c_n + t_n) + a * (c_r + t_r) + cfg.mu * sp)
 
     feat_err = rel_error(handed[0], central_diff(total_of_feats, feats0))
 
-    def total_of_bank(vv):
-        return _joint_total(state, MemoryBank(v=vv),
-                            x, coarse, refined, jidx, cfg)
-
-    bank_err = rel_error(cfg.mu * g_bank, central_diff(total_of_bank, jbank.v))
-
     elapsed = time.time() - t0
-    worst = max(ce_err, tri_err, sp_f_err, sp_v_err, feat_err, bank_err,
-                *param_errs.values())
-    conclude("gradient suite", worst <= 1e-4 and both_branches and elapsed < 10,
+    worst = max(ce_err, tri_err, sp_f_err, feat_err, *param_errs.values())
+    conclude("gradient suite", worst <= 1e-4 and elapsed < 10,
              f"worst rel err {worst:.2e}, {elapsed:.1f}s")
 
 
@@ -416,6 +401,7 @@ def test_criterion_bank_unit_norms_500_iterations():
     state = pretrain_source(source.raw, source.identity, cfg)
     es = offline_epoch(state, train.raw, cfg, 0)
     bank = init_bank(forward(state, train.raw)[0])
+    initial = bank.v.copy()
     rng = np.random.default_rng(0)
     worst = 0.0
     for _ in range(500):
@@ -425,8 +411,10 @@ def test_criterion_bank_unit_norms_500_iterations():
                          lr=cfg.base_lr)
         worst = max(worst, float(np.max(np.abs(
             np.linalg.norm(bank.v, axis=1) - 1.0))))
-    conclude("bank unit norms over 500 iterations", worst <= 1e-6,
-             f"max |norm - 1| = {worst:.2e}")
+    # the instant bank follows the features: its rows leave their start
+    drift = float(np.mean(np.sum(bank.v * initial, axis=1)))
+    conclude("bank unit norms over 500 iterations", worst <= 1e-12 and drift <= 0.9,
+             f"max |norm - 1| = {worst:.2e}, mean cosine to the initial rows {drift:.4f}")
 
 
 def test_criterion_instant_vs_momentum(adaptation_panel):

@@ -2,7 +2,7 @@
 
 ``perfbench/counts.py`` reads named arguments and result fields of traced
 calls (``joint_loss_and_grads``' ``coarse``, ``refined`` and ``cfg``, the
-``labels`` of the two metric losses, ``instant_update``'s ``grad_v`` and
+``labels`` of the two metric losses, ``build_distance_graph``'s result and
 more). An observer that raises never breaks the traced call, so a rename in
 the library only blanks a layer count; the benchmark's own tests cannot see
 it. Each workload runs here once, tiny and traced, and must report no failed

@@ -346,11 +346,14 @@ class TestValidation:
         assert "alpha" in err
 
     def test_unknown_config_key(self, data_dir, tmp_path, capsys):
-        cfg = fast_config(tmp_path, alhpa=0.5)
-        code, _, err = run_cli(capsys, "adapt", "--data", str(data_dir),
-                               "--config", cfg, "--out", str(tmp_path / "run"))
-        assert code == 2
-        assert "alhpa" in err
+        # bank_mode is the bank-rule key of configs from before the instant
+        # bank became momentum at tau 0
+        for key, value in (("alhpa", 0.5), ("bank_mode", "momentum")):
+            cfg = fast_config(tmp_path, **{key: value})
+            code, _, err = run_cli(capsys, "adapt", "--data", str(data_dir),
+                                   "--config", cfg, "--out", str(tmp_path / "run"))
+            assert code == 2
+            assert key in err
 
     def test_adapt_rejects_decreasing_decay_epochs(self, data_dir, tmp_path, capsys):
         cfg = fast_config(tmp_path, adapt_decay_epochs=[5, 2])

@@ -12,7 +12,7 @@ from reidapt.cluster import CoarseClusters
 from reidapt.data import OUTLIER, SynthSpec, generate_synthetic
 from reidapt.encoder import forward, init_classifier, init_encoder
 from reidapt.losses import LossReport, batch_hard_triplet, cross_entropy
-from reidapt.membank import MemoryBank, TrainingDivergedError, init_bank
+from reidapt.membank import MemoryBank, TrainingDivergedError, init_bank, momentum_update
 from reidapt.refine import PseudoLabelSet, refine_labels
 from reidapt.trainer import (
     _ADAPT_STREAM,
@@ -52,18 +52,21 @@ class TestTrainConfig:
         assert (cfg.margin, cfg.spread_margin) == (0.3, 0.35)
         assert cfg.k_pos == 6
         assert cfg.batch_size == 64
-        assert cfg.bank_tau == 0.01
+        assert cfg.bank_tau == 0.0
         assert cfg.weight_decay == 5e-4
 
     def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(ConfigError) as err:
-            TrainConfig.from_dict({"alpha": 0.5, "alhpa": 0.2})
-        assert "alhpa" in str(err.value)
+        # bank_mode named the bank rule before the instant bank became
+        # momentum at tau 0; a config that still names it is refused
+        for key, value in (("alhpa", 0.2), ("bank_mode", "queue"),
+                           ("bank_mode", "momentum")):
+            with pytest.raises(ConfigError) as err:
+                TrainConfig.from_dict({"alpha": 0.5, key: value})
+            assert key in str(err.value)
 
     def test_from_dict_rejects_out_of_range(self):
         for key, value in (("alpha", 1.3), ("alpha", -0.1), ("mu", -0.5),
-                           ("base_lr", -1e-4), ("bank_mode", "queue"),
-                           ("bank_tau", 1.0), ("k_pos", -1)):
+                           ("base_lr", -1e-4), ("bank_tau", 1.0), ("k_pos", -1)):
             with pytest.raises(ConfigError) as err:
                 TrainConfig.from_dict({key: value})
             assert key in str(err.value)
@@ -329,6 +332,8 @@ def trained_setup():
 
 class TestOnlineIteration:
     def test_zero_lr_freezes_encoder_and_bank(self, trained_setup):
+        # lr 0 freezes the encoder; the bank takes in the batch's features
+        # whatever the lr, so only the rows outside the batch stay
         state0, bank0, train, es, cfg = trained_setup
         state = copy.deepcopy(state0)
         bank = copy.deepcopy(bank0)
@@ -336,9 +341,34 @@ class TestOnlineIteration:
         batch = pk_sample(es.labels, cfg.batch_p, cfg.batch_k, rng)
         report = online_iteration(state, bank, train.raw, batch, es.labels, cfg, lr=0.0)
         assert np.array_equal(state.w1, state0.w1)
-        assert np.array_equal(bank.v, bank0.v)
+        untouched = np.setdiff1d(np.arange(len(bank)), batch)
+        assert np.array_equal(bank.v[untouched], bank0.v[untouched])
         assert np.isfinite(report.total)
         assert report.total > 0
+
+    def test_instant_bank_writes_back_the_batch_features(self, trained_setup):
+        # default config: each batch slot takes the unit feature the step
+        # computed before its parameter update, as momentum_update at tau 0
+        # writes it, bit for bit; every other row keeps its bytes. The bank
+        # starts random, so that every written slot visibly moves.
+        state0, bank0, train, es, cfg = trained_setup
+        assert cfg.bank_tau == 0.0
+        rng = np.random.default_rng(9)
+        bank0 = init_bank(rng.standard_normal(bank0.v.shape))
+        state = copy.deepcopy(state0)
+        bank = copy.deepcopy(bank0)
+        batch = pk_sample(es.labels, cfg.batch_p, cfg.batch_k, rng)
+        feats = forward(state0, train.raw[batch])[0]
+        want = momentum_update(copy.deepcopy(bank0),
+                               feats / np.linalg.norm(feats, axis=1, keepdims=True),
+                               batch, 0.0)
+        online_iteration(state, bank, train.raw, batch, es.labels, cfg, lr=cfg.base_lr)
+        assert not np.array_equal(state.w1, state0.w1)
+        slots = np.unique(batch)
+        assert bank.v[slots].tobytes() == want.v[slots].tobytes()
+        assert not np.array_equal(bank.v[slots], bank0.v[slots])
+        untouched = np.setdiff1d(np.arange(len(bank)), batch)
+        assert bank.v[untouched].tobytes() == bank0.v[untouched].tobytes()
 
     def test_reports_hold_the_four_loss_numbers_only(self, trained_setup):
         state0, _, train, _, _ = trained_setup
@@ -370,7 +400,7 @@ class TestOnlineIteration:
 
     def test_momentum_mode_updates_batch_rows_only(self, trained_setup):
         state0, _, train, es, _ = trained_setup
-        cfg = small_config(bank_mode="momentum")
+        cfg = small_config(bank_tau=0.01)
         state = copy.deepcopy(state0)
         bank = init_bank(forward(state, train.raw)[0])
         before = bank.v.copy()
@@ -435,17 +465,17 @@ class TestZeroWeightBranches:
             monkeypatch.setattr(trainer, name, recording)
         return seen
 
-    @pytest.mark.parametrize("mode", ["instant", "momentum"])
-    def test_mu_zero_never_touches_the_bank(self, trained_setup, monkeypatch, mode):
+    @pytest.mark.parametrize("tau", [0.0, 0.01], ids=["instant", "momentum"])
+    def test_mu_zero_never_touches_the_bank(self, trained_setup, monkeypatch, tau):
         import reidapt.membank as membank
         import reidapt.trainer as trainer
         state0, _, train, es, _ = trained_setup
-        cfg = small_config(alpha=0.0, mu=0.0, bank_mode=mode)
+        cfg = small_config(alpha=0.0, mu=0.0, bank_tau=tau)
 
         def forbidden(*args, **kw):
             raise AssertionError("a zero-weight bank branch was computed")
 
-        for name in ("spread_loss", "instant_update", "momentum_update"):
+        for name in ("spread_loss", "momentum_update"):
             monkeypatch.setattr(trainer, name, forbidden)
         # spread_loss, the caller of positive_sets, reaches it through membank
         monkeypatch.setattr(membank, "positive_sets", forbidden)
@@ -639,9 +669,9 @@ class TestAgainstTheAllBranchStep:
                        oracles.pretrain_source(source.raw, source.identity, cfg), train.raw)
         return got, want
 
-    @pytest.mark.parametrize("mode", ["instant", "momentum"])
-    def test_full_weights_are_bit_identical(self, monkeypatch, mode):
-        cfg = small_config(epochs=2, alpha=0.5, mu=0.1, bank_mode=mode)
+    @pytest.mark.parametrize("tau", [0.0, 0.01], ids=["instant", "momentum"])
+    def test_full_weights_are_bit_identical(self, monkeypatch, tau):
+        cfg = small_config(epochs=2, alpha=0.5, mu=0.1, bank_tau=tau)
         got, want = self.both(monkeypatch, cfg)
         for name in ("w1", "b1", "w2", "b2", "wc", "bc"):
             assert getattr(got.state, name).tobytes() == getattr(want.state, name).tobytes()

@@ -144,21 +144,11 @@ def _kmeans_pp_init(points, r, rng):
 def _assign(points, centers, sq):
     """Each point's nearest center in the difference form
     ``np.sum((point - center)**2)``, the lowest index on ties; ``sq`` holds
-    the points' squared norms. The centers are screened on the Gram form, and
-    only the rows left with more than one candidate are recomputed in the
-    difference form, on their candidates alone."""
-    (near,) = graph._screen_extremes(points, centers, [(True, False)], sq)
-    assignment = np.argmax(near, axis=1)  # the one candidate, or the first
-    # every row keeps its Gram-form nearest, so more candidates mean a near tie
-    if np.count_nonzero(near) > len(points):
-        tied = np.flatnonzero(np.count_nonzero(near, axis=1) > 1)
-        near = near[tied]
-        d2 = np.full(near.shape, np.inf)
-        for c, center in enumerate(centers):
-            rows = np.flatnonzero(near[:, c])
-            d2[rows, c] = np.sum((points[tied[rows]] - center) ** 2, axis=1)
-        assignment[tied] = np.argmin(d2, axis=1)
-    return assignment
+    the points' squared norms. The centers are ranked on one Gram product,
+    and only the rows with a near tie are recomputed in the difference form
+    (``graph._exact_argmin``)."""
+    d2, reach = graph._gram(points, centers, sq, (centers * centers).sum(axis=1))
+    return graph._exact_argmin(d2, reach, points, centers)
 
 
 def _lloyd(points, centers, max_iter):

@@ -15,9 +15,9 @@ turned into distances at once. Every other off-diagonal pair has a min-sum
 of zero and therefore a Jaccard distance of exactly 1.0 (Zhong et al. 2017,
 arXiv:1701.08398; Ge et al. 2020, arXiv:2006.02713).
 
-``_screen_extremes`` is the exact nearest/farthest screen on the Gram form
-that the batch-hard triplet and the k-means assignment share; its operands
-are a batch against itself or a cluster's points against its few centers.
+``_gram`` and ``_exact_argmin`` are the exact nearest/farthest screen that
+the batch-hard triplet and the k-means assignment share; their operands are
+a batch against itself or a cluster's points against its few centers.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ _BLOCK_ENTRIES = 1 << 19
 # dense similarity rows of the row sums, the Jaccard min-sum terms, and the
 # slices of stored pairs that ``cluster.dbscan`` takes.
 _CHUNK_ENTRIES = 1 << 16
-# unit roundoff of float64
-_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 @dataclass
@@ -112,41 +110,56 @@ def _lowest_k(flat: np.ndarray, keys: np.ndarray, k: int, width: int) -> np.ndar
     return np.delete(picks, surplus)
 
 
-def _screen_extremes(a: np.ndarray, b: np.ndarray, screens, sq_a=None) -> list[np.ndarray]:
-    """Per ``(allowed, largest)`` in ``screens``, the (len(a), len(b)) mask of
-    the allowed entries that may hold their row's smallest (``largest``:
-    largest) allowed squared distance ``np.sum((a_i - b_j)**2)``, the
-    difference form. ``allowed`` broadcasts against the distances, so
-    ``True`` allows every entry; ``sq_a`` may pass ``np.sum(a * a, axis=1)``.
+def _gram(a: np.ndarray, b: np.ndarray, sq_a: np.ndarray, sq_b: np.ndarray):
+    """The Gram-form squared distances |a_i|^2 + |b_j|^2 - 2 a_i.b_j, given
+    the squared row norms, and per row of a its reach 16 (d + 4) u (|a_i|^2 +
+    max_j |b_j|^2 + tiny), u = 2^-53.
 
-    The distances are taken once, in the Gram form |a_i|^2 + |b_j|^2 -
-    2 a_i.b_j. Each form is within about (2d + 4) u (|a_i|^2 + |b_j|^2) of
-    the exact value (u = 2^-53), whatever order its sums are taken in, so the
-    two are within half of tol = 8 (d + 4) u (|a_i|^2 + |b_j|^2 + tiny) of
-    each other; ``tiny`` covers products that underflow. The row's Gram-form
-    extreme is always kept, and an entry is left out only if it lies more
-    than its own tol plus the extreme's beyond it: its difference-form value
-    then lies strictly beyond the extreme's, even after a square root rounds
-    both. So an exact recompute over the kept entries finds the same extreme,
-    and the same lowest index among ties, as one over every allowed entry. A
-    row without an allowed entry keeps none.
+    The Gram form and the difference form ``np.sum((a_i - b_j)**2)`` are
+    each within about (2d + 4) u (|a_i|^2 + |b_j|^2) of the exact value,
+    whatever order their sums are taken in, so they are within half of
+    tol_ij = 8 (d + 4) u (|a_i|^2 + |b_j|^2 + tiny) of each other (``tiny``
+    covers underflow). The reach is at least tol_ij + tol_ie for every j and
+    e, so an entry more than the reach beyond its row's Gram-form extreme e
+    lies strictly beyond e in the difference form, even after a square root
+    rounds both.
     """
-    if sq_a is None:
-        sq_a = np.sum(a * a, axis=1)
-    sq_b = sq_a if b is a else np.sum(b * b, axis=1)
-    norms = np.add.outer(sq_a, sq_b)
-    d2 = norms - 2.0 * (a @ b.T)
-    tol = 8.0 * (a.shape[1] + 4) * _UNIT_ROUNDOFF * (norms + np.finfo(np.float64).tiny)
-    rows = np.arange(len(d2))
-    masks = []
-    for allowed, largest in screens:
-        masked = np.where(allowed, d2, -np.inf if largest else np.inf)
-        at = np.argmax(masked, axis=1) if largest else np.argmin(masked, axis=1)
-        edge = masked[rows, at][:, None]
-        reach = tol + tol[rows, at][:, None]
-        near = masked >= edge - reach if largest else masked <= edge + reach
-        masks.append(allowed & near)
-    return masks
+    d2 = a @ (-2.0 * b).T  # scaling by -2 is exact
+    d2 += sq_a[:, None]
+    d2 += sq_b
+    tol = 16.0 * (a.shape[1] + 4) * 2.0 ** -53
+    return d2, tol * (sq_a + (sq_b.max() + np.finfo(np.float64).tiny))
+
+
+def _exact_argmin(keys, reach, a, b, signs=(1.0,), rooted=False) -> np.ndarray:
+    """Per row of ``keys``, the column of the smallest exact key, the lowest
+    index among ties; a row whose keys are all +inf gets column 0.
+
+    ``keys`` stacks one block of len(a) rows per entry of ``signs``: row
+    s * len(a) + i holds signs[s] times ``_gram``'s distances from a_i to the
+    rows of b, +inf where not allowed, and ``reach`` that row's reach. The
+    exact keys are signs[s] times ``np.sum((a_i - b_j)**2)``, or its square
+    root if ``rooted``. Only the rows with more than one entry within reach
+    of their smallest key are recomputed, on those entries alone and a
+    chunk of ``_CHUNK_ENTRIES`` difference entries at a time.
+    """
+    pick = np.argmin(keys, axis=1)
+    edge = keys[np.arange(len(keys)), pick][:, None]
+    finite = edge < np.inf
+    near = keys <= np.where(finite, edge + reach[:, None], -np.inf)
+    if np.count_nonzero(near) > np.count_nonzero(finite):  # a row holds a near tie
+        tied = np.flatnonzero(np.count_nonzero(near, axis=1) > 1)
+        rows, cols = np.nonzero(near[tied])
+        block, i = np.divmod(tied[rows], len(a))
+        step = max(1, _CHUNK_ENTRIES // a.shape[1])
+        exact = np.concatenate([np.sum((a[i[lo:lo + step]] - b[cols[lo:lo + step]]) ** 2, axis=1)
+                                for lo in range(0, len(rows), step)])
+        if rooted:
+            exact = np.sqrt(exact)
+        full = np.full((len(tied), keys.shape[1]), np.inf)
+        full[rows, cols] = exact * np.asarray(signs)[block]
+        pick[tied] = np.argmin(full, axis=1)
+    return pick
 
 
 def _row_blocks(rows: int, width: int, entries: int) -> np.ndarray:

@@ -49,57 +49,49 @@ def batch_hard_triplet(features: np.ndarray, labels: np.ndarray, margin: float):
     subgradient at zero activation is zero, as is the distance gradient for
     coincident pairs; hardest-pair ties go to the lowest index.
 
-    The hardest pairs are screened on the Gram form of the distances and
-    the few candidates are recomputed in the difference form, which picks
-    the same pairs at the same distances as the difference form over every
-    pair. The violations are summed one anchor after another, and each
-    gradient row receives its terms in anchor order, so the loss and the
-    gradient equal those of a per-anchor loop bit for bit.
+    The farthest positives (on negated keys) and the nearest negatives are
+    picked by one ``graph._exact_argmin`` call: the pairs the difference form
+    over every pair picks. Each chosen pair's difference is taken once, for
+    its distance and its gradient. The violations are summed one anchor
+    after another, and each gradient row receives its terms in anchor order,
+    so the loss and the gradient equal those of a per-anchor loop bit for bit.
     """
     f = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     if margin < 0:
         raise ValueError("margin must be >= 0")
-    b = len(f)
-    same = labels[:, None] == labels[None, :]
-    pos_mask = same & ~np.eye(b, dtype=bool)
-    neg_mask = ~same
-    active = pos_mask.any(axis=1) & neg_mask.any(axis=1)
+    b, d = f.shape
+    same = labels[:, None] == labels
+    members = np.count_nonzero(same, axis=1)  # rows sharing the anchor's label, itself included
+    active = (members > 1) & (members < b)
     active_anchors = int(np.count_nonzero(active))
     if active_anchors == 0:
         return 0.0, np.zeros_like(f)
 
-    pos_near, neg_near = graph._screen_extremes(f, f, [(pos_mask, True), (neg_mask, False)])
-    hardest_pos, d_pos = _hardest(f, pos_near, True)
-    hardest_neg, d_neg = _hardest(f, neg_near, False)
-    anchors = np.arange(b)
-    violation = margin + d_pos - d_neg
+    sq = (f * f).sum(axis=1)
+    d2, reach = graph._gram(f, f, sq, sq)
+    keys = np.full((2 * b, b), np.inf)
+    np.negative(d2, out=keys[:b], where=same)
+    np.fill_diagonal(keys, np.inf)  # an anchor is not its own positive
+    np.copyto(keys[b:], d2, where=~same)
+    picks = graph._exact_argmin(keys, np.concatenate([reach, reach]), f, f,
+                                (-1.0, 1.0), rooted=True)
+    diff = f - f[picks].reshape(2, b, d)  # anchor minus its hardest positive, negative
+    dist = np.sqrt((diff ** 2).sum(axis=2))
+    violation = margin + dist[0] - dist[1]
     hit = active & (violation > 0)
-    i, p, n = anchors[hit], hardest_pos[hit], hardest_neg[hit]
     # sequential (not pairwise) summation, in anchor order
-    total = float(np.cumsum(violation[hit])[-1]) if len(i) else 0.0
+    total = float(np.cumsum(violation[hit])[-1]) if hit.any() else 0.0
     loss = total / active_anchors
 
-    # unit directions; a coincident pair contributes nothing
-    d_p, d_n = d_pos[hit, None], d_neg[hit, None]
-    u = np.divide(f[i] - f[p], d_p, out=np.zeros((len(i), f.shape[1])), where=d_p > 0)
-    w = np.divide(f[i] - f[n], d_n, out=np.zeros((len(i), f.shape[1])), where=d_n > 0)
-    # rows (i, p, i, n) per contribution; bincount adds each entry's terms in
-    # anchor order, from 0.0
-    d = f.shape[1]
-    targets = np.stack([i, p, i, n], axis=1).ravel()
-    terms = np.stack([u, -u, -w, w], axis=1)
-    grad = np.bincount((targets[:, None] * d + np.arange(d)).ravel(),
+    # unit directions, zero where the anchor adds no term or the pair
+    # coincides; a zero term leaves a bincount sum's bits as they are
+    unit = np.divide(diff, dist[:, :, None], out=np.zeros_like(diff),
+                     where=((dist > 0) & hit)[:, :, None])
+    # rows (i, p, i, n) per anchor i; bincount adds each row's terms in anchor order, from 0.0
+    anchors = np.arange(b)
+    targets = np.stack([anchors, picks[:b], anchors, picks[b:]], axis=1)
+    terms = np.stack([unit[0], -unit[0], -unit[1], unit[1]], axis=1)
+    grad = np.bincount((targets[:, :, None] * d + np.arange(d)).ravel(),
                        weights=terms.ravel(), minlength=b * d).reshape(b, d)
     return loss, grad / active_anchors
-
-
-def _hardest(f, candidates, largest):
-    """Per row, the candidate column at the largest (smallest) distance
-    sqrt(sum((f_i - f_j)**2)), the lowest index on ties, and that distance;
-    a row without candidates gets column 0 at -inf (inf)."""
-    rows, cols = np.nonzero(candidates)
-    dist = np.full(candidates.shape, -np.inf if largest else np.inf)
-    dist[rows, cols] = np.sqrt(np.maximum(np.sum((f[rows] - f[cols]) ** 2, axis=1), 0.0))
-    pick = np.argmax(dist, axis=1) if largest else np.argmin(dist, axis=1)
-    return pick, dist[np.arange(len(f)), pick]

@@ -311,10 +311,15 @@ def joint_loss_and_grads(state: EncoderState, bank: MemoryBank | None, x: np.nda
         raise TrainingDivergedError(
             f"non-finite loss (cls={cls}, tri={tri}, spread={spread})")
 
-    g_logits = sum(weight * g for weight, g, _ in weighted)
-    cls_grads, g_feats = classifier_backward(state, feats, g_logits)
-    for weight, _, g in weighted:
-        g_feats = g_feats + weight * g
+    if len(weighted) == 1:  # its weight is exactly 1.0, so there is no blend to form
+        (_, g_logits, g_tri), = weighted
+        cls_grads, g_feats = classifier_backward(state, feats, g_logits)
+        g_feats += g_tri
+    else:  # coarse before refined: the order of the additions fixes the bits
+        (w_c, logits_c, g_tri_c), (w_r, logits_r, g_tri_r) = weighted
+        cls_grads, g_feats = classifier_backward(state, feats, w_c * logits_c + w_r * logits_r)
+        g_feats += w_c * g_tri_c
+        g_feats += w_r * g_tri_r
     if cfg.mu:
         # chain the spread gradient through the row normalization
         inner = np.sum(g_feats_n * feats_n, axis=1, keepdims=True)

@@ -408,10 +408,13 @@ class TestLloydAgainstDifferenceTensor:
         points[m // 2:m // 2 + 300] = points[:300]
         pp = cluster._kmeans_pp_init(points, r, np.random.default_rng(0))
         dup = points[[0, m // 2, 5, m // 2 + 5, 900]]  # two pairs of equal centers
-        # equal centers leave most rows with more than one candidate, so the
+        # equal centers leave most rows with more than one center within
+        # graph._exact_argmin's reach of their Gram-form nearest, so the
         # difference-form recompute runs
-        (near,) = graph._screen_extremes(points, dup, [(True, False)])
-        assert np.count_nonzero(np.count_nonzero(near, axis=1) > 1) > m // 2
+        d2, reach = graph._gram(points, dup, np.sum(points * points, axis=1),
+                                np.sum(dup * dup, axis=1))
+        within = d2 <= np.min(d2, axis=1, keepdims=True) + reach[:, None]
+        assert np.count_nonzero(np.count_nonzero(within, axis=1) > 1) > m // 2
         for start in (pp, dup):
             assert_same_lloyd(points, start)
 
@@ -451,6 +454,22 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 2 * points.nbytes, f"peak {peak} bytes, two (m, d) arrays"
+
+
+    def test_assign_peak_below_four_distance_arrays(self):
+        # one (m, r) Gram product, screened as it is: no (m, r) norm,
+        # tolerance or masked copy of the distances beside it
+        rng = np.random.default_rng(38)
+        points = rng.standard_normal((5120, 32))
+        centers, sq = points[:5].copy(), np.sum(points * points, axis=1)
+        cluster._assign(points, centers, sq)  # warm up the imports
+        tracemalloc.start()
+        try:
+            cluster._assign(points, centers, sq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 5120 * 5 * 8, f"peak {peak} bytes, four (m, r) arrays"
 
 
 @pytest.fixture(scope="module")

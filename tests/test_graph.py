@@ -177,6 +177,58 @@ class TestGramRowBlocks:
         assert blocked[1].tobytes() == whole[1].tobytes()
 
 
+def dense_exact_argmin(a, b, allowed, sign, rooted):
+    """Per row, the column of the smallest allowed sign * |a_i - b_j|^2 (its
+    square root if ``rooted``) over the (len(a), len(b), d) difference
+    tensor, the lowest index on ties; column 0 where nothing is allowed."""
+    d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
+    return np.argmin(np.where(allowed, sign * (np.sqrt(d2) if rooted else d2), np.inf), axis=1)
+
+
+class TestExactArgmin:
+    """graph._exact_argmin on graph._gram's keys, farthest (negated keys)
+    and nearest stacked in one call as the triplet stacks them, picks what
+    a dense argmin over the difference tensor picks."""
+
+    @staticmethod
+    def rows(rng, m, d, kind):
+        if kind == "ties":  # integer-grid rows, repeated, with equal distances
+            return rng.integers(-2, 3, size=(m, d)) * 10.0 ** rng.integers(-3, 4, size=(m, 1))
+        if kind == "spread":
+            # row norms 1e-3 and 1e3 in one call: a small row's reach is
+            # set by the large rows, which sit in a group that nearly ties
+            far = 1e3 * l2_normalize(rng.standard_normal((1, d)))
+            far = far + 10.0 ** rng.uniform(-14, -8) * rng.integers(-2, 3, size=(m, d))
+            near = 1e-3 * l2_normalize(rng.standard_normal((m, d)))
+            return np.where(rng.random((m, 1)) < 0.5, far, near)
+        # far from the origin and close together: the Gram form cancels
+        offset = 10.0 ** rng.uniform(0, 6) * rng.standard_normal(d)
+        return offset + 10.0 ** rng.uniform(-8, 0) * rng.integers(-2, 3, size=(m, d))
+
+    @pytest.mark.parametrize("rooted", [False, True])
+    @pytest.mark.parametrize("kind", ["ties", "spread", "cancellation"])
+    def test_matches_dense_difference_form(self, kind, rooted):
+        rng = np.random.default_rng(40)
+        recomputed = 0
+        for trial in range(300):
+            m, d = int(rng.integers(1, 50)), int(rng.integers(1, 33))
+            a = self.rows(rng, m, d, kind)
+            b = a if trial % 2 else a[rng.integers(0, m, size=int(rng.integers(1, 9)))]
+            # a few rows allow nothing, and get column 0
+            allowed = rng.random((2, m, len(b))) < rng.uniform(0.1, 1.0)
+            d2, reach = graph._gram(a, b, np.sum(a * a, axis=1), np.sum(b * b, axis=1))
+            keys = np.where(allowed, np.stack([-d2, d2]), np.inf).reshape(2 * m, len(b))
+            reach = np.concatenate([reach, reach])
+            got = graph._exact_argmin(keys, reach, a, b, (-1.0, 1.0), rooted)
+            want = [dense_exact_argmin(a, b, allowed[0], -1.0, rooted),
+                    dense_exact_argmin(a, b, allowed[1], 1.0, rooted)]
+            assert got.tobytes() == np.concatenate(want).tobytes()
+            edge = np.min(keys, axis=1, keepdims=True)
+            within = np.count_nonzero(keys <= edge + reach[:, None], axis=1)
+            recomputed += np.any((within > 1) & (edge[:, 0] < np.inf))
+        assert recomputed > 30  # the difference-form recompute ran
+
+
 def assert_same_knn(f, k):
     got, want = nearest_neighbors(f, k), oracles.nearest_neighbors(f, k)
     assert got[0].tobytes() == want[0].tobytes()

@@ -159,6 +159,20 @@ class TestBatchHardTripletAgainstLoop:
             labels = np.repeat(rng.permutation(p), k)
             assert_same_triplet(feats, labels, float(rng.choice([0.0, 0.3 * spread])))
 
+    def test_mixed_magnitudes(self):
+        # row norms spanning 1e6 in one batch: the reach of every anchor is
+        # set by the largest row, so the small rows keep many candidates
+        rng = np.random.default_rng(25)
+        for trial in range(300):
+            p, k, d = (int(v) for v in rng.integers([2, 2, 1], [9, 5, 33]))
+            scale = 10.0 ** rng.uniform(-3, 3, size=(p * k, 1))
+            if trial % 2:  # integer-grid rows force ties
+                feats = scale * rng.integers(-2, 3, size=(p * k, d))
+            else:
+                feats = scale * rng.standard_normal((p * k, d))
+            labels = np.repeat(rng.permutation(p), k)
+            assert_same_triplet(feats, labels, float(rng.choice([0.0, 0.3, 30.0])))
+
     def test_anchors_without_positive_or_negative(self):
         rng = np.random.default_rng(22)
         # singletons have no positive; with one big label most anchors have

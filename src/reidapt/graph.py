@@ -6,14 +6,17 @@ similarity rows of two samples by their elementwise min/max sums.
 
 Nothing here is N x N, and one Gram block of (rows, N), capped at 4 MB, is
 the largest buffer. The k-NN takes one Gram product per block of rows and
-ranks it a small chunk of rows at a time, keeping only each row's k nearest
-neighbors; the similarity d_S is stored as CSR rows, and ``np.sum`` takes
-its row sums over chunks of rows scattered into one small reused dense
-buffer; d_J is stored only for the pairs that share a reciprocal member, and
-their min-sum terms are enumerated a block of rows at a time, each block
-turned into distances at once. Every other off-diagonal pair has a min-sum
-of zero and therefore a Jaccard distance of exactly 1.0 (Zhong et al. 2017,
-arXiv:1701.08398; Ge et al. 2020, arXiv:2006.02713).
+screens it a small chunk of rows at a time: the k-th largest of each row's
+strided group maxima bounds its k-th distance, and only the columns within
+that bound get a distance and a rank; no whole row is partitioned or sorted.
+The similarity d_S is stored as CSR rows, and ``np.sum`` takes its row sums
+over chunks of rows scattered into one small reused dense buffer. d_J is
+stored only for the pairs that share a reciprocal member, and their min-sum
+terms are enumerated a block of rows at a time; one in-place sort of each
+block's pair keys, packed with their positions, orders the terms, and the
+block is turned into distances at once. Every other off-diagonal pair has a
+min-sum of zero and therefore a Jaccard distance of exactly 1.0 (Zhong et
+al. 2017, arXiv:1701.08398; Ge et al. 2020, arXiv:2006.02713).
 
 ``_gram`` and ``_exact_argmin`` are the exact nearest/farthest screen that
 the batch-hard triplet and the k-means assignment share; their operands are
@@ -35,6 +38,9 @@ _BLOCK_ENTRIES = 1 << 19
 # dense similarity rows of the row sums, the Jaccard min-sum terms, and the
 # slices of stored pairs that ``cluster.dbscan`` takes.
 _CHUNK_ENTRIES = 1 << 16
+# Columns per strided group of the k-NN's screen: each row ranks the maxima
+# of about N / _GROUP_WIDTH groups instead of all N entries.
+_GROUP_WIDTH = 4
 
 
 @dataclass
@@ -178,13 +184,25 @@ def nearest_neighbors(features: np.ndarray, k: int):
     Distance ties break to the lower index. Squared distances come from the
     GEMM identity |a|^2 + |b|^2 - 2 a.b, one Gram product per block of rows;
     up to about 724 rows that is one block, the same Gram product a dense
-    N x N computation makes. The rest runs a chunk of rows at a time in one
-    small scratch buffer: the chunk's squared distances, and a partial sort
-    of a copy of them in the chunk's spent Gram rows, which finds the k-th
-    one. Only the entries whose distance sqrt(max(d^2, 0)) can round to the
-    k-th distance or below are taken as candidates, by flat index. The
-    distances are computed for those alone, and the candidates are ranked on
-    them only in rows that hold more than k.
+    N x N computation makes.
+
+    The rest runs a chunk of rows at a time in one small scratch buffer,
+    which holds h = g - |f_j|^2 / 2 for the chunk's Gram entries g, -inf on
+    the diagonal: a larger h is a smaller squared distance |f_i|^2 - 2h,
+    whatever the row norms. Column j belongs to strided group j mod G, with
+    G = N // w groups of about w = min(``_GROUP_WIDTH``, N // (k + 1))
+    columns, so G > k. Only the (rows, G) group maxima are partitioned, for
+    each row's k-th largest t. The k groups at or above t hold k distinct
+    columns with h >= t, so the k-th squared distance is at most
+    |f_i|^2 - 2t plus roundings of a few unit roundoffs of
+    |f_i|^2 + max_j |f_j|^2 + |t|. Any column whose rounded distance can
+    reach the k-th has h within those roundings of t, so the candidates,
+    taken by flat index, are the columns with h at least t less 2^-39
+    (2^14 unit roundoffs) of that scale and the smallest normal. Their
+    squared distances are computed as (|f_i|^2 + |f_j|^2) - 2g, the bits of
+    the dense computation, and ranked on sqrt(max(d^2, 0)) only in rows that
+    hold more than k. The extra candidates lie beyond the k-th distance, so
+    the picks are those of a stable sort of the whole row.
     """
     f = np.asarray(features, dtype=np.float64)
     n = len(f)
@@ -193,34 +211,43 @@ def nearest_neighbors(features: np.ndarray, k: int):
     if not np.all(np.isfinite(f)):
         raise ValueError("features must be finite (no NaN or inf)")
     sq = np.sum(f * f, axis=1)
+    half_sq = 0.5 * sq
+    sq_max = np.max(sq)
+    width = min(_GROUP_WIDTH, n // (k + 1))
+    groups = n // width
     neighbors = np.empty((n, k), dtype=np.int64)
     dist = np.empty((n, k))
     bounds = _row_blocks(n, n, _BLOCK_ENTRIES)
-    # one Gram block and one chunk of squared distances serve every block
+    # one Gram block, one chunk of h and one of group maxima serve every block
     gram_buf = np.empty((int(np.max(np.diff(bounds))), n))
     step = max(1, _CHUNK_ENTRIES // n)
-    d_buf = np.empty((min(step, len(gram_buf)), n))
+    h_buf = np.empty((min(step, len(gram_buf)), n))
+    top_buf = np.empty((len(h_buf), groups))
     for start, stop in zip(bounds[:-1], bounds[1:]):
         gram_block = np.matmul(f[start:stop], f.T, out=gram_buf[:stop - start])
         for lo in range(start, stop, step):
             hi = min(lo + step, stop)
             local = np.arange(hi - lo)
             gram = gram_block[lo - start:hi - start]
-            gram *= 2.0
-            d2 = np.add.outer(sq[lo:hi], sq, out=d_buf[:hi - lo])
-            d2 -= gram
-            d2[local, lo + local] = np.inf
-            np.copyto(gram, d2)  # the chunk's Gram rows are spent
-            gram.partition(k - 1, axis=1)
-            kth = np.maximum(gram[:, k - 1], 0.0)
-            # A squared distance whose rounded square root equals that of kth
-            # is below kth (1 + 2^-51), or within the smallest normal of kth;
-            # reach stays above both after its own roundings.
-            reach = kth * (1.0 + 2.0 ** -50) + np.finfo(np.float64).tiny
-            flat = np.flatnonzero(d2 <= reach[:, None])
-            d = np.sqrt(np.maximum(d2.ravel()[flat], 0.0))
+            h = np.subtract(gram, half_sq, out=h_buf[:hi - lo])
+            h[local, lo + local] = -np.inf
+            top = np.maximum.reduce(h[:, :groups * width].reshape(hi - lo, width, groups),
+                                    axis=1, out=top_buf[:hi - lo])
+            for c in range(groups * width, n, groups):  # the < width columns left over
+                part = h[:, c:c + groups]
+                np.maximum(top[:, :part.shape[1]], part, out=top[:, :part.shape[1]])
+            top.partition(groups - k, axis=1)
+            t = top[:, groups - k]
+            # 2^-39 is 2^14 unit roundoffs of the scale of h, far above the
+            # roundings between h, the Gram entries, the squared distances
+            # and the k-th one's reach; tiny covers underflow
+            margin = 2.0 ** -39 * (sq[lo:hi] + sq_max + np.abs(t)) + np.finfo(np.float64).tiny
+            flat = np.flatnonzero(h >= (t - margin)[:, None])
+            rows, cols = np.divmod(flat, n)
+            d = (sq[lo + rows] + sq[cols]) - 2.0 * gram.ravel()[flat]
+            np.sqrt(np.maximum(d, 0.0, out=d), out=d)
             picks = _lowest_k(flat, d, k, n)
-            neighbors[lo:hi] = (flat[picks] % n).reshape(-1, k)
+            neighbors[lo:hi] = cols[picks].reshape(-1, k)
             dist[lo:hi] = d[picks].reshape(-1, k)
     return neighbors, dist
 
@@ -289,9 +316,11 @@ def _jaccard_blocks(indptr: np.ndarray, indices: np.ndarray, d_s: np.ndarray,
     A pair is enumerated from its first member: each stored (i, k) meets the
     entries (k, j) of row k after (k, i), and adds the term
     min(d_s[k, i], d_s[k, j]) to the pair's min-sum. Whole rows i are taken
-    a block of about ``_CHUNK_ENTRIES`` terms at a time. Within a row the
-    terms come in ascending k, and a stable sort on the pair key keeps that
-    order, so each min-sum adds its terms in ascending k.
+    a block of about ``_CHUNK_ENTRIES`` terms, and at most that many rows, at
+    a time. Within a row the terms come in ascending k. Each block sorts its
+    pair keys once, in place, packed with their positions in the block, so
+    the sorted order is the stable one and each min-sum adds its terms in
+    ascending k.
     """
     n = len(indptr) - 1
     later = indptr[indices + 1] - mirror - 1  # terms of each stored (i, k)
@@ -300,10 +329,10 @@ def _jaccard_blocks(indptr: np.ndarray, indices: np.ndarray, d_s: np.ndarray,
     keys, d_j = [np.empty(0, dtype=np.int64)], [np.empty(0)]
     start = 0
     while start < n:
-        stop = max(start + 1, int(np.searchsorted(
-            before, before[start] + _CHUNK_ENTRIES, side="right")) - 1)
+        stop = max(start + 1, min(start + _CHUNK_ENTRIES, int(np.searchsorted(
+            before, before[start] + _CHUNK_ENTRIES, side="right")) - 1))
         at = slice(indptr[start], indptr[stop])
-        rows, per_row = np.arange(start, stop), np.diff(before[start:stop + 1])
+        first, per_row = start, np.diff(before[start:stop + 1])
         start = stop
         if not per_row.any():
             continue
@@ -312,13 +341,23 @@ def _jaccard_blocks(indptr: np.ndarray, indices: np.ndarray, d_s: np.ndarray,
         b += np.arange(len(b))
         term = d_s[np.repeat(mirror[at], count)]
         np.minimum(term, d_s[b], out=term)
-        key = np.repeat(rows * n, per_row)
+        # The block's local keys (i - first) n + j, each shifted left past
+        # its position: positions are distinct, so one sort of the packed
+        # keys gives the stable order. A block spans at most _CHUNK_ENTRIES
+        # (2^16) rows, so its local keys stay below 2^16 n; it holds at most
+        # 2^16 terms, or one row's, which is at most (k_rr + 1)^2 for the
+        # reciprocal sets. So for k_rr < 256 the shift is at most 17 bits,
+        # and the packed keys stay below 2^33 n, under 2^63 for n < 2^29.
+        shift = len(b).bit_length()
+        key = np.repeat(np.arange(len(per_row)) * n, per_row)
         key += indices[b]
         del b  # spent term-sized arrays go at once, so at most four are live
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        term = term[order]
-        del order
+        key <<= shift
+        key |= np.arange(len(key))
+        key.sort()
+        term = term[key & ((1 << shift) - 1)]
+        key >>= shift
+        key += first * n
         first_of_pair = np.concatenate([[True], key[1:] != key[:-1]])
         key = key[first_of_pair]
         # bincount adds in input order, so each min-sum accumulates in ascending k

@@ -147,6 +147,26 @@ class TestNearestNeighbors:
         assert np.array_equal(whole[0], blocked[0])
         assert np.allclose(whole[1], blocked[1], rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("kind", ["probe", "shuffled", "unnormalized"])
+    def test_screen_passes_few_candidates(self, monkeypatch, kind):
+        # The group-max screen ranks h = g - |f_j|^2 / 2, so it passes about
+        # k columns per row whatever the row norms; one that ranked the Gram
+        # entries g alone would pass many more on unnormalized rows.
+        f = memory_probe_features(1280)
+        if kind == "shuffled":
+            f = f[np.random.default_rng(13).permutation(len(f))]
+        elif kind == "unnormalized":
+            f = np.random.default_rng(14).standard_normal((1280, 32))
+        counts, lowest_k = [], graph._lowest_k
+
+        def counted(flat, keys, k, width):
+            counts.append(len(flat))
+            return lowest_k(flat, keys, k, width)
+
+        monkeypatch.setattr(graph, "_lowest_k", counted)
+        nearest_neighbors(f, 20)
+        assert sum(counts) <= 1.5 * 20 * len(f), f"{sum(counts) / len(f):.1f} per row"
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_features(self, bad):
         f = np.random.default_rng(12).standard_normal((30, 4))
@@ -278,6 +298,27 @@ class TestNearestNeighborsAgainstMaskOracle:
             f = rng.standard_normal((n, d))
             for k in (1, n - 1):
                 assert_same_knn(f, k)
+
+    def test_probe_rows_in_order_and_shuffled(self):
+        # clusters of 20 contiguous rows, then the same rows scattered: the
+        # strided groups must hold the bound either way
+        f = memory_probe_features(1280)
+        assert_same_knn(f, 20)
+        assert_same_knn(f[np.random.default_rng(45).permutation(len(f))], 20)
+
+    def test_row_norms_from_1e_minus_3_to_1e3(self):
+        rng = np.random.default_rng(46)
+        f = l2_normalize(rng.standard_normal((600, 16)))
+        assert_same_knn(f * 10.0 ** rng.uniform(-3, 3, size=(600, 1)), 20)
+
+    def test_group_width_edges(self):
+        # min(4, n // (k + 1)) columns per group: 3 just below n = 4 (k + 1),
+        # 4 from there on; at n = 11, k = 1 the 3 columns beyond the 2 full
+        # groups of 4 outnumber the groups
+        rng = np.random.default_rng(47)
+        for k in (1, 20):
+            for n in (4 * (k + 1) - 1, 4 * (k + 1), 4 * (k + 1) + 3):
+                assert_same_knn(rng.standard_normal((n, 6)), k)
 
 
 class TestReciprocalSets:
@@ -498,6 +539,24 @@ class TestJaccardEdgeCases:
             assert sizes[0] == n and set(sizes[kind == 0]) == {1} and set(sizes[kind == 1]) == {2}
             assert_jaccard_matches_oracle(d_s)
 
+    def test_blocks_span_few_rows_among_singletons(self, monkeypatch):
+        # a pair {i, i + 1} every 50 rows among singletons: only row i adds
+        # terms, yet a block spans at most _CHUNK_ENTRIES rows, which keeps
+        # its packed sort keys below 2^63
+        n = 400
+        member = np.eye(n, dtype=bool)
+        for i in range(0, n - 1, 50):
+            member[i, i + 1] = member[i + 1, i] = True
+        d_s = symmetric_similarity(np.random.default_rng(33), member)
+        monkeypatch.setattr(graph, "_CHUNK_ENTRIES", 8)
+        assert_jaccard_matches_oracle(d_s)
+        indptr, indices, values = csr_of(d_s)
+        keys, _ = graph._jaccard_blocks(indptr, indices, values,
+                                        oracles.transposes(indptr, indices),
+                                        graph._dense_row_sums(indptr, indices, values))
+        rows = [key // n for key in keys if len(key)]
+        assert len(rows) == 8 and max(int(r[-1] - r[0]) for r in rows) < 8
+
 
 class TestSparseChainAgainstDense:
     """The k-NN-sparse chain reproduces the dense chain bit for bit."""
@@ -689,11 +748,10 @@ class TestMemory:
 
     @pytest.mark.parametrize("n", [1280, 5120])
     def test_nearest_neighbors_peak_near_two_blocks(self, n):
-        # one Gram block, reused; the squared distances, their partition
-        # copy (in the spent Gram rows), the candidate mask and the ranking
-        # work one chunk of rows at a time, so only that chunk and the
-        # outputs come on top. test_nearest_neighbors_peak_near_one_block
-        # holds the tighter bound.
+        # one Gram block, reused; h, its strided group maxima, the candidate
+        # mask and the ranking work one chunk of rows at a time, so only
+        # that chunk and the outputs come on top.
+        # test_nearest_neighbors_peak_near_one_block holds the tighter bound.
         f = np.random.default_rng(21).standard_normal((n, 32))
         nearest_neighbors(f[:50], 5)  # warm up the imports
         tracemalloc.start()

@@ -14,13 +14,13 @@ in a training run), which picks each anchor's positives with
 import numpy as np
 
 from reidapt.data import l2_normalize
-from reidapt.membank import init_bank, momentum_update, spread_loss
+from reidapt.membank import MemoryBank, momentum_update, spread_loss
 
 rng = np.random.default_rng(0)
 n, d, batch = 64, 16, 8
 eta = 2.0  # the anchors' step; the loss averages over the batch
 
-bank = init_bank(rng.standard_normal((n, d)))
+bank = MemoryBank(v=l2_normalize(rng.standard_normal((n, d))))
 idx = rng.choice(n, size=batch, replace=False)
 anchors = bank.v[idx]
 

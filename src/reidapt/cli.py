@@ -159,7 +159,7 @@ def cmd_gen_data(args):
             num_cameras=args.cameras, d_in=args.dim,
             identity_spread=args.spread, intra_noise=args.noise,
             camera_shift_scale=args.camera_shift, domain_shift=args.domain_shift,
-            seed=args.seed if args.seed is not None else 0)
+            seed=args.seed)
     except ValueError as err:
         raise CliError(f"invalid dataset spec: {err}", EXIT_USAGE)
     out = _out_dir(args.out)

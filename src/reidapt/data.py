@@ -9,6 +9,7 @@ Persistence is 32-bit; in-memory arrays are float64.
 from __future__ import annotations
 
 import csv
+import os
 import struct
 from dataclasses import dataclass
 
@@ -143,15 +144,18 @@ def generate_synthetic(spec: SynthSpec):
 
 
 def write_features(path, m: np.ndarray):
-    """Write a matrix to ``path`` in the DRFT container (float32 payload)."""
+    """Write a matrix to ``path`` in the DRFT container (float32 payload), via
+    a ``.tmp`` file renamed into place: a write that stops midway keeps the old file."""
     m = np.asarray(m)
     if m.ndim != 2:
         raise FeatureFileError(f"expected a 2-D matrix, got shape {m.shape}")
     n, d = m.shape
-    with open(path, "wb") as fh:
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", n, d))
         fh.write(np.ascontiguousarray(m, dtype="<f4").tobytes())
+    os.replace(tmp, path)
 
 
 def read_features(path) -> np.ndarray:

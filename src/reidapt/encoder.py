@@ -53,12 +53,6 @@ class EncoderState:
     def feat_dim(self) -> int:
         return self.w2.shape[1]
 
-    def params(self) -> dict:
-        out = {name: getattr(self, name) for name in ENCODER_PARAMS}
-        if self.wc is not None:
-            out["wc"], out["bc"] = self.wc, self.bc
-        return out
-
 
 def init_encoder(d_in: int, hidden: int, feat_dim: int, rng) -> EncoderState:
     return EncoderState(
@@ -184,16 +178,16 @@ def lr_at(base_lr: float, epoch: int, warmup_epochs: int, decay_epochs,
 
 
 def save_checkpoint(prefix, state: EncoderState):
-    """Flattened float32 parameters, then a JSON sidecar of shapes and step,
-    renamed into place last: a checkpoint with a sidecar is complete."""
+    """The encoder's parameters flattened to float32, then a JSON sidecar of
+    their shapes and the step, renamed into place last: a checkpoint with a
+    sidecar is complete. The classifier head is not saved: every adaptation
+    epoch redraws it before its first use."""
     prefix = str(prefix)
-    params = state.params()
-    order = [name for name in (*ENCODER_PARAMS, *CLASSIFIER_PARAMS) if name in params]
-    flat = np.concatenate([params[name].ravel() for name in order])
-    write_features(prefix + ".drft", flat[None, :])
+    params = [getattr(state, name) for name in ENCODER_PARAMS]
+    write_features(prefix + ".drft", np.concatenate(params, axis=None)[None, :])
     sidecar = {
-        "order": order,
-        "shapes": {name: list(params[name].shape) for name in order},
+        "order": list(ENCODER_PARAMS),
+        "shapes": {name: list(p.shape) for name, p in zip(ENCODER_PARAMS, params)},
         "activation": "tanh",
         "step": state.step,
     }
@@ -203,6 +197,9 @@ def save_checkpoint(prefix, state: EncoderState):
 
 
 def load_checkpoint(prefix) -> EncoderState:
+    """The encoder of a checkpoint, with no classifier head. A checkpoint
+    that also holds a head (``wc``, ``bc`` after the encoder) loads too; the
+    head is dropped."""
     prefix = str(prefix)
     with open(prefix + ".json") as fh:
         sidecar = json.load(fh)
@@ -218,7 +215,5 @@ def load_checkpoint(prefix) -> EncoderState:
         raise ValueError("checkpoint payload does not match its sidecar shapes")
     if sidecar["activation"] != "tanh":
         raise ValueError(f"unknown activation {sidecar['activation']!r}")
-    return EncoderState(
-        w1=fields["w1"], b1=fields["b1"], w2=fields["w2"], b2=fields["b2"],
-        wc=fields.get("wc"), bc=fields.get("bc"), step=int(sidecar["step"]),
-    )
+    return EncoderState(*(fields[name] for name in ENCODER_PARAMS),
+                        step=int(sidecar["step"]))

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import l2_normalize
 from .graph import _dense_row_sums, _lowest_k
 
 
@@ -36,11 +35,6 @@ class MemoryBank:
 
     def __len__(self) -> int:
         return len(self.v)
-
-
-def init_bank(features: np.ndarray) -> MemoryBank:
-    """Bank entries start as the L2-normalized sample features."""
-    return MemoryBank(v=l2_normalize(features))
 
 
 def positive_sets(sims: np.ndarray, sample_indices: np.ndarray,

@@ -38,7 +38,7 @@ from reidapt.encoder import (
 from reidapt.evaluate import pairwise_fscore, retrieval_eval
 from reidapt.graph import build_distance_graph
 from reidapt.losses import batch_hard_triplet, cross_entropy
-from reidapt.membank import MemoryBank, init_bank, positive_sets, spread_loss
+from reidapt.membank import MemoryBank, positive_sets, spread_loss
 from reidapt.refine import PseudoLabelSet
 from reidapt.trainer import (
     TrainConfig,
@@ -75,7 +75,7 @@ def _grad_fixture():
     coarse = rng.integers(0, classes, size=batch)
     refined = rng.integers(0, classes, size=batch)
     coarse[:2] = refined[:2] = np.array([0, 1])  # both labelings usable
-    bank = init_bank(rng.standard_normal((bank_n, d)))
+    bank = MemoryBank(v=l2_normalize(rng.standard_normal((bank_n, d))))
     idx = rng.choice(bank_n, size=batch, replace=False)
     cfg = TrainConfig(seed=0, k_pos=3)
     return state, bank, x, coarse, refined, idx, cfg
@@ -300,7 +300,7 @@ def test_criterion_oracle_suite():
 
         # positive sets against a sort oracle
         v = l2_normalize(rng.standard_normal((6, 3)))
-        bank = init_bank(v)
+        bank = MemoryBank(v=l2_normalize(v))
         anchors = l2_normalize(rng.standard_normal((3, 3)))
         idx = rng.choice(6, size=3, replace=False)
         positives = positive_sets(anchors @ bank.v.T, idx, 2)
@@ -400,7 +400,7 @@ def test_criterion_bank_unit_norms_500_iterations():
     cfg = adapt_config(PANEL_SEEDS[0])
     state = pretrain_source(source.raw, source.identity, cfg)
     es = offline_epoch(state, train.raw, cfg, 0)
-    bank = init_bank(forward(state, train.raw)[0])
+    bank = MemoryBank(v=l2_normalize(forward(state, train.raw)[0]))
     initial = bank.v.copy()
     rng = np.random.default_rng(0)
     worst = 0.0
@@ -481,7 +481,7 @@ def test_criterion_endpoint_reduction():
                       min_pts=4, seed=5)
     state = pretrain_source(source.raw, source.identity, cfg)
     es = offline_epoch(state, train.raw, cfg, 0)
-    bank = init_bank(forward(state, train.raw)[0])
+    bank = MemoryBank(v=l2_normalize(forward(state, train.raw)[0]))
     rng = np.random.default_rng(3)
     rows = []
     gaps = []

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
+from reidapt import data
 from reidapt.data import (
     FeatureFileError,
     LabelFileError,
@@ -160,6 +161,35 @@ class TestFeatureFiles:
     def test_write_rejects_non_matrix(self, tmp_path):
         with pytest.raises(FeatureFileError, match=r"expected a 2-D matrix, got shape \(5,\)"):
             write_features(tmp_path / "v.drft", np.ones(5))
+
+    def test_interrupted_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        # a run stopped while it rewrites a file leaves the old one readable,
+        # never a header with no payload under the real name
+        path = tmp_path / "m.drft"
+        write_features(path, np.ones((2, 3)))
+        before = path.read_bytes()
+        real_open = open
+
+        class StopAfterHeader:
+            def __init__(self, fh):
+                self.fh, self.written = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, blob):
+                if self.written >= 12:
+                    raise KeyboardInterrupt
+                self.written += self.fh.write(blob)
+
+        monkeypatch.setattr(data, "open", lambda *a, **kw: StopAfterHeader(real_open(*a, **kw)),
+                            raising=False)
+        with pytest.raises(KeyboardInterrupt):
+            write_features(path, np.zeros((4, 5)))
+        assert path.read_bytes() == before
 
 
 class TestLabelFiles:

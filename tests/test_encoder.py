@@ -6,6 +6,7 @@ import oracles
 import pytest
 from helpers import central_diff, rel_error
 
+from reidapt.data import write_features
 from reidapt.encoder import (
     CLASSIFIER_PARAMS,
     ENCODER_PARAMS,
@@ -268,19 +269,49 @@ class TestLrSchedule:
             lr_at(_DEFAULTS.base_lr, -1, **ADAPT_PROFILE)
 
 
+def float32_state(rng, classes=None):
+    """A random state whose encoder survives the float32 persistence."""
+    state = random_state(rng, classes=classes)
+    for name in ENCODER_PARAMS:
+        setattr(state, name, getattr(state, name).astype(np.float32).astype(np.float64))
+    return state
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(17)
-        state = random_state(rng, classes=6)
-        state.step = 123
-        # persistence is float32: store float32-representable parameters
-        for name in ("w1", "b1", "w2", "b2", "wc", "bc"):
-            setattr(state, name, getattr(state, name).astype(np.float32).astype(np.float64))
-        save_checkpoint(tmp_path / "ckpt", state)
-        back = load_checkpoint(tmp_path / "ckpt")
-        assert back.step == 123
-        assert json.loads((tmp_path / "ckpt.json").read_text())["activation"] == "tanh"
-        for name in ("w1", "b1", "w2", "b2", "wc", "bc"):
+        # the head is redrawn before its first use in every adaptation epoch,
+        # so a checkpoint holds the encoder alone, with or without a head
+        for classes in (6, None):
+            state = float32_state(np.random.default_rng(17), classes)
+            state.step = 123
+            save_checkpoint(tmp_path / "ckpt", state)
+            sidecar = json.loads((tmp_path / "ckpt.json").read_text())
+            assert sidecar["order"] == ["w1", "b1", "w2", "b2"]
+            assert sidecar["activation"] == "tanh"
+            back = load_checkpoint(tmp_path / "ckpt")
+            assert back.wc is None and back.bc is None
+            assert back.step == 123
+            for name in ENCODER_PARAMS:
+                assert np.array_equal(getattr(back, name), getattr(state, name))
+
+    def test_layout_with_head_loads_without_it(self, tmp_path):
+        # a checkpoint whose payload and sidecar also carry wc and bc, after
+        # the encoder, loads as its encoder; the head is dropped
+        state = float32_state(np.random.default_rng(21), classes=6)
+        state.step = 7
+        names = (*ENCODER_PARAMS, *CLASSIFIER_PARAMS)
+        flat = np.concatenate([getattr(state, name) for name in names], axis=None)
+        write_features(tmp_path / "old.drft", flat[None, :])
+        (tmp_path / "old.json").write_text(json.dumps({
+            "order": list(names),
+            "shapes": {name: list(getattr(state, name).shape) for name in names},
+            "activation": "tanh",
+            "step": 7,
+        }))
+        back = load_checkpoint(tmp_path / "old")
+        assert back.wc is None and back.bc is None
+        assert back.step == 7
+        for name in ENCODER_PARAMS:
             assert np.array_equal(getattr(back, name), getattr(state, name))
 
     def test_unknown_activation_rejected(self, tmp_path):
@@ -306,10 +337,3 @@ class TestCheckpoint:
             save_checkpoint(tmp_path / "ckpt", random_state(np.random.default_rng(20)))
         assert (tmp_path / "ckpt.drft").exists()
         assert not (tmp_path / "ckpt.json").exists()
-
-    def test_round_trip_without_classifier(self, tmp_path):
-        state = random_state(np.random.default_rng(18))
-        save_checkpoint(tmp_path / "ckpt", state)
-        back = load_checkpoint(tmp_path / "ckpt")
-        assert back.wc is None
-        assert back.w1.shape == state.w1.shape

@@ -9,7 +9,6 @@ from reidapt.data import l2_normalize
 from reidapt.membank import (
     MemoryBank,
     TrainingDivergedError,
-    init_bank,
     momentum_update,
     positive_sets,
     spread_loss,
@@ -38,24 +37,26 @@ def unit_rows(rng, n, d):
 
 
 class TestInitBank:
+    """A run's first bank holds the L2-normalized sample features."""
+
     def test_unit_input_unchanged(self):
         rng = np.random.default_rng(0)
         v = unit_rows(rng, 5, 3)
-        bank = init_bank(v)
+        bank = MemoryBank(v=l2_normalize(v))
         assert np.allclose(bank.v, v, atol=1e-12)
 
     def test_norm_two_halved(self):
-        bank = init_bank(np.array([[2.0, 0.0]]))
+        bank = MemoryBank(v=l2_normalize(np.array([[2.0, 0.0]])))
         assert np.allclose(bank.v, [[1.0, 0.0]], atol=1e-15)
 
     def test_rows_unit_within_tolerance(self):
         rng = np.random.default_rng(1)
-        bank = init_bank(rng.standard_normal((20, 6)) * 3.0)
+        bank = MemoryBank(v=l2_normalize(rng.standard_normal((20, 6)) * 3.0))
         assert np.allclose(np.linalg.norm(bank.v, axis=1), 1.0, atol=1e-12)
 
     def test_zero_row_rejected(self):
         with pytest.raises(ValueError):
-            init_bank(np.zeros((2, 3)))
+            MemoryBank(v=l2_normalize(np.zeros((2, 3))))
 
     def test_mode_validation(self):
         # the bank's blend and k are the config's to check; it checks them on
@@ -73,7 +74,7 @@ class TestInitBank:
 class TestPositiveSets:
     def test_k_zero_is_self_only(self):
         rng = np.random.default_rng(2)
-        bank = init_bank(unit_rows(rng, 6, 4))
+        bank = MemoryBank(v=unit_rows(rng, 6, 4))
         positives = positive_sets(bank.v[[1, 4]] @ bank.v.T, np.array([1, 4]), 0)
         assert positives.tolist() == [[1], [4]]
 
@@ -81,7 +82,7 @@ class TestPositiveSets:
         rng = np.random.default_rng(3)
         v = unit_rows(rng, 6, 4)
         v[3] = v[0]
-        bank = init_bank(v)
+        bank = MemoryBank(v=l2_normalize(v))
         positives = positive_sets(v[[0]] @ bank.v.T, np.array([0]), 1)
         assert positives.tolist() == [[0, 3]]
 
@@ -89,7 +90,7 @@ class TestPositiveSets:
         rng = np.random.default_rng(4)
         for _ in range(20):
             v = unit_rows(rng, 6, 3)
-            bank = init_bank(v)
+            bank = MemoryBank(v=l2_normalize(v))
             feats = unit_rows(rng, 3, 3)
             idx = rng.choice(6, size=3, replace=False)
             positives = positive_sets(feats @ bank.v.T, idx, 2)
@@ -101,7 +102,7 @@ class TestPositiveSets:
 
     def test_k_clamped_to_bank_size(self):
         rng = np.random.default_rng(5)
-        bank = init_bank(unit_rows(rng, 4, 3))
+        bank = MemoryBank(v=unit_rows(rng, 4, 3))
         positives = positive_sets(bank.v[[2]] @ bank.v.T, np.array([2]), 10)
         assert positives.tolist() == [[0, 1, 2, 3]]
 
@@ -126,7 +127,7 @@ class TestPositiveSetsAgainstArgsort:
             n = int(rng.integers(2, 60))
             k_pos = {"zero": 0, "one": 1, "n_minus_1": n - 1, "n": n,
                      "above_n": n + 7, "mid": max(1, n // 3)}[k_choice]
-            bank = init_bank(unit_rows(rng, n, 4))
+            bank = MemoryBank(v=unit_rows(rng, n, 4))
             b = int(rng.integers(1, 12))
             feats = unit_rows(rng, b, 4)
             assert_same_sets(bank, feats, rng.integers(0, n, size=b), k_pos)
@@ -139,14 +140,14 @@ class TestPositiveSetsAgainstArgsort:
         for _ in range(40):
             pool = unit_rows(rng, int(rng.integers(1, 5)), 3)
             v = pool[rng.integers(0, len(pool), size=20)]
-            bank = init_bank(v)
+            bank = MemoryBank(v=l2_normalize(v))
             idx = rng.integers(0, 20, size=8)
             # anchors are bank rows themselves or fresh directions
             feats = v[idx] if rng.random() < 0.5 else unit_rows(rng, 8, 3)
             assert_same_sets(bank, feats, idx, k_pos)
 
     def test_single_entry_bank(self):
-        bank = init_bank(np.array([[1.0, 0.0]]))
+        bank = MemoryBank(v=l2_normalize(np.array([[1.0, 0.0]])))
         assert positive_sets(bank.v @ bank.v.T, np.array([0]), 6).tolist() == [[0]]
         assert_same_sets(bank, bank.v, np.array([0]), 6)
 
@@ -155,7 +156,7 @@ class TestSpreadLoss:
     def test_no_negatives_zero_loss(self):
         rng = np.random.default_rng(6)
         v = unit_rows(rng, 5, 4)
-        bank = init_bank(v)
+        bank = MemoryBank(v=l2_normalize(v))
         # k_pos = 4 makes the whole bank positive
         loss, gf = spread_loss(v[[0, 2]], bank, np.array([0, 2]), 4, margin=0.35)
         assert loss == 0.0
@@ -177,7 +178,7 @@ class TestSpreadLoss:
         rng = np.random.default_rng(7)
         for _ in range(10):
             v = unit_rows(rng, 4, 3)
-            bank = init_bank(v.copy())
+            bank = MemoryBank(v=l2_normalize(v.copy()))
             feats = unit_rows(rng, 2, 3)
             idx = np.array([0, 3])
             positives = positive_sets(feats @ bank.v.T, idx, 1)
@@ -187,7 +188,7 @@ class TestSpreadLoss:
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(8)
-        bank = init_bank(unit_rows(rng, 5, 3))
+        bank = MemoryBank(v=unit_rows(rng, 5, 3))
         feats = unit_rows(rng, 3, 3)
         idx = np.array([0, 2, 4])
         loss, gf = spread_loss(feats, bank, idx, 1, margin=0.35)
@@ -202,7 +203,7 @@ class TestSpreadLoss:
     def test_monotone_in_margin(self):
         rng = np.random.default_rng(9)
         v = unit_rows(rng, 6, 4)
-        bank = init_bank(v.copy())
+        bank = MemoryBank(v=l2_normalize(v.copy()))
         feats = unit_rows(rng, 3, 4)
         idx = np.array([0, 1, 2])
         losses = [spread_loss(feats, bank, idx, 2, m)[0] for m in (0.0, 0.2, 0.35, 1.0)]
@@ -210,7 +211,7 @@ class TestSpreadLoss:
 
     def test_rejects_negative_margin(self):
         rng = np.random.default_rng(10)
-        bank = init_bank(unit_rows(rng, 4, 3))
+        bank = MemoryBank(v=unit_rows(rng, 4, 3))
         with pytest.raises(ValueError):
             spread_loss(bank.v[[0]], bank, np.array([0]), 0, margin=-0.1)
 
@@ -236,7 +237,7 @@ class TestSpreadLossAgainstMasks:
             d = int(rng.integers(2, 9))
             k_pos = {"zero": 0, "one": 1, "mid": max(1, n // 4),
                      "n_minus_1": n - 1, "above_n": n + 3}[k_choice]
-            bank = init_bank(unit_rows(rng, n, d))
+            bank = MemoryBank(v=unit_rows(rng, n, d))
             b = int(rng.integers(1, 16))
             feats = unit_rows(rng, b, d)
             idx = rng.integers(0, n, size=b)
@@ -249,7 +250,7 @@ class TestSpreadLossAgainstMasks:
         for _ in range(30):
             pool = unit_rows(rng, int(rng.integers(1, 5)), 3)
             v = pool[rng.integers(0, len(pool), size=20)]
-            bank = init_bank(v)
+            bank = MemoryBank(v=l2_normalize(v))
             idx = rng.integers(0, 20, size=8)
             feats = v[idx] if rng.random() < 0.5 else unit_rows(rng, 8, 3)
             assert_same_spread(feats, bank, idx, k_pos)
@@ -257,7 +258,7 @@ class TestSpreadLossAgainstMasks:
     def test_no_negatives_zeroes_the_gradient(self):
         # k_pos >= N - 1: every row covers the bank, so no row is live
         rng = np.random.default_rng(42)
-        bank = init_bank(unit_rows(rng, 9, 4))
+        bank = MemoryBank(v=unit_rows(rng, 9, 4))
         feats = unit_rows(rng, 5, 4)
         positives = positive_sets(feats @ bank.v.T, np.arange(5), 8)
         assert positives.shape == (5, 9)
@@ -266,7 +267,7 @@ class TestSpreadLossAgainstMasks:
         assert not np.any(gf)
 
     def test_single_entry_bank(self):
-        bank = init_bank(np.array([[0.6, 0.8]]))
+        bank = MemoryBank(v=l2_normalize(np.array([[0.6, 0.8]])))
         feats = np.array([[1.0, 0.0], [0.0, 1.0]])
         assert_same_spread(feats, bank, np.array([0, 0]), 6)
 
@@ -279,7 +280,7 @@ class TestSpreadLossMemory:
         # buffer or coefficient array, must fail.
         rng = np.random.default_rng(50)
         n, b = 5120, 64
-        bank = init_bank(unit_rows(rng, n, 32))
+        bank = MemoryBank(v=unit_rows(rng, n, 32))
         idx = rng.choice(n, size=b, replace=False)
         feats = l2_normalize(bank.v[idx] + 0.1 * rng.standard_normal((b, 32)))
         spread_loss(feats[:2], bank, idx[:2], 6, 0.35)  # warm up the imports
@@ -296,25 +297,25 @@ class TestSpreadLossMemory:
 class TestMomentumUpdate:
     def test_tau_zero_overwrites(self):
         rng = np.random.default_rng(15)
-        bank = init_bank(unit_rows(rng, 4, 3))
+        bank = MemoryBank(v=unit_rows(rng, 4, 3))
         feats = unit_rows(rng, 2, 3)
         momentum_update(bank, feats, np.array([1, 3]), tau=0.0)
         assert np.allclose(bank.v[[1, 3]], feats, atol=1e-12)
 
     def test_tau_near_one_barely_moves(self):
         rng = np.random.default_rng(18)
-        bank = init_bank(unit_rows(rng, 3, 4))
+        bank = MemoryBank(v=unit_rows(rng, 3, 4))
         before = bank.v.copy()
         momentum_update(bank, unit_rows(rng, 1, 4), np.array([1]), tau=0.999)
         assert np.linalg.norm(bank.v[1] - before[1]) < 5e-3
 
     def test_zero_blend_raises(self):
-        bank = init_bank(np.array([[1.0, 0.0]]))
+        bank = MemoryBank(v=l2_normalize(np.array([[1.0, 0.0]])))
         with pytest.raises(TrainingDivergedError, match="momentum blend produced a zero entry"):
             momentum_update(bank, np.array([[-1.0, 0.0]]), np.array([0]), tau=0.5)
 
     def test_hand_computed_blend(self):
-        bank = init_bank(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        bank = MemoryBank(v=l2_normalize(np.array([[1.0, 0.0], [0.0, 1.0]])))
         feat = np.array([[0.0, 1.0]])
         momentum_update(bank, feat, np.array([0]), tau=0.01)
         target = 0.01 * np.array([1.0, 0.0]) + 0.99 * np.array([0.0, 1.0])
@@ -323,7 +324,7 @@ class TestMomentumUpdate:
 
     def test_untouched_rows_stay(self):
         rng = np.random.default_rng(16)
-        bank = init_bank(unit_rows(rng, 5, 3))
+        bank = MemoryBank(v=unit_rows(rng, 5, 3))
         before = bank.v.copy()
         momentum_update(bank, unit_rows(rng, 1, 3), np.array([2]), tau=0.5)
         keep = [0, 1, 3, 4]

@@ -9,10 +9,10 @@ import pytest
 
 from conftest import PANEL_SEEDS, adapt_config, pretrained_standard, standard_fixture
 from reidapt.cluster import CoarseClusters
-from reidapt.data import OUTLIER, SynthSpec, generate_synthetic
+from reidapt.data import OUTLIER, SynthSpec, generate_synthetic, l2_normalize
 from reidapt.encoder import forward, init_classifier, init_encoder
 from reidapt.losses import LossReport, batch_hard_triplet, cross_entropy
-from reidapt.membank import MemoryBank, TrainingDivergedError, init_bank, momentum_update
+from reidapt.membank import MemoryBank, TrainingDivergedError, momentum_update
 from reidapt.refine import PseudoLabelSet, refine_labels
 from reidapt.trainer import (
     _ADAPT_STREAM,
@@ -326,7 +326,7 @@ def trained_setup():
     cfg = small_config()
     state = pretrain_source(source.raw, source.identity, cfg)
     es = offline_epoch(state, train.raw, cfg, 0)
-    bank = init_bank(forward(state, train.raw)[0])
+    bank = MemoryBank(v=l2_normalize(forward(state, train.raw)[0]))
     return state, bank, train, es, cfg
 
 
@@ -354,7 +354,7 @@ class TestOnlineIteration:
         state0, bank0, train, es, cfg = trained_setup
         assert cfg.bank_tau == 0.0
         rng = np.random.default_rng(9)
-        bank0 = init_bank(rng.standard_normal(bank0.v.shape))
+        bank0 = MemoryBank(v=l2_normalize(rng.standard_normal(bank0.v.shape)))
         state = copy.deepcopy(state0)
         bank = copy.deepcopy(bank0)
         batch = pk_sample(es.labels, cfg.batch_p, cfg.batch_k, rng)
@@ -402,7 +402,7 @@ class TestOnlineIteration:
         state0, _, train, es, _ = trained_setup
         cfg = small_config(bank_tau=0.01)
         state = copy.deepcopy(state0)
-        bank = init_bank(forward(state, train.raw)[0])
+        bank = MemoryBank(v=l2_normalize(forward(state, train.raw)[0]))
         before = bank.v.copy()
         rng = np.random.default_rng(2)
         batch = pk_sample(es.labels, cfg.batch_p, cfg.batch_k, rng)
@@ -481,7 +481,7 @@ class TestZeroWeightBranches:
         monkeypatch.setattr(membank, "positive_sets", forbidden)
         seen = self.record_label_branches(monkeypatch)
         state = copy.deepcopy(state0)
-        bank = init_bank(forward(state, train.raw)[0])
+        bank = MemoryBank(v=l2_normalize(forward(state, train.raw)[0]))
         before = bank.v.copy()
         labels = relabeled(es.labels)
         rng = np.random.default_rng(4)
@@ -643,7 +643,7 @@ class TestAgainstTheAllBranchStep:
         import reidapt.trainer as trainer
         monkeypatch.setattr(trainer, "online_iteration", step)
         monkeypatch.setattr(trainer, "init_classifier", redraw)
-        bank0 = init_bank(forward(pretrained, raw)[0])
+        bank0 = MemoryBank(v=l2_normalize(forward(pretrained, raw)[0]))
         rows = []
         state, history, bank = adapt(
             copy.deepcopy(pretrained), raw, cfg, bank=copy.deepcopy(bank0),
@@ -776,7 +776,8 @@ class TestAdapt:
         state = init_encoder(train.raw.shape[1], 2 * cfg.feat_dim, cfg.feat_dim,
                              np.random.default_rng(0))
         n, d = len(train.raw), cfg.feat_dim
-        bank = init_bank(np.random.default_rng(1).standard_normal((n + rows, d + cols)))
+        v = np.random.default_rng(1).standard_normal((n + rows, d + cols))
+        bank = MemoryBank(v=l2_normalize(v))
 
         def forbidden(*args, **kw):
             raise AssertionError("an epoch started")

@@ -278,21 +278,26 @@ def float32_state(rng, classes=None):
 
 
 class TestCheckpoint:
+    def round_trip(self, tmp_path, classes):
+        state = float32_state(np.random.default_rng(17), classes)
+        state.step = 123
+        save_checkpoint(tmp_path / "ckpt", state)
+        sidecar = json.loads((tmp_path / "ckpt.json").read_text())
+        assert sidecar["order"] == ["w1", "b1", "w2", "b2"]
+        assert sidecar["activation"] == "tanh"
+        back = load_checkpoint(tmp_path / "ckpt")
+        assert back.wc is None and back.bc is None
+        assert back.step == 123
+        for name in ENCODER_PARAMS:
+            assert np.array_equal(getattr(back, name), getattr(state, name))
+
     def test_round_trip(self, tmp_path):
         # the head is redrawn before its first use in every adaptation epoch,
-        # so a checkpoint holds the encoder alone, with or without a head
-        for classes in (6, None):
-            state = float32_state(np.random.default_rng(17), classes)
-            state.step = 123
-            save_checkpoint(tmp_path / "ckpt", state)
-            sidecar = json.loads((tmp_path / "ckpt.json").read_text())
-            assert sidecar["order"] == ["w1", "b1", "w2", "b2"]
-            assert sidecar["activation"] == "tanh"
-            back = load_checkpoint(tmp_path / "ckpt")
-            assert back.wc is None and back.bc is None
-            assert back.step == 123
-            for name in ENCODER_PARAMS:
-                assert np.array_equal(getattr(back, name), getattr(state, name))
+        # so a checkpoint holds the encoder alone and drops a head it is given
+        self.round_trip(tmp_path, classes=6)
+
+    def test_round_trip_without_classifier(self, tmp_path):
+        self.round_trip(tmp_path, classes=None)
 
     def test_layout_with_head_loads_without_it(self, tmp_path):
         # a checkpoint whose payload and sidecar also carry wc and bc, after

@@ -105,9 +105,10 @@ def _read_split(data_dir, split, width=None, reader="checkpoint"):
 
 
 def _load_ckpt(prefix):
+    """(state, bank or None) of a checkpoint; exit 3 if it cannot be read."""
     try:
         return load_checkpoint(prefix)
-    except (OSError, FeatureFileError, ValueError, KeyError) as err:
+    except (OSError, ValueError) as err:
         raise CliError(f"cannot load checkpoint {prefix}: {err}", EXIT_IO)
 
 
@@ -191,8 +192,8 @@ def cmd_pretrain(args):
 
 def _find_resume_point(resume_dir: Path):
     """The last epoch with a checkpoint; other names (backups, say) are skipped."""
-    epochs = [int(m.group(1)) for p in resume_dir.glob("ckpt_epoch_*.json")
-              if (m := re.fullmatch(r"ckpt_epoch_(\d+)\.json", p.name))]
+    epochs = [int(m.group(1)) for p in resume_dir.glob("ckpt_epoch_*.npz")
+              if (m := re.fullmatch(r"ckpt_epoch_(\d+)\.npz", p.name))]
     if not epochs:
         raise CliError(f"no epoch checkpoints under {resume_dir}", EXIT_IO)
     return max(epochs)
@@ -215,14 +216,14 @@ def cmd_adapt(args):
     if args.resume:
         resume_dir = Path(args.resume)
         last = _find_resume_point(resume_dir)
-        state = _load_ckpt(resume_dir / f"ckpt_epoch_{last:03d}")
-        try:
-            bank = MemoryBank(v=read_features(resume_dir / f"bank_epoch_{last:03d}.drft"))
-        except (OSError, FeatureFileError) as err:
-            raise CliError(f"cannot load bank snapshot: {err}", EXIT_IO)
+        ckpt = resume_dir / f"ckpt_epoch_{last:03d}"
+        state, bank_v = _load_ckpt(ckpt)
+        if bank_v is None:
+            raise CliError(f"cannot resume from {ckpt}: it holds no bank", EXIT_IO)
+        bank = MemoryBank(v=bank_v)
         start_epoch = last + 1
     elif args.ckpt:
-        state = _load_ckpt(args.ckpt)
+        state, _ = _load_ckpt(args.ckpt)
     else:  # pretrained on the source split once every input has passed
         src_raw, src_identity, _ = _read_split(args.data, "source")
     width, reader = ((src_raw.shape[1], "the encoder pretrained on split 'source'")
@@ -257,8 +258,7 @@ def cmd_adapt(args):
         if labels_dir:
             _write_label_snapshot(
                 labels_dir / f"labels_epoch_{metrics.epoch:03d}.csv", labels)
-        write_features(run_dir / f"bank_epoch_{metrics.epoch:03d}.drft", epoch_bank.v)
-        save_checkpoint(run_dir / f"ckpt_epoch_{metrics.epoch:03d}", epoch_state)
+        save_checkpoint(run_dir / f"ckpt_epoch_{metrics.epoch:03d}", epoch_state, epoch_bank.v)
 
     try:
         state, history, bank = adapt(state, raw, cfg, truth=identity, bank=bank,
@@ -290,7 +290,7 @@ def cmd_adapt(args):
 
 def cmd_cluster(args):
     cfg = _load_config(args)
-    state = _load_ckpt(args.ckpt)
+    state, _ = _load_ckpt(args.ckpt)
     raw, identity, _ = _read_split(args.data, "target_train", state.d_in)
     dump_dir = _out_dir(args.dump_labels)
     _check_parent(args.dump_jaccard)  # the graph is written last
@@ -320,7 +320,7 @@ def cmd_cluster(args):
 
 def cmd_eval(args):
     cfg = _load_config(args)
-    state = _load_ckpt(args.ckpt)
+    state, _ = _load_ckpt(args.ckpt)
     q_raw, q_id, q_cam = _read_split(args.data, "target_query", state.d_in)
     g_raw, g_id, g_cam = _read_split(args.data, "target_gallery", state.d_in)
     if args.cluster_stats:

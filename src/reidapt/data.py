@@ -3,7 +3,7 @@
 Feature files use a small binary container: magic ``DRFT``, u32 row count,
 u32 column count (both little-endian), then float32 little-endian row-major
 payload. Label files are plain CSV with header ``index,identity,camera``.
-Persistence is 32-bit; in-memory arrays are float64.
+Feature files are 32-bit; in-memory arrays and checkpoints are float64.
 """
 
 from __future__ import annotations

@@ -9,13 +9,11 @@ checks are tight.
 
 from __future__ import annotations
 
-import json
 import os
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .data import read_features, write_features
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -43,7 +41,6 @@ class EncoderState:
     wc: np.ndarray | None = None   # (L, d) classifier, rebuilt per epoch
     bc: np.ndarray | None = None   # (L,)
     adam: dict = field(default_factory=dict)  # group name -> AdamSlot
-    step: int = 0
 
     @property
     def d_in(self) -> int:
@@ -161,7 +158,6 @@ def adam_step(state: EncoderState, grads: dict, lr: float, weight_decay: float):
         for name, param in zip(names, params):
             setattr(state, name, flat[start:start + param.size].reshape(param.shape))
             start += param.size
-    state.step += 1
 
 
 def lr_at(base_lr: float, epoch: int, warmup_epochs: int, decay_epochs,
@@ -177,43 +173,42 @@ def lr_at(base_lr: float, epoch: int, warmup_epochs: int, decay_epochs,
     return base_lr / decay_factor ** drops
 
 
-def save_checkpoint(prefix, state: EncoderState):
-    """The encoder's parameters flattened to float32, then a JSON sidecar of
-    their shapes and the step, renamed into place last: a checkpoint with a
-    sidecar is complete. The classifier head is not saved: every adaptation
-    epoch redraws it before its first use."""
-    prefix = str(prefix)
-    params = [getattr(state, name) for name in ENCODER_PARAMS]
-    write_features(prefix + ".drft", np.concatenate(params, axis=None)[None, :])
-    sidecar = {
-        "order": list(ENCODER_PARAMS),
-        "shapes": {name: list(p.shape) for name, p in zip(ENCODER_PARAMS, params)},
-        "activation": "tanh",
-        "step": state.step,
-    }
-    with open(prefix + ".json.tmp", "w") as fh:
-        json.dump(sidecar, fh, indent=0, sort_keys=True)
-    os.replace(prefix + ".json.tmp", prefix + ".json")
+def save_checkpoint(prefix, state: EncoderState, bank: np.ndarray | None = None):
+    """``prefix.npz``: the float64 ``w1, b1, w2, b2``, the encoder's Adam slot
+    as ``m, v, t`` (zeros and 0 before its first step) and an epoch's ``bank``,
+    written as ``prefix.npz.tmp`` and renamed, so a checkpoint that exists is
+    complete. The head is not saved: each adaptation epoch redraws it."""
+    params = {name: getattr(state, name) for name in ENCODER_PARAMS}
+    size = sum(p.size for p in params.values())
+    slot = state.adam.get("encoder") or AdamSlot(np.zeros(size), np.zeros(size))
+    arrays = dict(params, m=slot.m, v=slot.v, t=np.int64(slot.t))
+    if bank is not None:
+        arrays["bank"] = bank
+    path = f"{prefix}.npz"
+    with open(path + ".tmp", "wb") as fh:
+        np.savez(fh, **arrays)
+    os.replace(path + ".tmp", path)
 
 
-def load_checkpoint(prefix) -> EncoderState:
-    """The encoder of a checkpoint, with no classifier head. A checkpoint
-    that also holds a head (``wc``, ``bc`` after the encoder) loads too; the
-    head is dropped."""
-    prefix = str(prefix)
-    with open(prefix + ".json") as fh:
-        sidecar = json.load(fh)
-    flat = read_features(prefix + ".drft")[0]
-    fields = {}
-    offset = 0
-    for name in sidecar["order"]:
-        shape = tuple(sidecar["shapes"][name])
-        size = int(np.prod(shape))
-        fields[name] = flat[offset:offset + size].reshape(shape)
-        offset += size
-    if offset != len(flat):
-        raise ValueError("checkpoint payload does not match its sidecar shapes")
-    if sidecar["activation"] != "tanh":
-        raise ValueError(f"unknown activation {sidecar['activation']!r}")
-    return EncoderState(*(fields[name] for name in ENCODER_PARAMS),
-                        step=int(sidecar["step"]))
+def load_checkpoint(prefix):
+    """``(state, bank or None)`` from ``prefix.npz``, with no classifier head.
+    OSError if it is missing; ValueError naming it if it is damaged, its
+    shapes do not chain or it holds a NaN or infinite value."""
+    path = f"{prefix}.npz"
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            w1, b1, w2, b2, m, v, t = (npz[name] for name in (*ENCODER_PARAMS, "m", "v", "t"))
+            bank = npz["bank"] if "bank" in npz.files else None
+    except (EOFError, ValueError, TypeError, KeyError, zipfile.BadZipFile) as err:
+        raise ValueError(f"{path} is not a readable archive of the arrays "
+                         f"{', '.join(ENCODER_PARAMS)}, m, v and t") from err
+    size = w1.size + b1.size + w2.size + b2.size
+    if not (w1.ndim == w2.ndim == 2 and b1.shape == (w1.shape[1],) == w2.shape[:1]
+            and b2.shape == w2.shape[1:] and m.shape == v.shape == (size,)
+            and t.shape == () and t.dtype.kind in "iu" and t >= 0):
+        raise ValueError(f"{path}: shapes {[a.shape for a in (w1, b1, w2, b2, m, v)]} "
+                         f"and step {t} do not make an encoder and its Adam slot")
+    floats = (w1, b1, w2, b2, m, v) + (() if bank is None else (bank,))
+    if not all(a.dtype == np.float64 and np.isfinite(a).all() for a in floats):
+        raise ValueError(f"{path}: an array is not float64 or holds a NaN or infinite value")
+    return EncoderState(w1, b1, w2, b2, adam={"encoder": AdamSlot(m, v, int(t))}), bank

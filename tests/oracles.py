@@ -492,7 +492,6 @@ def adam_step(state, grads: dict, lr: float, weight_decay: float):
         if weight_decay:
             update = update + lr * weight_decay * param
         setattr(state, name, param - update)
-    state.step += 1
 
 
 def pk_sample(labels, p, k, rng):

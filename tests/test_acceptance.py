@@ -457,8 +457,8 @@ def test_criterion_determinism(tmp_path, capsys):
         outs.append(tmp_path / name)
     same_run = all(
         (outs[0] / f).read_bytes() == (outs[1] / f).read_bytes()
-        for f in ("metrics.csv", "losses.csv", "final.drft", "final.json",
-                  "ckpt_epoch_000.drft", "ckpt_epoch_001.drft"))
+        for f in ("metrics.csv", "losses.csv", "final.npz",
+                  "ckpt_epoch_000.npz", "ckpt_epoch_001.npz"))
 
     evals = []
     for run in outs:

@@ -93,8 +93,48 @@ class TestGenData:
         assert code == 2
 
 
+def assert_same_files(run_a, run_b, epochs):
+    """Both run directories hold byte-equal CSVs, final checkpoint and
+    checkpoints of epochs 0 to ``epochs`` - 1."""
+    checkpoints = [f"ckpt_epoch_{epoch:03d}.npz" for epoch in range(epochs)]
+    for run in (run_a, run_b):
+        assert sorted(p.name for p in run.glob("ckpt_epoch_*")) == checkpoints
+    for name in ("metrics.csv", "losses.csv", "final.npz", *checkpoints):
+        assert (run_a / name).read_bytes() == (run_b / name).read_bytes(), name
+
+
 class _Stop(BaseException):
     """A process stopped from outside, a kill say, in the middle of a write."""
+
+
+# the commands that read a checkpoint given by --ckpt
+_CKPT_READERS = [["cluster"], ["eval"], ["eval", "--cluster-stats"], ["adapt", "--out", "run"]]
+
+
+def _damage_checkpoint(path, damage):
+    """Rewrite the checkpoint file ``path`` with the named damage."""
+    with np.load(path) as npz:
+        arrays = dict(npz)
+    if damage == "empty":
+        path.write_bytes(b"")
+    elif damage == "not-zip":
+        path.write_bytes(b"not a checkpoint")
+    elif damage == "truncated":
+        path.write_bytes(path.read_bytes()[:200])
+    elif damage == "bare-npy":
+        with open(path, "wb") as fh:
+            np.save(fh, arrays["w1"])
+    elif damage == "missing-array":
+        np.savez(path, **{name: a for name, a in arrays.items() if name != "t"})
+    elif damage == "unchained":
+        np.savez(path, **dict(arrays, w2=arrays["w2"][1:]))
+    elif damage == "short-moments":
+        np.savez(path, **dict(arrays, m=arrays["m"][1:]))
+    elif damage == "float32":
+        np.savez(path, **{name: a.astype(np.float32) if a.ndim else a
+                          for name, a in arrays.items()})
+    else:
+        raise AssertionError(damage)
 
 
 class TestPipeline:
@@ -128,7 +168,7 @@ class TestPipeline:
         code, stdout, _ = run_cli(capsys, "adapt", "--data", str(data_dir),
                                   "--config", cfg, "--out", str(tmp_path / "run"))
         assert code == 0
-        assert (tmp_path / "run" / "pretrain.drft").exists()
+        assert (tmp_path / "run" / "pretrain.npz").exists()
 
     def test_adapt_dumps_per_epoch_labels(self, data_dir, tmp_path, capsys):
         cfg = fast_config(tmp_path, epochs=2)
@@ -165,7 +205,8 @@ class TestPipeline:
         dumped = np.ones((80, 80))
         dumped[i, j] = dumped[j, i] = rows[:, 2]
         np.fill_diagonal(dumped, 0.0)
-        feats = extract_features(load_checkpoint(ckpt), read_features(data_dir / "target_train.drft"))
+        state, _ = load_checkpoint(ckpt)
+        feats = extract_features(state, read_features(data_dir / "target_train.drft"))
         want = oracles.dense_chain(feats, k_rr=8)[3]
         assert np.array_equal(dumped, want.astype(np.float32).astype(np.float64))
 
@@ -216,21 +257,21 @@ class TestPipeline:
         assert code == 0
         doc = json.loads(stdout)
         assert doc["epochs_run"] == 1  # epoch 2 only
-        assert (tmp_path / "runB" / "ckpt_epoch_002.drft").exists()
+        assert (tmp_path / "runB" / "ckpt_epoch_002.npz").exists()
 
     def test_resume_skips_stray_checkpoint_names(self, data_dir, tmp_path, capsys):
         run = tmp_path / "runA"
         run.mkdir()
         rng = np.random.default_rng(0)
-        save_checkpoint(run / "ckpt_epoch_000", init_encoder(12, 24, 12, rng))
-        write_features(run / "bank_epoch_000.drft", l2_normalize(rng.standard_normal((80, 12))))
-        (run / "ckpt_epoch_000.bak.json").write_bytes((run / "ckpt_epoch_000.json").read_bytes())
+        save_checkpoint(run / "ckpt_epoch_000", init_encoder(12, 24, 12, rng),
+                        l2_normalize(rng.standard_normal((80, 12))))
+        (run / "ckpt_epoch_000.bak.npz").write_bytes((run / "ckpt_epoch_000.npz").read_bytes())
         code, stdout, _ = run_cli(capsys, "adapt", "--data", str(data_dir),
                                   "--config", fast_config(tmp_path, epochs=2),
                                   "--resume", str(run), "--out", str(tmp_path / "runB"))
         assert code == 0
         assert json.loads(stdout)["epochs_run"] == 1  # epoch 1 only
-        assert (tmp_path / "runB" / "ckpt_epoch_001.drft").exists()
+        assert (tmp_path / "runB" / "ckpt_epoch_001.npz").exists()
 
     def test_resume_keeps_earlier_epoch_rows(self, data_dir, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "adapt", "--data", str(data_dir), "--config",
@@ -248,11 +289,45 @@ class TestPipeline:
             assert code == 0
             for name, before in first.items():
                 after = (tmp_path / out / name).read_bytes()
-                # epochs 0-1 as the first run wrote them; epoch 2 may differ
-                # from an uninterrupted run (float32 checkpoints)
+                # epochs 0-1 as the first run wrote them
                 assert after.startswith(before)
                 epochs = [line.split(b",")[0] for line in after.splitlines()[1:]]
                 assert list(dict.fromkeys(epochs)) == [b"0", b"1", b"2"]
+
+    def test_resume_equals_an_uninterrupted_run(self, data_dir, tmp_path, capsys):
+        # 3 epochs against 2 and then --resume 1 into the same directory:
+        # checkpoints hold the float64 encoder, its Adam slot and the bank,
+        # so every file of the two runs agrees to the last byte
+        adapt = ["adapt", "--data", str(data_dir)]
+        whole, cut = str(tmp_path / "whole"), str(tmp_path / "cut")
+        for epochs, argv in ((3, ["--out", whole, "--dump-bank", whole + ".drft"]),
+                             (2, ["--out", cut]),
+                             (3, ["--resume", cut, "--out", cut, "--dump-bank", cut + ".drft"])):
+            code, _, err = run_cli(capsys, *adapt, "--config",
+                                   fast_config(tmp_path, epochs=epochs), *argv)
+            assert code == 0, err
+        assert_same_files(tmp_path / "whole", tmp_path / "cut", epochs=3)
+        assert (tmp_path / "whole.drft").read_bytes() == (tmp_path / "cut.drft").read_bytes()
+
+    def test_adapt_from_a_checkpoint_equals_pretraining_in_process(self, data_dir, tmp_path,
+                                                                   capsys):
+        # the pretrained checkpoint carries the encoder's Adam slot, so adapt
+        # --ckpt continues exactly as adapt does after pretraining itself
+        cfg = fast_config(tmp_path, epochs=2)
+        code, stdout, _ = run_cli(capsys, "pretrain", "--data", str(data_dir),
+                                  "--config", cfg, "--out", str(tmp_path / "pre"))
+        assert code == 0
+        adapt = ["adapt", "--data", str(data_dir), "--config", cfg]
+        for name, start in (("from_ckpt", ["--ckpt", json.loads(stdout)["checkpoint"]]),
+                            ("in_process", [])):
+            code, _, err = run_cli(capsys, *adapt, *start, "--out", str(tmp_path / name),
+                                   "--dump-bank", str(tmp_path / f"{name}.drft"))
+            assert code == 0, err
+        assert_same_files(tmp_path / "from_ckpt", tmp_path / "in_process", epochs=2)
+        assert ((tmp_path / "from_ckpt.drft").read_bytes()
+                == (tmp_path / "in_process.drft").read_bytes())
+        assert ((tmp_path / "pre" / "pretrain.npz").read_bytes()
+                == (tmp_path / "in_process" / "pretrain.npz").read_bytes())
 
     def test_csvs_keep_finished_epochs_on_exit_4(self, data_dir, tmp_path, capsys,
                                                  monkeypatch):
@@ -288,11 +363,12 @@ class TestPipeline:
             assert cut == whole[:len(cut)]
             assert whole[len(cut)].split(",")[0] == "1"
 
-    @pytest.mark.parametrize("torn", ["bank_epoch_001.drft", "metrics.csv"])
+    @pytest.mark.parametrize("torn", ["ckpt_epoch_001.npz", "metrics.csv"])
     def test_resume_after_a_stop_mid_epoch_lists_every_epoch_once(
             self, data_dir, tmp_path, capsys, monkeypatch, torn):
         # a run stopped while it writes one of epoch 1's files resumes from
-        # epoch 0, since epoch 1's checkpoint is written after the rest
+        # epoch 0: epoch 1's checkpoint is written after the rest, under a
+        # .tmp name that only a whole file leaves
         cfg = fast_config(tmp_path, epochs=3)
         code, stdout, _ = run_cli(capsys, "pretrain", "--data", str(data_dir),
                                   "--config", cfg, "--out", str(tmp_path / "pre"))
@@ -302,13 +378,13 @@ class TestPipeline:
         code, _, _ = run_cli(capsys, *adapt, *ckpt, "--out", str(tmp_path / "whole"))
         assert code == 0
 
-        real_write, real_append = cli.write_features, cli._append_lines
+        real_savez, real_append = np.savez, cli._append_lines
 
-        def stop_in_bank(path, m):
-            if Path(path).name == torn:
-                Path(path).write_bytes(b"DRFT")  # the header cut short
+        def stop_in_checkpoint(fh, **arrays):
+            if Path(fh.name).name == torn + ".tmp":
+                fh.write(b"PK\x03\x04")  # a zip entry cut short
                 raise _Stop
-            real_write(path, m)
+            real_savez(fh, **arrays)
 
         def stop_in_rows(path, lines):
             if Path(path).name == torn and lines[0].startswith("1,"):
@@ -319,12 +395,12 @@ class TestPipeline:
 
         cut = str(tmp_path / "cut")
         with monkeypatch.context() as patch:
-            patch.setattr(cli, "write_features", stop_in_bank)
+            patch.setattr(np, "savez", stop_in_checkpoint)
             patch.setattr(cli, "_append_lines", stop_in_rows)
             with pytest.raises(_Stop):
                 main([*adapt, *ckpt, "--out", cut])
         capsys.readouterr()
-        assert not (tmp_path / "cut" / "ckpt_epoch_001.json").exists()
+        assert not (tmp_path / "cut" / "ckpt_epoch_001.npz").exists()
 
         code, stdout, err = run_cli(capsys, *adapt, "--resume", cut, "--out", cut)
         assert code == 0, err
@@ -556,18 +632,23 @@ class TestValidation:
         assert code == 3
         assert "(N, 8)" in err and "(80, 12)" in err
 
-    def test_resume_rejects_bank_of_other_size(self, data_dir, tmp_path, capsys):
-        # a run directory whose bank has 59 rows, resumed on an 80-sample split
+    @pytest.mark.parametrize("rows, want", [(59, ["(59, 12)", "(80, 12)"]),
+                                            (None, ["ckpt_epoch_000", "holds no bank"])],
+                             ids=["59-rows", "no-bank"])
+    def test_resume_rejects_bank_of_other_size(self, data_dir, tmp_path, capsys, rows, want):
+        # a run directory whose epoch checkpoint holds a bank of 59 rows, or
+        # none, resumed on an 80-sample split
         run = tmp_path / "runA"
         run.mkdir()
         rng = np.random.default_rng(0)
-        save_checkpoint(run / "ckpt_epoch_000", init_encoder(12, 24, 12, rng))
-        write_features(run / "bank_epoch_000.drft", l2_normalize(rng.standard_normal((59, 12))))
-        code, _, err = run_cli(capsys, "adapt", "--data", str(data_dir),
-                               "--config", fast_config(tmp_path), "--resume", str(run),
-                               "--out", str(tmp_path / "runB"))
-        assert code == 3
-        assert "(59, 12)" in err and "(80, 12)" in err
+        save_checkpoint(run / "ckpt_epoch_000", init_encoder(12, 24, 12, rng),
+                        None if rows is None else l2_normalize(rng.standard_normal((rows, 12))))
+        code, stdout, err = run_cli(capsys, "adapt", "--data", str(data_dir),
+                                    "--config", fast_config(tmp_path), "--resume", str(run),
+                                    "--out", str(tmp_path / "runB"))
+        assert code == 3 and stdout == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert all(part in err for part in want), err
 
     def test_eval_of_empty_query_split_is_io_error(self, data_dir, tmp_path, capsys):
         # the split is refused as it loads, so stdout holds no "mAP": NaN
@@ -579,28 +660,35 @@ class TestValidation:
         assert code == 3 and stdout == ""
         assert err.startswith("error:") and "target_query" in err
 
-    def test_eval_rejects_unknown_activation(self, data_dir, tmp_path, capsys):
-        save_checkpoint(tmp_path / "ckpt", init_encoder(12, 24, 12, np.random.default_rng(0)))
-        sidecar = tmp_path / "ckpt.json"
-        sidecar.write_text(sidecar.read_text().replace('"tanh"', '"relu"'))
-        code, _, err = run_cli(capsys, "eval", "--ckpt", str(tmp_path / "ckpt"),
-                               "--data", str(data_dir))
-        assert code == 3
-        assert "relu" in err
-
-    @pytest.mark.parametrize("argv", [["cluster"], ["eval"], ["eval", "--cluster-stats"],
-                                      ["adapt", "--out", "run"]])
-    def test_non_finite_checkpoint_is_io_error(self, data_dir, tmp_path, capsys, argv):
+    @pytest.mark.parametrize("argv, damage", [
+        # one NaN weight (ids argv0-argv3), and each damaged file np.load
+        # meets: EOFError, ValueError, BadZipFile, TypeError and KeyError,
+        # then arrays that load but do not make an encoder
+        *(pytest.param(argv, "nan", id=f"argv{i}") for i, argv in enumerate(_CKPT_READERS)),
+        *(pytest.param(argv, damage, id=f"{damage}-argv{i}")
+          for damage in ("empty", "not-zip", "truncated", "bare-npy", "missing-array",
+                         "unchained", "short-moments", "float32")
+          for i, argv in enumerate(_CKPT_READERS)),
+    ])
+    def test_non_finite_checkpoint_is_io_error(self, data_dir, tmp_path, capsys, argv,
+                                               damage):
         # one NaN weight makes every feature NaN; without the file check the
-        # labeling pass crashed inside the k-NN and plain eval scored NaNs
+        # labeling pass crashed inside the k-NN and plain eval scored NaNs.
+        # Every other damaged checkpoint exits 3 the same way, with no traceback
         state = init_encoder(12, 24, 12, np.random.default_rng(0))
-        state.w1[3, 5] = np.nan
+        if damage == "nan":
+            state.w1[3, 5] = np.nan
         save_checkpoint(tmp_path / "ckpt", state)
+        if damage != "nan":
+            _damage_checkpoint(tmp_path / "ckpt.npz", damage)
         argv = [str(tmp_path / a) if a == "run" else a for a in argv]
-        code, _, err = run_cli(capsys, *argv, "--ckpt", str(tmp_path / "ckpt"),
-                               "--data", str(data_dir), "--config", fast_config(tmp_path))
-        assert code == 3
-        assert "ckpt.drft" in err and "NaN or infinite" in err
+        code, stdout, err = run_cli(capsys, *argv, "--ckpt", str(tmp_path / "ckpt"),
+                                    "--data", str(data_dir), "--config", fast_config(tmp_path))
+        assert code == 3 and stdout == ""
+        assert err.startswith("error: cannot load checkpoint") and len(err.splitlines()) == 1
+        assert "ckpt.npz" in err
+        if damage == "nan":
+            assert "NaN or infinite" in err
 
     @pytest.mark.parametrize("argv", [
         ["pretrain", "--out", "run"],
@@ -624,6 +712,13 @@ class TestValidation:
         code, stdout, err = run_cli(capsys, *argv, "--data", str(data), "--config", cfg)
         assert code == 4 and stdout == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
+        if argv[:2] == ["adapt", "--ckpt"]:
+            # divergence is caught before any Adam step takes a non-finite
+            # value in, so the state adapt leaves at exit 4 loads
+            diverged, bank = load_checkpoint(tmp_path / "run" / "diverged")
+            assert bank is None
+            for name in ("w1", "b1", "w2", "b2"):
+                assert getattr(diverged, name).tobytes() == getattr(state, name).tobytes()
 
     def test_stdout_always_json(self, data_dir, tmp_path, capsys):
         cfg = fast_config(tmp_path)
@@ -653,8 +748,7 @@ class TestManifestAndDeterminism:
                                  "--config", cfg, "--out", str(tmp_path / name))
             assert code == 0
             outs.append(tmp_path / name)
-        for fname in ("metrics.csv", "losses.csv", "final.drft", "final.json",
-                      "ckpt_epoch_001.drft"):
+        for fname in ("metrics.csv", "losses.csv", "final.npz", "ckpt_epoch_001.npz"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
     @pytest.mark.filterwarnings(r"ignore:.*only \d+ clusters; reducing batch labels:UserWarning")

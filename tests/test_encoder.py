@@ -1,12 +1,11 @@
 import copy
-import json
 
 import numpy as np
 import oracles
 import pytest
 from helpers import central_diff, rel_error
 
-from reidapt.data import write_features
+from reidapt.data import l2_normalize
 from reidapt.encoder import (
     CLASSIFIER_PARAMS,
     ENCODER_PARAMS,
@@ -173,7 +172,7 @@ class TestAdam:
         w1 = state.w1.copy()
         adam_step(state, encoder_grads(state, w1=np.zeros_like(w1)), lr=0.1, weight_decay=0.0)
         assert np.array_equal(state.w1, w1)
-        assert state.step == 1
+        assert state.adam["encoder"].t == 1
 
     def test_constant_gradient_moves_against_it(self):
         rng = np.random.default_rng(14)
@@ -227,7 +226,7 @@ class TestAdam:
             oracles.adam_step(want, grads, lr, weight_decay)
             for name in (*ENCODER_PARAMS, *CLASSIFIER_PARAMS):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (step, name)
-        assert got.step == want.step == 60
+        assert got.adam["encoder"].t == want.adam["w1"].t == 60
         # the state left behind at the copy was not stepped with it
         assert {name: getattr(left, name).tobytes() for name in ENCODER_PARAMS} == left_bytes
 
@@ -269,76 +268,65 @@ class TestLrSchedule:
             lr_at(_DEFAULTS.base_lr, -1, **ADAPT_PROFILE)
 
 
-def float32_state(rng, classes=None):
-    """A random state whose encoder survives the float32 persistence."""
-    state = random_state(rng, classes=classes)
-    for name in ENCODER_PARAMS:
-        setattr(state, name, getattr(state, name).astype(np.float32).astype(np.float64))
-    return state
-
-
 class TestCheckpoint:
-    def round_trip(self, tmp_path, classes):
-        state = float32_state(np.random.default_rng(17), classes)
-        state.step = 123
-        save_checkpoint(tmp_path / "ckpt", state)
-        sidecar = json.loads((tmp_path / "ckpt.json").read_text())
-        assert sidecar["order"] == ["w1", "b1", "w2", "b2"]
-        assert sidecar["activation"] == "tanh"
-        back = load_checkpoint(tmp_path / "ckpt")
+    def round_trip(self, tmp_path, classes, bank):
+        # the head is redrawn, with a fresh Adam slot, before its first use in
+        # every adaptation epoch, so a checkpoint holds the encoder alone;
+        # everything it holds comes back to the last bit
+        rng = np.random.default_rng(17)
+        state = random_state(rng, classes=classes)
+        for _ in range(3):
+            adam_step(state, encoder_grads(state, w1=rng.standard_normal(state.w1.shape)),
+                      lr=1e-2, weight_decay=5e-4)
+        save_checkpoint(tmp_path / "ckpt", state, bank)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.npz"]
+        back, back_bank = load_checkpoint(tmp_path / "ckpt")
         assert back.wc is None and back.bc is None
-        assert back.step == 123
         for name in ENCODER_PARAMS:
-            assert np.array_equal(getattr(back, name), getattr(state, name))
+            assert getattr(back, name).tobytes() == getattr(state, name).tobytes()
+        assert list(back.adam) == ["encoder"]
+        slot, want = back.adam["encoder"], state.adam["encoder"]
+        assert slot.t == want.t == 3
+        assert slot.m.tobytes() == want.m.tobytes() and slot.v.tobytes() == want.v.tobytes()
+        if bank is None:
+            assert back_bank is None
+        else:
+            assert back_bank.tobytes() == bank.tobytes()
 
     def test_round_trip(self, tmp_path):
-        # the head is redrawn before its first use in every adaptation epoch,
-        # so a checkpoint holds the encoder alone and drops a head it is given
-        self.round_trip(tmp_path, classes=6)
+        bank = l2_normalize(np.random.default_rng(18).standard_normal((9, 4)))
+        self.round_trip(tmp_path, classes=6, bank=bank)
 
     def test_round_trip_without_classifier(self, tmp_path):
-        self.round_trip(tmp_path, classes=None)
+        self.round_trip(tmp_path, classes=None, bank=None)
 
-    def test_layout_with_head_loads_without_it(self, tmp_path):
-        # a checkpoint whose payload and sidecar also carry wc and bc, after
-        # the encoder, loads as its encoder; the head is dropped
-        state = float32_state(np.random.default_rng(21), classes=6)
-        state.step = 7
-        names = (*ENCODER_PARAMS, *CLASSIFIER_PARAMS)
-        flat = np.concatenate([getattr(state, name) for name in names], axis=None)
-        write_features(tmp_path / "old.drft", flat[None, :])
-        (tmp_path / "old.json").write_text(json.dumps({
-            "order": list(names),
-            "shapes": {name: list(getattr(state, name).shape) for name in names},
-            "activation": "tanh",
-            "step": 7,
-        }))
-        back = load_checkpoint(tmp_path / "old")
-        assert back.wc is None and back.bc is None
-        assert back.step == 7
+    def test_fresh_encoder_saves_an_empty_slot(self, tmp_path):
+        # before its first step the encoder has no slot; the loaded zeros at
+        # t = 0 step exactly as the slot adam_step would create
+        state = random_state(np.random.default_rng(19))
+        save_checkpoint(tmp_path / "ckpt", state)
+        back, _ = load_checkpoint(tmp_path / "ckpt")
+        grads = encoder_grads(state, w2=np.ones_like(state.w2))
+        adam_step(state, grads, lr=1e-2, weight_decay=5e-4)
+        adam_step(back, grads, lr=1e-2, weight_decay=5e-4)
         for name in ENCODER_PARAMS:
-            assert np.array_equal(getattr(back, name), getattr(state, name))
+            assert getattr(back, name).tobytes() == getattr(state, name).tobytes()
 
-    def test_unknown_activation_rejected(self, tmp_path):
-        # forward always runs tanh, so a checkpoint that names another
-        # activation would evaluate silently with the wrong network
-        save_checkpoint(tmp_path / "ckpt", random_state(np.random.default_rng(19)))
-        sidecar = tmp_path / "ckpt.json"
-        doc = json.loads(sidecar.read_text())
-        doc["activation"] = "relu"
-        sidecar.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="relu"):
-            load_checkpoint(tmp_path / "ckpt")
+    def test_checkpoint_appears_only_when_complete(self, tmp_path, monkeypatch):
+        # resume trusts a checkpoint because it exists, so a write that stops
+        # midway leaves no file under the final name, and a checkpoint it
+        # would have replaced stays as it was
+        save_checkpoint(tmp_path / "old", random_state(np.random.default_rng(21)))
+        before = (tmp_path / "old.npz").read_bytes()
 
-    def test_sidecar_appears_only_when_complete(self, tmp_path, monkeypatch):
-        # resume trusts a checkpoint by its sidecar, so a write that stops
-        # midway must leave none under the final name
-        def cut_short(doc, fh, **kw):
-            fh.write("{")
+        def cut_short(fh, **arrays):
+            fh.write(b"PK\x03\x04")
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(json, "dump", cut_short)
-        with pytest.raises(KeyboardInterrupt):
-            save_checkpoint(tmp_path / "ckpt", random_state(np.random.default_rng(20)))
-        assert (tmp_path / "ckpt.drft").exists()
-        assert not (tmp_path / "ckpt.json").exists()
+        monkeypatch.setattr(np, "savez", cut_short)
+        for prefix in ("new", "old"):
+            with pytest.raises(KeyboardInterrupt):
+                save_checkpoint(tmp_path / prefix, random_state(np.random.default_rng(22)))
+            assert (tmp_path / f"{prefix}.npz.tmp").exists()
+        assert not (tmp_path / "new.npz").exists()
+        assert (tmp_path / "old.npz").read_bytes() == before

@@ -99,7 +99,7 @@ class TestPretrainSource:
         want = oracles.pretrain_source(source.raw, source.identity, cfg)
         for name in ("w1", "b1", "w2", "b2", "wc", "bc"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-        assert got.step == want.step
+        assert got.adam["encoder"].t == want.adam["w1"].t
 
     def test_separable_source_high_accuracy(self):
         source, *_ = small_fixture(noise=0.0)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import asdict
@@ -200,10 +201,11 @@ def _find_resume_point(resume_dir: Path):
 
 
 def _rows_through(path: Path, last: int) -> list[str]:
-    """A run's CSV rows of epochs 0 to ``last``; none without the file."""
+    """A run's CSV rows of epochs 0 to ``last``; none without the file. A last
+    line without its newline is a row cut short, and is dropped."""
     done = {str(epoch) for epoch in range(last + 1)}
     try:
-        return [row for row in path.read_text().splitlines()[1:]
+        return [row for row in path.read_text().split("\n")[1:-1]
                 if row.split(",", 1)[0] in done]
     except FileNotFoundError:
         return []
@@ -248,7 +250,9 @@ def cmd_adapt(args):
     for path, lines in ((metrics_csv, metrics_csv_lines([])), (losses_csv, loss_csv_lines([]))):
         if args.resume:
             lines += _rows_through(Path(args.resume) / path.name, last)
-        path.write_text("\n".join(lines) + "\n")
+        tmp = path.with_name(path.name + ".tmp")  # renamed in: a resume may rewrite it
+        tmp.write_text("\n".join(lines) + "\n")
+        os.replace(tmp, path)
 
     def on_epoch(metrics, epoch_state, epoch_bank, reports, labels):
         # the checkpoint last: --resume trusts an epoch once it has one

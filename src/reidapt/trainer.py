@@ -42,6 +42,13 @@ from .refine import PseudoLabelSet, refine_labels
 _PRETRAIN_STREAM = 1
 _ADAPT_STREAM = 2
 
+# the reference regime's fixed recipe
+_SPREAD_MARGIN = 0.35
+_WARMUP_EPOCHS = 10                 # pretraining lr ramps up from base_lr/10
+_PRETRAIN_DECAY_EPOCHS = (40, 70)   # pretraining epochs that divide the lr
+_DECAY_FACTOR = 10.0                # the divisor, in pretraining and adaptation
+_WEIGHT_DECAY = 5e-4                # Adam's decoupled weight decay
+
 
 class ConfigError(ValueError):
     """A training-configuration key is unknown or out of range."""
@@ -62,7 +69,6 @@ class TrainConfig:
     alpha: float = 0.5             # refined-label weight in the loss blend
     mu: float = 0.1                # spread-out regularizer weight
     margin: float = 0.3            # triplet hinge margin
-    spread_margin: float = 0.35    # spread-out margin
     k_pos: int = 6                 # positives per anchor in the bank
     fine_clusters: int = 5         # prototypes per coarse cluster
     k_rr: int = 20                 # reciprocal-neighborhood size
@@ -74,11 +80,7 @@ class TrainConfig:
     iters_per_epoch: int = 0       # 0 = one pass over the non-outliers
     pretrain_epochs: int = 80
     base_lr: float = 3.5e-4
-    warmup_epochs: int = 10
-    pretrain_decay_epochs: tuple = (40, 70)
     adapt_decay_epochs: tuple = (20,)
-    decay_factor: float = 10.0
-    weight_decay: float = 5e-4
     feat_dim: int = 32             # embedding width; the hidden layer is twice as wide
     bank_tau: float = 0.0          # bank momentum; 0 writes each feature back
     seed: int = 0
@@ -90,17 +92,15 @@ class TrainConfig:
                 raise ConfigError(f"config key {f.name!r} must be an integer (got {value!r})")
             if f.type in (float, "float") and not _is_real(value):
                 raise ConfigError(f"config key {f.name!r} must be a number (got {value!r})")
-        for name in ("pretrain_decay_epochs", "adapt_decay_epochs"):
-            epochs = getattr(self, name)
-            if not (isinstance(epochs, (tuple, list)) and all(map(_is_int, epochs))
-                    and all(a < b for a, b in zip(epochs, epochs[1:]))):
-                raise ConfigError(f"config key {name!r} must list strictly increasing "
-                                  f"integer epochs (got {epochs!r})")
+        epochs = self.adapt_decay_epochs
+        if not (isinstance(epochs, (tuple, list)) and all(map(_is_int, epochs))
+                and all(a < b for a, b in zip(epochs, epochs[1:]))):
+            raise ConfigError("config key 'adapt_decay_epochs' must list strictly "
+                              f"increasing integer epochs (got {epochs!r})")
         checks = [
             ("alpha", 0.0 <= self.alpha <= 1.0),
             ("mu", self.mu >= 0.0),
             ("margin", self.margin >= 0.0),
-            ("spread_margin", self.spread_margin >= 0.0),
             ("k_pos", self.k_pos >= 0),
             ("fine_clusters", self.fine_clusters >= 1),
             ("k_rr", self.k_rr >= 1),
@@ -112,9 +112,6 @@ class TrainConfig:
             ("iters_per_epoch", self.iters_per_epoch >= 0),
             ("pretrain_epochs", self.pretrain_epochs >= 0),
             ("base_lr", self.base_lr >= 0.0),
-            ("warmup_epochs", self.warmup_epochs >= 0),
-            ("decay_factor", self.decay_factor > 1.0),
-            ("weight_decay", self.weight_decay >= 0.0),
             ("feat_dim", self.feat_dim >= 1),
             ("bank_tau", 0.0 <= self.bank_tau < 1.0),
             ("seed", self.seed >= 0),
@@ -302,7 +299,7 @@ def joint_loss_and_grads(state: EncoderState, bank: MemoryBank | None, x: np.nda
             raise TrainingDivergedError("encoder produced a zero feature vector")
         feats_n = feats / norms
         spread, g_feats_n = spread_loss(feats_n, bank, sample_indices,
-                                        cfg.k_pos, cfg.spread_margin)
+                                        cfg.k_pos, _SPREAD_MARGIN)
 
     cls = (1.0 - cfg.alpha) * cls_c + cfg.alpha * cls_r
     tri = (1.0 - cfg.alpha) * tri_c + cfg.alpha * tri_r
@@ -311,15 +308,14 @@ def joint_loss_and_grads(state: EncoderState, bank: MemoryBank | None, x: np.nda
         raise TrainingDivergedError(
             f"non-finite loss (cls={cls}, tri={tri}, spread={spread})")
 
-    if len(weighted) == 1:  # its weight is exactly 1.0, so there is no blend to form
-        (_, g_logits, g_tri), = weighted
-        cls_grads, g_feats = classifier_backward(state, feats, g_logits)
-        g_feats += g_tri
-    else:  # coarse before refined: the order of the additions fixes the bits
-        (w_c, logits_c, g_tri_c), (w_r, logits_r, g_tri_r) = weighted
-        cls_grads, g_feats = classifier_backward(state, feats, w_c * logits_c + w_r * logits_r)
-        g_feats += w_c * g_tri_c
-        g_feats += w_r * g_tri_r
+    # coarse before refined: the order of the additions fixes the bits; a lone
+    # labeling's weight is exactly 1.0, so its gradients pass through unchanged
+    g_logits = weighted[0][0] * weighted[0][1]
+    for w, logits, _ in weighted[1:]:
+        g_logits += w * logits
+    cls_grads, g_feats = classifier_backward(state, feats, g_logits)
+    for w, _, g_tri in weighted:
+        g_feats += w * g_tri
     if cfg.mu:
         # chain the spread gradient through the row normalization
         inner = np.sum(g_feats_n * feats_n, axis=1, keepdims=True)
@@ -343,7 +339,7 @@ def online_iteration(state: EncoderState, bank: MemoryBank, raw: np.ndarray,
     report, grads, feats_n = joint_loss_and_grads(
         state, bank, raw[batch], labels.coarse[batch], labels.refined[batch],
         batch, cfg)
-    adam_step(state, grads, lr, cfg.weight_decay)
+    adam_step(state, grads, lr, _WEIGHT_DECAY)
     if cfg.mu:
         momentum_update(bank, feats_n, batch, cfg.bank_tau)
     return report
@@ -373,15 +369,14 @@ def pretrain_source(raw: np.ndarray, identities: np.ndarray,
     p = min(cfg.batch_p, len(classes))
     iters = _pk_iterations(cfg, len(raw))
     for epoch in range(cfg.pretrain_epochs):
-        lr = lr_at(cfg.base_lr, epoch, cfg.warmup_epochs, cfg.pretrain_decay_epochs,
-                   cfg.decay_factor)
+        lr = lr_at(cfg.base_lr, epoch, _WARMUP_EPOCHS, _PRETRAIN_DECAY_EPOCHS, _DECAY_FACTOR)
         epoch_rng = np.random.default_rng((cfg.seed, _PRETRAIN_STREAM, epoch))
         for _ in range(iters):
             batch = pk_sample(labels, p, cfg.batch_k, epoch_rng)
             _, grads, _ = joint_loss_and_grads(
                 state, None, raw[batch], labels.coarse[batch],
                 labels.refined[batch], batch, step_cfg)
-            adam_step(state, grads, lr, cfg.weight_decay)
+            adam_step(state, grads, lr, _WEIGHT_DECAY)
     return state
 
 
@@ -420,7 +415,7 @@ def adapt(state: EncoderState, raw: np.ndarray, cfg: TrainConfig,
             p = es.num_clusters
         non_outliers = len(raw) - es.outliers
         iters = _pk_iterations(cfg, non_outliers)
-        lr = lr_at(cfg.base_lr, epoch, 0, cfg.adapt_decay_epochs, cfg.decay_factor)
+        lr = lr_at(cfg.base_lr, epoch, 0, cfg.adapt_decay_epochs, _DECAY_FACTOR)
         reports = []
         for _ in range(iters):
             batch = pk_sample(es.labels, p, cfg.batch_k, epoch_rng)

@@ -565,7 +565,7 @@ def joint_loss_and_grads(state, bank, x, coarse, refined, sample_indices, cfg):
     tri_refined, g_tri_refined = _triplet_or_zero(feats, refined, cfg.margin)
 
     sets = positive_sets(bank, feats_n, sample_indices, cfg.k_pos)
-    spread, g_feats_n = spread_loss(feats_n, bank, sets, cfg.spread_margin)
+    spread, g_feats_n = spread_loss(feats_n, bank, sets, 0.35)
 
     cls_blend, tri_blend = blend_metric_losses(
         (cls_noisy, tri_noisy), (cls_refined, tri_refined), cfg.alpha)
@@ -594,7 +594,7 @@ def online_iteration(state, bank, raw, batch, labels, cfg, lr):
     report, grads, feats_n = joint_loss_and_grads(
         state, bank, raw[batch], labels.coarse[batch], labels.refined[batch],
         batch, cfg)
-    adam_step(state, grads, lr, cfg.weight_decay)
+    adam_step(state, grads, lr, 5e-4)
     momentum_update(bank, feats_n, batch, cfg.bank_tau)
     return report
 
@@ -612,8 +612,7 @@ def pretrain_source(raw, identities, cfg):
     p = min(cfg.batch_p, len(classes))
     iters = _pk_iterations(cfg, len(raw))
     for epoch in range(cfg.pretrain_epochs):
-        lr = lr_at(cfg.base_lr, epoch, cfg.warmup_epochs, cfg.pretrain_decay_epochs,
-                   cfg.decay_factor)
+        lr = lr_at(cfg.base_lr, epoch, 10, (40, 70), 10.0)
         epoch_rng = np.random.default_rng((cfg.seed, _PRETRAIN_STREAM, epoch))
         for _ in range(iters):
             batch = pk_sample(labels, p, cfg.batch_k, epoch_rng)
@@ -627,7 +626,7 @@ def pretrain_source(raw, identities, cfg):
             cls_grads, g_feats = classifier_backward(state, feats, g_logits)
             grads = backward(state, cache, g_feats + g_tri)
             grads.update(cls_grads)
-            adam_step(state, grads, lr, cfg.weight_decay)
+            adam_step(state, grads, lr, 5e-4)
     return state
 
 

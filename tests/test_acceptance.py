@@ -150,7 +150,7 @@ def test_criterion_gradient_suite(monkeypatch):
         t_n, _ = batch_hard_triplet(f, coarse, cfg.margin)
         t_r, _ = batch_hard_triplet(f, refined, cfg.margin)
         fn = l2_normalize(f)
-        sp, _ = spread_loss(fn, jbank, jidx, cfg.k_pos, cfg.spread_margin)
+        sp, _ = spread_loss(fn, jbank, jidx, cfg.k_pos, 0.35)
         a = cfg.alpha
         return ((1 - a) * (c_n + t_n) + a * (c_r + t_r) + cfg.mu * sp)
 

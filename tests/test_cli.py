@@ -1,6 +1,7 @@
 import json
+import os
 import shutil
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -412,6 +413,49 @@ class TestPipeline:
             assert list(dict.fromkeys(resumed)) == ["0", "1", "2"]
             assert resumed == whole
 
+    def test_resume_drops_a_row_cut_short(self, tmp_path):
+        # a run stopped while it appends a row of epoch 10 or later can leave
+        # a line that reads like the start of an earlier epoch's row
+        path = tmp_path / "metrics.csv"
+        rows = [f"{epoch},5" for epoch in range(10)]
+        path.write_text("\n".join(["epoch,num_clusters", *rows, "1"]))
+        assert cli._rows_through(path, last=9) == rows
+
+    @pytest.mark.parametrize("fault", ["write", "rename"])
+    def test_resume_into_its_own_directory_keeps_the_csvs_on_a_failed_rewrite(
+            self, data_dir, tmp_path, capsys, monkeypatch, fault):
+        # --resume into the run's own directory rewrites both CSVs through a
+        # .tmp name: a write stopped midway or a rename that fails leaves the
+        # rows of every finished epoch as they were
+        run = tmp_path / "run"
+        adapt = ["adapt", "--data", str(data_dir), "--out", str(run)]
+        code, _, _ = run_cli(capsys, *adapt, "--config", fast_config(tmp_path, epochs=2))
+        assert code == 0
+        before = {name: (run / name).read_bytes() for name in ("metrics.csv", "losses.csv")}
+        resume = [*adapt, "--config", fast_config(tmp_path, epochs=3), "--resume", str(run)]
+
+        real_write, real_replace = Path.write_text, os.replace
+
+        def stop_midway(path, text):
+            real_write(path, text[:len(text) // 2])
+            raise _Stop
+
+        def fail_csv_rename(src, dst):
+            if str(src).endswith(".csv.tmp"):
+                raise OSError(f"cannot rename {src}")
+            real_replace(src, dst)
+
+        with monkeypatch.context() as patch:
+            if fault == "write":
+                patch.setattr(Path, "write_text", stop_midway)
+                with pytest.raises(_Stop):
+                    main(resume)
+            else:
+                patch.setattr(os, "replace", fail_csv_rename)
+                assert main(resume) == 3
+        capsys.readouterr()
+        assert {name: (run / name).read_bytes() for name in before} == before
+
 
 class TestValidation:
     def test_alpha_out_of_range_names_key(self, data_dir, tmp_path, capsys):
@@ -423,12 +467,18 @@ class TestValidation:
 
     def test_unknown_config_key(self, data_dir, tmp_path, capsys):
         # bank_mode is the bank-rule key of configs from before the instant
-        # bank became momentum at tau 0
-        for key, value in (("alhpa", 0.5), ("bank_mode", "momentum")):
+        # bank became momentum at tau 0, and the last five were keys before
+        # they became constants of the reference regime: the config of an
+        # earlier manifest.json still names them
+        for key, value in (("alhpa", 0.5), ("bank_mode", "momentum"),
+                           ("spread_margin", 0.35), ("warmup_epochs", 10),
+                           ("pretrain_decay_epochs", [40, 70]), ("decay_factor", 10.0),
+                           ("weight_decay", 5e-4)):
             cfg = fast_config(tmp_path, **{key: value})
-            code, _, err = run_cli(capsys, "adapt", "--data", str(data_dir),
-                                   "--config", cfg, "--out", str(tmp_path / "run"))
-            assert code == 2
+            code, stdout, err = run_cli(capsys, "adapt", "--data", str(data_dir),
+                                        "--config", cfg, "--out", str(tmp_path / "run"))
+            assert code == 2 and stdout == ""
+            assert err.startswith("error:") and len(err.splitlines()) == 1
             assert key in err
 
     def test_adapt_rejects_decreasing_decay_epochs(self, data_dir, tmp_path, capsys):
@@ -439,11 +489,11 @@ class TestValidation:
         assert "adapt_decay_epochs" in err
 
     def test_pretrain_rejects_repeated_decay_epochs(self, data_dir, tmp_path, capsys):
-        cfg = fast_config(tmp_path, pretrain_decay_epochs=[5, 5])
+        cfg = fast_config(tmp_path, adapt_decay_epochs=[5, 5])
         code, _, err = run_cli(capsys, "pretrain", "--data", str(data_dir),
                                "--config", cfg, "--out", str(tmp_path / "run"))
         assert code == 2
-        assert "pretrain_decay_epochs" in err
+        assert "adapt_decay_epochs" in err
 
     def test_non_integer_epochs_rejected(self, data_dir, tmp_path, capsys):
         for value in (1.5, True):
@@ -475,8 +525,13 @@ class TestValidation:
     def test_readme_config_table_lists_the_config_keys(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         table = readme.split("### Config schema", 1)[1].split("\n## ", 1)[0]
-        keys = [line.split("`")[1] for line in table.splitlines() if line.startswith("| `")]
+        rows = [[cell.strip() for cell in line.split("|")[1:-1]]
+                for line in table.splitlines() if line.startswith("| `")]
+        keys = [row[0].strip("`") for row in rows]
         assert keys == [f.name for f in fields(TrainConfig)]
+        # the default column, read as the JSON a --config would give
+        defaults = json.loads(json.dumps(asdict(TrainConfig())))
+        assert {key: json.loads(row[2]) for key, row in zip(keys, rows)} == defaults
 
     def test_missing_data_is_io_error(self, tmp_path, capsys):
         cfg = fast_config(tmp_path)
@@ -706,8 +761,7 @@ class TestValidation:
         state = init_encoder(12, 24, 12, np.random.default_rng(0))
         state.w2[:], state.b2[:] = 0.0, 0.0
         save_checkpoint(tmp_path / "zero", state)
-        cfg = fast_config(tmp_path, pretrain_epochs=3, base_lr=1e6, warmup_epochs=0,
-                          batch_p=4, batch_k=2)
+        cfg = fast_config(tmp_path, pretrain_epochs=3, base_lr=1e6, batch_p=4, batch_k=2)
         argv = [str(tmp_path / a) if a in ("run", "zero") else a for a in argv]
         code, stdout, err = run_cli(capsys, *argv, "--data", str(data), "--config", cfg)
         assert code == 4 and stdout == ""

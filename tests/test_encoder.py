@@ -232,13 +232,11 @@ class TestAdam:
 
 
 # the adaptation and pretraining profiles the trainer builds from the
-# TrainConfig defaults
+# TrainConfig defaults and the reference regime's schedule
 _DEFAULTS = TrainConfig()
 ADAPT_PROFILE = dict(warmup_epochs=0, decay_epochs=_DEFAULTS.adapt_decay_epochs,
-                     decay_factor=_DEFAULTS.decay_factor)
-PRETRAIN_PROFILE = dict(warmup_epochs=_DEFAULTS.warmup_epochs,
-                        decay_epochs=_DEFAULTS.pretrain_decay_epochs,
-                        decay_factor=_DEFAULTS.decay_factor)
+                     decay_factor=10.0)
+PRETRAIN_PROFILE = dict(warmup_epochs=10, decay_epochs=(40, 70), decay_factor=10.0)
 
 
 class TestLrSchedule:

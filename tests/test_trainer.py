@@ -16,6 +16,11 @@ from reidapt.membank import MemoryBank, TrainingDivergedError, momentum_update
 from reidapt.refine import PseudoLabelSet, refine_labels
 from reidapt.trainer import (
     _ADAPT_STREAM,
+    _DECAY_FACTOR,
+    _PRETRAIN_DECAY_EPOCHS,
+    _SPREAD_MARGIN,
+    _WARMUP_EPOCHS,
+    _WEIGHT_DECAY,
     ConfigError,
     TrainConfig,
     adapt,
@@ -49,11 +54,12 @@ class TestTrainConfig:
     def test_defaults_match_reference_regime(self):
         cfg = TrainConfig()
         assert (cfg.alpha, cfg.mu) == (0.5, 0.1)
-        assert (cfg.margin, cfg.spread_margin) == (0.3, 0.35)
+        assert (cfg.margin, _SPREAD_MARGIN) == (0.3, 0.35)
         assert cfg.k_pos == 6
         assert cfg.batch_size == 64
         assert cfg.bank_tau == 0.0
-        assert cfg.weight_decay == 5e-4
+        assert _WEIGHT_DECAY == 5e-4
+        assert (_WARMUP_EPOCHS, _PRETRAIN_DECAY_EPOCHS, _DECAY_FACTOR) == (10, (40, 70), 10.0)
 
     def test_from_dict_rejects_unknown_keys(self):
         # bank_mode named the bank rule before the instant bank became
@@ -73,14 +79,14 @@ class TestTrainConfig:
 
     def test_from_dict_rejects_non_numbers_in_float_keys(self):
         for key, value in (("alpha", True), ("mu", False), ("base_lr", "x"),
-                           ("margin", None), ("decay_factor", [10.0])):
+                           ("margin", None), ("base_lr", [10.0])):
             with pytest.raises(ConfigError) as err:
                 TrainConfig.from_dict({key: value})
             assert key in str(err.value)
 
     def test_from_dict_accepts_integers_in_float_keys(self):
-        cfg = TrainConfig.from_dict({"alpha": 1, "decay_factor": 10, "mu": np.float64(0.2)})
-        assert (cfg.alpha, cfg.decay_factor, cfg.mu) == (1, 10, 0.2)
+        cfg = TrainConfig.from_dict({"alpha": 1, "base_lr": 10, "mu": np.float64(0.2)})
+        assert (cfg.alpha, cfg.base_lr, cfg.mu) == (1, 10, 0.2)
 
     def test_round_trip(self):
         # through JSON as the CLI's manifest and --config do: tuples come
@@ -109,7 +115,7 @@ class TestPretrainSource:
 
     def test_zero_lr_leaves_parameters_at_init(self):
         source, *_ = small_fixture()
-        cfg = small_config(pretrain_epochs=1, base_lr=0.0, weight_decay=0.0)
+        cfg = small_config(pretrain_epochs=1, base_lr=0.0)
         trained = pretrain_source(source.raw, source.identity, cfg)
         fresh = pretrain_source(source.raw, source.identity,
                                 small_config(pretrain_epochs=0))
